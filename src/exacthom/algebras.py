@@ -88,6 +88,8 @@ class GradedAlgebra:
             for l, c in ideal.items():
                 vec[l - 1] = c
             self._table[(i, j)] = AlgebraElement(self, scalar, tuple(vec))
+        self._tensors = {}
+        self._images = {}
 
     # -- elements ----------------------------------------------------------
 
@@ -174,6 +176,50 @@ class GradedAlgebra:
         return [(l, c) for l, c in enumerate(prod.ideal, start=1)
                 if c != self.field.zero]
 
+    def tensors(self, x, w, unit=False):
+        """Basic tensors of length x and weight w in lexicographic order,
+        built slot by slot within the remaining weight; the unit slot 0
+        is allowed only when `unit` is set."""
+        key = (x, w, unit)
+        if key not in self._tensors:
+            if x == 0:
+                out = ((),) if w == 0 else ()
+            else:
+                out = tuple(
+                    (v,) + rest
+                    for v in range(0 if unit else 1, self.dim_ideal + 1)
+                    if self.slot_weight(v) <= w
+                    for rest in self.tensors(x - 1, w - self.slot_weight(v),
+                                             unit))
+            self._tensors[key] = out
+        return self._tensors[key]
+
+    def fiber_product(self, slots, fibers):
+        """The basic tensor whose j-th slot is the ordered product of the
+        slots at the (1-based) positions in fibers[j]; an empty fiber gives
+        the unit.  Returns [(out_slots, coeff)] terms."""
+        field = self.field
+        terms = [((), field.one)]
+        for fiber in fibers:
+            prod = [(0, field.one)]
+            for i in fiber:
+                prod = [
+                    (l, field.mul(c, cl))
+                    for slot_val, c in prod
+                    for l, cl in self.slot_product(slot_val, slots[i - 1])
+                ]
+            terms = [(out + (l,), field.mul(c, cl))
+                     for out, c in terms for l, cl in prod]
+        return terms
+
+    def map_tensor(self, f, slots):
+        """fiber_product along the fibers of a map f (a surjection or a
+        fiber-ordered map), cached per (f, slots)."""
+        key = (f, slots)
+        if key not in self._images:
+            self._images[key] = self.fiber_product(slots, f.fibers)
+        return self._images[key]
+
     # -- validation ---------------------------------------------------------
 
     def validate(self):
@@ -252,6 +298,18 @@ class Coefficients:
             return []
         return self.algebra.slot_product(slot, idx)
 
+    def act_all(self, slots, idx):
+        """Multiply the module basis element by each basic slot value in
+        turn; returns [(module index, coeff)] terms."""
+        field = self.algebra.field
+        mods = [(idx, field.one)]
+        for v in slots:
+            mods = [(m2, field.mul(c, c2))
+                    for m1, c in mods for m2, c2 in self.act(v, m1)]
+            if not mods:
+                break
+        return mods
+
     def __repr__(self):
         return f"Coefficients({self.kind})"
 
@@ -297,35 +355,13 @@ def loday_apply(alg, coeffs, f, slots, module_idx):
         raise ValueError("tensor length does not match the based map")
     field = alg.field
     fibers = [[] for _ in range(f.q + 1)]
-    for i, v in enumerate(slots, start=1):
-        fibers[f(i)].append(v)
-    # each output slot is a linear combination; expand the product of sums
-    terms = [((), field.one, module_idx)]
-    for j in range(1, f.q + 1):
-        prod = [(0, field.one)]  # empty product = unit
-        for v in fibers[j]:
-            nxt = []
-            for slot_val, c in prod:
-                for l, cl in alg.slot_product(slot_val, v):
-                    nxt.append((l, field.mul(c, cl)))
-            prod = nxt
-        terms = [
-            (out + (l,), field.mul(c, cl), m)
-            for out, c, m in terms
-            for l, cl in prod
-        ]
-    # basepoint fiber acts on the module slot
+    for i in range(1, f.p + 1):
+        fibers[f(i)].append(i)
+    mods = coeffs.act_all([slots[i - 1] for i in fibers[0]], module_idx)
     out = {}
-    for out_slots, c, m in terms:
-        mods = [(m, field.one)]
-        for v in fibers[0]:
-            mods = [
-                (m2, field.mul(cm, c2))
-                for m1, cm in mods
-                for m2, c2 in coeffs.act(v, m1)
-            ]
-        for m2, cm in mods:
-            key = (out_slots, m2)
+    for out_slots, c in alg.fiber_product(slots, fibers[1:]):
+        for m, cm in mods:
+            key = (out_slots, m)
             s = field.add(out.get(key, field.zero), field.mul(c, cm))
             if s == field.zero:
                 out.pop(key, None)

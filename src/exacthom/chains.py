@@ -1,4 +1,5 @@
-"""Bounded chain-complex slices and their exact homology.
+"""Bounded chain-complex slices, the slice engine behind every theory's
+complex, and exact homology.
 
 A ChainSlice holds the degrees 0..N of a complex in one internal weight.
 Degrees above N are treated as zero, so the homology in degree N is only
@@ -8,7 +9,100 @@ theory-level drivers do exactly that).
 
 from dataclasses import dataclass, field as dc_field
 
-from .sparse import Echelon, SparseMatrix, kernel_basis, solve_batch
+from .sparse import (Echelon, SparseMatrix, extend_basis_columns,
+                     kernel_basis, solve_batch)
+
+
+class CertificationError(AssertionError):
+    """An exact identity asserted by the theory failed on real data."""
+
+
+class SliceComplex:
+    """A weight-graded complex whose boundary is an alternating sum of
+    faces, viewed one (degree, weight) slice at a time.
+
+    A theory supplies iter_basis(n, w) (the basis elements of a slice, in
+    any order), degree(key), face_terms(key, i) (the i-th face as
+    [(key, coeff)] terms, 0 <= i <= degree) and sort_key (the canonical
+    basis order; None sorts the keys themselves).  Bases and boundary
+    matrices are cached per (n, w), so every matrix is reproducible.
+    """
+
+    sort_key = None
+
+    def __init__(self, field):
+        self.field = field
+        self._basis = {}
+        self._boundary = {}
+
+    def basis(self, n, w):
+        key = (n, w)
+        if key not in self._basis:
+            self._basis[key] = tuple(sorted(self.iter_basis(n, w),
+                                            key=self.sort_key))
+        return self._basis[key]
+
+    def index(self, n, w):
+        return {k: i for i, k in enumerate(self.basis(n, w))}
+
+    def dim(self, n, w):
+        return len(self.basis(n, w))
+
+    def boundary_terms(self, key):
+        """All terms of the alternating-sum boundary of one basis element."""
+        field = self.field
+        add, mul, zero = field.add, field.mul, field.zero
+        out = {}
+        sign = field.one
+        for i in range(self.degree(key) + 1):
+            for tkey, c in self.face_terms(key, i):
+                s = add(out.get(tkey, zero), mul(sign, c))
+                if s == zero:
+                    out.pop(tkey, None)
+                else:
+                    out[tkey] = s
+            sign = field.neg(sign)
+        return out
+
+    def boundary(self, n, w):
+        key = (n, w)
+        if key not in self._boundary:
+            idx = self.index(n - 1, w)
+            entries = {}
+            for j, bkey in enumerate(self.basis(n, w)):
+                for tkey, c in self.boundary_terms(bkey).items():
+                    entries[(idx[tkey], j)] = c
+            self._boundary[key] = SparseMatrix(
+                self.field, len(idx), self.dim(n, w), entries)
+        return self._boundary[key]
+
+    def slice(self, w, top):
+        dims = [self.dim(n, w) for n in range(top + 1)]
+        bounds = {n: self.boundary(n, w) for n in range(1, top + 1)}
+        return ChainSlice(self.field, dims, bounds)
+
+    def homology_table(self, max_n, max_w):
+        """Homology dimensions per (degree, weight), each weight computed
+        from its slice through degree max_n + 1."""
+        table = {}
+        for w in range(max_w + 1):
+            dims = self.slice(w, max_n + 1).homology().dims()
+            for n in range(max_n + 1):
+                table[(n, w)] = dims[n]
+        return table
+
+
+def basis_map_matrix(src, dst, n, w, image):
+    """Matrix of the map sending each basis element of src at (n, w) to
+    the basis element image(key) of dst, or to zero when image gives None."""
+    field = src.field
+    idx = dst.index(n, w)
+    entries = {}
+    for j, key in enumerate(src.basis(n, w)):
+        target = image(key)
+        if target is not None:
+            entries[(idx[target], j)] = field.one
+    return SparseMatrix(field, len(idx), src.dim(n, w), entries)
 
 
 class ChainSlice:
@@ -95,13 +189,28 @@ def _degree_homology(sl, n, with_reps):
     reps = None
     if with_reps:
         # kernel columns extending a spanning set of the boundary space
-        ech = Echelon(bnd.hstack(cyc))
-        take = [c - bnd.ncols for c in ech.pivot_cols if c >= bnd.ncols]
-        reps = cyc.select_columns(take)
+        reps = cyc.select_columns(extend_basis_columns(bnd, cyc))
     hom = DegreeHomology(n, cyc.ncols, brank, reps)
     if hom.dim < 0:
         raise AssertionError("negative homology dimension: broken complex")
     return hom
+
+
+def span_slice(boundary, reps):
+    """ChainSlice of the subcomplex spanned by the columns of reps[n] in
+    each degree n, where boundary(n) is the ambient boundary matrix: d_n
+    is expressed in the chosen bases, and solving certifies that the span
+    is closed under the boundary."""
+    bounds = {}
+    for n in range(1, len(reps)):
+        image = boundary(n).mul(reps[n])
+        try:
+            bounds[n], _ = solve_batch(reps[n - 1], image)
+        except ValueError as exc:
+            raise CertificationError(
+                f"boundary leaves the subcomplex at degree {n}: {exc}"
+            ) from None
+    return ChainSlice(reps[0].field, [r.ncols for r in reps], bounds)
 
 
 class HomologyBases:
@@ -129,20 +238,13 @@ class HomologyBases:
         reps = self.reps(n)
         bnd = self.slice.boundary(n + 1)
         sol, _ = solve_batch(reps.hstack(bnd), vectors)
-        return SparseMatrix(
-            self.slice.field, reps.ncols, vectors.ncols,
-            {(i, j): v for (i, j), v in sol.entries.items() if i < reps.ncols},
-        )
+        return sol.row_block(0, reps.ncols)
 
 
 def check_chain_map(f, src, dst):
     """Verify f commutes with the boundaries: f_{n-1} d_n = d_n f_n."""
-    for n in range(1, min(src.top, dst.top) + 1):
-        lhs = f[n - 1].mul(src.boundary(n))
-        rhs = dst.boundary(n).mul(f[n])
-        if not lhs.sub(rhs).is_zero():
-            return False
-    return True
+    return all(f[n - 1].mul(src.boundary(n)) == dst.boundary(n).mul(f[n])
+               for n in range(1, min(src.top, dst.top) + 1))
 
 
 def induced_map_on_homology(f, src, dst, n, src_bases=None, dst_bases=None,

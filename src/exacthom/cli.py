@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 
@@ -24,6 +25,9 @@ from .symhom import ComparisonData, SymmetricComplex, hs0_consistency
 from .verify import SUITES, run_suite
 
 THEORIES = ("hochschild", "harrison", "gamma", "symmetric", "comparison")
+# theories whose weight slices are computed independently (and in parallel
+# with --jobs)
+WEIGHTWISE = ("hochschild", "gamma", "symmetric")
 
 DEFAULT_BASIS_CEILING = 200_000
 
@@ -32,16 +36,43 @@ class ConfigError(Exception):
     pass
 
 
+def _field(args):
+    if not args.field:
+        return None
+    try:
+        return field_from_name(args.field)
+    except ValueError as exc:
+        raise ConfigError(f"--field {args.field}: {exc}") from None
+
+
+def _load_algebra(path, field):
+    try:
+        return load_algebra(path, field_override=field)
+    except KeyError as exc:
+        raise ConfigError(
+            f"algebra file {path}: unknown or missing key {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"algebra file {path}: {exc}") from None
+
+
 def _resolve_algebra(args):
-    field = field_from_name(args.field) if args.field else None
+    field = _field(args)
     if args.algebra_file:
-        alg = load_algebra(args.algebra_file, field_override=field)
+        alg = _load_algebra(args.algebra_file, field)
         problems = alg.validate()
         if problems:
             raise ConfigError("algebra file failed validation: "
                               + "; ".join(problems))
         return alg
     return preset(args.preset, field or QQ)
+
+
+def _require_non_negative(args, *names):
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            raise ConfigError(f"--{name.replace('_', '-')} must be "
+                              f"non-negative, got {value}")
 
 
 def _config_echo(args, alg):
@@ -64,78 +95,89 @@ def _guard_dim(dim, ceiling, what):
             "lower --max-degree/--max-weight or raise --max-basis")
 
 
-def _compute_rows(alg, args, timings):
-    """Dimension-table rows plus inline certifications for one theory."""
-    theory = args.theory
-    N, W = args.max_degree, args.max_weight
-    ceiling = args.max_basis
-    co = Coefficients(alg, args.coefficients)
-    rows = []
-    certs = []
-
+def _timer(timings):
     def timed(label, fn):
         t0 = time.perf_counter()
         out = fn()
         timings[label] = round(time.perf_counter() - t0, 6)
         return out
+    return timed
 
-    if theory == "hochschild":
-        hc = HochschildComplex(alg, co)
-        for w in range(W + 1):
-            _guard_dim(max(hc.dim(n, w) for n in range(N + 2)), ceiling,
-                       f"hochschild slice w={w}")
-            dims = timed(f"w={w}",
-                         lambda w=w: hc.full_slice(w, N + 1).homology().dims())
-            rows += [{"theory": theory, "n": n, "w": w, "dim": dims[n]}
-                     for n in range(N + 1)]
-        certs.append({"name": "boundary squares to zero", "status": "pass"})
-    elif theory == "harrison":
+
+def _weight_rows(alg, args, weights, timings):
+    """Dimension-table rows of a theory whose weight slices are independent
+    (hochschild, gamma, symmetric), for the given weights only."""
+    theory = args.theory
+    N = args.max_degree
+    ceiling = args.max_basis
+    co = Coefficients(alg, args.coefficients)
+    timed = _timer(timings)
+    if theory == "gamma":
+        complexes = [(v, GammaComplex(alg, co, v)) for v in ("I", "A")]
+    elif theory == "hochschild":
+        complexes = [(None, HochschildComplex(alg, co))]
+    else:
+        complexes = [(None, SymmetricComplex(alg, "full"))]
+    rows = []
+    for variant, cx in complexes:
+        tag = {"variant": variant} if variant else {}
+        name = f"{theory}({variant})" if variant else theory
+        prefix = f"{variant} " if variant else ""
+        for w in weights:
+            _guard_dim(max(cx.dim(n, w) for n in range(N + 2)), ceiling,
+                       f"{name} slice w={w}")
+            dims = timed(f"{prefix}w={w}",
+                         lambda: cx.slice(w, N + 1).homology().dims())
+            rows += [{"theory": theory, **tag, "n": n, "w": w,
+                      "dim": dims[n]} for n in range(N + 1)]
+    return rows
+
+
+def _weight_certs(alg, args):
+    """Certifications of a theory whose tables _weight_rows builds."""
+    if args.theory == "hochschild":
+        return [{"name": "boundary squares to zero", "status": "pass"}]
+    if args.theory == "gamma":
+        return [
+            {"name": "boundary squares to zero", "status": "pass"},
+            {"name": "full-algebra variant truncated to strings with "
+                     "initial domain <= weight",
+             "status": "pass"}]
+    bad = [(w, got, exp)
+           for w, got, exp in hs0_consistency(alg, args.max_weight)
+           if got != exp]
+    return [{"name": "degree-zero law vs algebra dimensions",
+             "status": "pass" if not bad else "fail",
+             **({"witness": str(bad)} if bad else {})}]
+
+
+def _compute_rows(alg, args, timings):
+    """Dimension-table rows plus inline certifications of the theories
+    computed over all weights at once (harrison, comparison)."""
+    theory = args.theory
+    N, W = args.max_degree, args.max_weight
+    co = Coefficients(alg, args.coefficients)
+    timed = _timer(timings)
+    rows = []
+    certs = []
+    if theory == "harrison":
+        p = alg.field.characteristic
+        if p and p <= N + 1:
+            raise ConfigError(
+                f"harrison homology through degree {N} uses slices through "
+                f"degree {N + 1} and needs a field characteristic above "
+                f"{N + 1}; got {p}")
         table = timed("table",
                       lambda: harrison_homology(alg, co, N, W))
         rows += [{"theory": theory, "n": n, "w": w, "dim": table[(n, w)]}
                  for (n, w) in sorted(table)]
         certs.append({"name": "quotient and eulerian pipelines agree",
                       "status": "pass"})
-    elif theory == "gamma":
-        for variant in ("I", "A"):
-            gc = GammaComplex(alg, co, variant)
-            for w in range(W + 1):
-                _guard_dim(max(gc.dim(n, w) for n in range(N + 2)), ceiling,
-                           f"gamma({variant}) slice w={w}")
-                dims = timed(f"{variant} w={w}",
-                             lambda gc=gc, w=w:
-                             gc.slice(w, N + 1).homology().dims())
-                rows += [{"theory": theory, "variant": variant, "n": n,
-                          "w": w, "dim": dims[n]} for n in range(N + 1)]
-        certs.append({"name": "boundary squares to zero", "status": "pass"})
-        certs.append({
-            "name": "full-algebra variant truncated to strings with "
-                    "initial domain <= weight",
-            "status": "pass"})
-    elif theory == "symmetric":
-        if co.kind != "k":
-            raise ConfigError("symmetric homology is computed with k "
-                              "coefficients")
-        sym = SymmetricComplex(alg, "full")
-        for w in range(W + 1):
-            _guard_dim(max(sym.dim(n, w) for n in range(N + 2)), ceiling,
-                       f"symmetric slice w={w}")
-            dims = timed(f"w={w}",
-                         lambda w=w: sym.slice(w, N + 1).homology().dims())
-            rows += [{"theory": theory, "n": n, "w": w, "dim": dims[n]}
-                     for n in range(N + 1)]
-        bad = [(w, got, exp) for w, got, exp in hs0_consistency(alg, W)
-               if got != exp]
-        certs.append({"name": "degree-zero law vs algebra dimensions",
-                      "status": "pass" if not bad else "fail",
-                      **({"witness": str(bad)} if bad else {})})
     elif theory == "comparison":
-        if co.kind != "k":
-            raise ConfigError("the comparison runs with k coefficients")
         for w in range(W + 1):
             cd = timed(f"build w={w}",
                        lambda w=w: ComparisonData(alg, w, N + 1))
-            _guard_dim(max(cd.sym_chain.dims), ceiling,
+            _guard_dim(max(cd.sym_chain.dims), args.max_basis,
                        f"symmetric slice w={w}")
             for label, flag in (
                     ("quotient map is a chain map", cd.q_is_chain_map()),
@@ -180,10 +222,21 @@ def _emit(report, args):
 
 
 def cmd_compute(args):
+    _require_non_negative(args, "max_degree", "max_weight")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.theory in ("symmetric", "comparison") and args.coefficients != "k":
+        raise ConfigError(f"{args.theory} runs with k coefficients")
     alg = _resolve_algebra(args)
     timings = {}
-    if args.jobs > 1 and args.theory in ("hochschild", "gamma", "symmetric"):
-        rows, certs = _compute_parallel(alg, args, timings)
+    if args.theory in WEIGHTWISE:
+        weights = range(args.max_weight + 1)
+        workers = worker_count(args.jobs, args.max_weight, os.cpu_count())
+        if workers > 1:
+            rows = _parallel_rows(args, weights, workers, timings)
+        else:
+            rows = _weight_rows(alg, args, weights, timings)
+        certs = _weight_certs(alg, args)
     else:
         rows, certs = _compute_rows(alg, args, timings)
     rows.sort(key=lambda r: (r["theory"], r.get("variant", ""),
@@ -202,38 +255,39 @@ def cmd_compute(args):
     return 1 if failed else 0
 
 
+def worker_count(jobs, max_weight, cpus):
+    """Worker processes for --jobs: no more than requested, than there are
+    weight slices, or than there are CPUs (cpus may be None: unknown)."""
+    return max(1, min(jobs, max_weight + 1, cpus or 1))
+
+
 def _parallel_worker(payload):
-    (preset_name, algebra_file, field_name, theory, coefficients,
-     max_degree, w, ceiling) = payload
-    ns = argparse.Namespace(
-        preset=preset_name, algebra_file=algebra_file, field=field_name,
-        theory=theory, coefficients=coefficients, max_degree=max_degree,
-        max_weight=w, max_basis=ceiling, jobs=1, timings=False)
-    alg = _resolve_algebra(ns)
-    # compute just the weight-w layer by running with W = w and keeping it
-    rows, certs = _compute_rows(alg, ns, {})
-    return w, [r for r in rows if r["w"] == w], certs
+    args, w = payload
+    return _weight_rows(_resolve_algebra(args), args, [w], {})
 
 
-def _compute_parallel(alg, args, timings):
+def _parallel_rows(args, weights, workers, timings):
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    payloads = [(args.preset, args.algebra_file, args.field, args.theory,
-                 args.coefficients, args.max_degree, w, args.max_basis)
-                for w in range(args.max_weight + 1)]
-    rows, certs = [], []
     t0 = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        for w, wrows, wcerts in sorted(pool.map(_parallel_worker, payloads)):
-            rows += wrows
-            for cert in wcerts:
-                if cert not in certs:
-                    certs.append(cert)
+    # spawned workers start from a fresh import and get everything they
+    # need (the parsed arguments and their weight) as the payload
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=context) as pool:
+        rows = [row for wrows in pool.map(_parallel_worker,
+                                          [(args, w) for w in weights])
+                for row in wrows]
     timings["parallel total"] = round(time.perf_counter() - t0, 6)
-    return rows, certs
+    return rows
 
 
 def cmd_verify(args):
+    if args.algebra_file:
+        raise ConfigError("verify runs its suites on shipped presets; "
+                          "--algebra-file is not supported here")
+    _require_non_negative(args, "max_n", "max_degree", "max_weight")
     config = {
         "max_n": args.max_n,
         "max_degree": args.max_degree,
@@ -243,7 +297,7 @@ def cmd_verify(args):
     if args.preset:
         config["presets"] = [args.preset]
     if args.field:
-        config["field"] = field_from_name(args.field)
+        config["field"] = _field(args)
     checks, elapsed = run_suite(args.suite, config)
     report = {
         "tool": "exacthom",
@@ -278,8 +332,7 @@ def cmd_presets(args):
 
 
 def cmd_validate(args):
-    field = field_from_name(args.field) if args.field else None
-    alg = load_algebra(args.algebra_file, field_override=field)
+    alg = _load_algebra(args.algebra_file, _field(args))
     problems = alg.validate()
     report = {
         "algebra": alg.name,
@@ -297,16 +350,16 @@ def build_parser():
                     "commutative algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_algebra_opts(p):
-        p.add_argument("--preset", default="dual-numbers",
-                       choices=sorted(PRESETS))
+    def add_algebra_opts(p, preset_default, preset_help):
+        p.add_argument("--preset", default=preset_default,
+                       choices=sorted(PRESETS), help=preset_help)
         p.add_argument("--algebra-file", default=None,
                        help="JSON algebra description (overrides --preset)")
         p.add_argument("--field", default=None,
                        help="field override: Q or Fp:<prime>")
 
     comp = sub.add_parser("compute", help="compute homology dimension tables")
-    add_algebra_opts(comp)
+    add_algebra_opts(comp, "dual-numbers", None)
     comp.add_argument("--theory", required=True, choices=THEORIES)
     comp.add_argument("--coefficients", default="k", choices=("k", "A"))
     comp.add_argument("--max-degree", type=int, default=3)
@@ -314,7 +367,9 @@ def build_parser():
     comp.add_argument("--format", default="json", choices=("json", "csv"))
     comp.add_argument("--output", default=None)
     comp.add_argument("--jobs", type=int, default=1,
-                      help="parallel slice workers (default sequential)")
+                      help="parallel weight-slice workers, capped at the "
+                           "number of weights and of CPUs (default "
+                           "sequential)")
     comp.add_argument("--timings", action="store_true",
                       help="include wall-clock times (breaks byte-for-byte "
                            "reproducibility)")
@@ -323,7 +378,9 @@ def build_parser():
     comp.set_defaults(fn=cmd_compute)
 
     ver = sub.add_parser("verify", help="run a certification suite")
-    add_algebra_opts(ver)
+    add_algebra_opts(ver, None,
+                     "run the suite on this preset only (default: the "
+                     "suite's own presets)")
     ver.add_argument("--suite", required=True, choices=sorted(SUITES))
     ver.add_argument("--max-n", type=int, default=None,
                      help="symmetric-group bound for the eulerian suite")

@@ -20,8 +20,9 @@ generator at a time, without materializing any matrix.
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .chains import ChainSlice
-from .sparse import SparseMatrix, kernel_basis, solve_batch
+from .chains import (SliceComplex, basis_map_matrix, check_chain_map,
+                     span_slice)
+from .sparse import Echelon, SparseMatrix, kernel_basis
 
 
 class Surjection:
@@ -54,6 +55,11 @@ class Surjection:
 
     def fiber(self, j):
         return tuple(i for i, v in enumerate(self.images, start=1) if v == j)
+
+    @property
+    def fibers(self):
+        """The fibers over 1..cod, each in ascending order."""
+        return tuple(self.fiber(j) for j in range(1, self.cod + 1))
 
     def __eq__(self, other):
         return (isinstance(other, Surjection)
@@ -107,19 +113,7 @@ def induced_tensor_map(alg, f, slots):
     product over the fiber of j.  Returns [(out_slots, coeff)] terms."""
     if len(slots) != f.dom:
         raise ValueError("tensor length does not match the surjection")
-    field = alg.field
-    terms = [((), field.one)]
-    for j in range(1, f.cod + 1):
-        prod = [(0, field.one)]
-        for i in f.fiber(j):
-            prod = [
-                (l, field.mul(c, cl))
-                for slot_val, c in prod
-                for l, cl in alg.slot_product(slot_val, slots[i - 1])
-            ]
-        terms = [(out + (l,), field.mul(c, cl))
-                 for out, c in terms for l, cl in prod]
-    return terms
+    return alg.map_tensor(f, slots)
 
 
 @lru_cache(maxsize=None)
@@ -134,166 +128,83 @@ def ith_component(string, i):
     n = len(string)
     if n == 0:
         raise ValueError("empty string has no components")
-    last_dom = string[-1].dom
-    if not 1 <= i <= last_dom:
+    if not 1 <= i <= string[-1].dom:
         raise ValueError(f"component index {i} out of range")
-    kept = {i}
-    kept_chain = [kept]  # kept subsets, from the domain of f_n downwards
+    preimage = (i,)
     for f in reversed(string[:-1]):
-        kept = {p for p in range(1, f.dom + 1) if f(p) in kept}
-        kept_chain.append(kept)
-    kept_chain.reverse()  # kept_chain[j] is the kept subset of dom(f_{j+1})
-    component = []
-    for j, f in enumerate(string[:-1]):
-        src = sorted(kept_chain[j])
-        dst = sorted(kept_chain[j + 1])
-        relabel = {v: t for t, v in enumerate(dst, start=1)}
-        component.append(Surjection(len(dst), tuple(relabel[f(p)]
-                                                    for p in src)))
-    return tuple(component), tuple(sorted(kept_chain[0]))
+        preimage = tuple(p for p in range(1, f.dom + 1) if f(p) in preimage)
+    return _prune_string(string[:-1], preimage), preimage
 
 
-class GammaComplex:
+class GammaComplex(SliceComplex):
     """Slice-by-slice view of the surjection-string complex for one algebra,
     one coefficient module and one tensor variant ('I' or 'A')."""
+
+    # bound in this class's own namespace so that per-class wrappers
+    # (such as tracing spans) can replace them without touching the engine
+    basis = SliceComplex.basis
+    boundary_terms = SliceComplex.boundary_terms
 
     def __init__(self, alg, coeffs, variant="I", normalized=True):
         if variant not in ("I", "A"):
             raise ValueError("variant must be 'I' or 'A'")
+        super().__init__(alg.field)
         self.alg = alg
         self.coeffs = coeffs
         self.variant = variant
         self.normalized = normalized
-        self.field = alg.field
-        self._basis = {}
-        self._boundary = {}
-        self._tensor_cache = {}
-        self._tensors_by_xw = {}
-
-    def _tensors(self, x, w):
-        """Basic tensors of length x and weight w in the chosen variant."""
-        key = (x, w)
-        if key not in self._tensors_by_xw:
-            lo = 0 if self.variant == "A" else 1
-            values = range(lo, self.alg.dim_ideal + 1)
-            self._tensors_by_xw[key] = tuple(
-                slots for slots in iproduct(values, repeat=x)
-                if sum(self.alg.slot_weight(v) for v in slots) == w)
-        return self._tensors_by_xw[key]
 
     def iter_basis(self, n, w):
         """Basis elements in canonical order, without storing them."""
+        unit = self.variant == "A"
         for x in range(1, w + 1):
             for string in strings_to_point(x, n, self.normalized):
                 for m in self.coeffs.basis():
                     rest = w - self.coeffs.weight(m)
-                    if rest < 0:
-                        continue
-                    for slots in self._tensors(x, rest):
+                    for slots in self.alg.tensors(x, rest, unit):
                         yield (string, slots, m)
 
-    def basis(self, n, w):
-        key = (n, w)
-        if key not in self._basis:
-            self._basis[key] = tuple(sorted(self.iter_basis(n, w),
-                                            key=_basis_sort_key))
-        return self._basis[key]
+    @staticmethod
+    def degree(key):
+        return len(key[0])
 
-    def index(self, n, w):
-        return {k: i for i, k in enumerate(self.basis(n, w))}
-
-    def dim(self, n, w):
-        return len(self.basis(n, w))
+    @staticmethod
+    def sort_key(key):
+        string, slots, m = key
+        return (len(slots),
+                tuple((f.cod, f.images) for f in string),
+                slots, m)
 
     def _is_basis_string(self, string):
         return not self.normalized or all(not f._is_id for f in string)
-
-    def _apply_tensor_map(self, f, slots):
-        key = (f, slots)
-        if key not in self._tensor_cache:
-            self._tensor_cache[key] = induced_tensor_map(self.alg, f, slots)
-        return self._tensor_cache[key]
 
     def face_terms(self, key, i):
         """The i-th face of a generator; in the normalized complex, strings
         containing an identity are dropped."""
         string, slots, m = key
         n = len(string)
-        field = self.field
         out = []
         if i == 0:
             new_string = string[1:]
             if self._is_basis_string(new_string):
-                for new_slots, c in self._apply_tensor_map(string[0], slots):
+                for new_slots, c in self.alg.map_tensor(string[0], slots):
                     out.append(((new_string, new_slots, m), c))
         elif i < n:
             comp = _compose(string[i], string[i - 1])
             if not (self.normalized and comp._is_id):
                 new_string = string[:i - 1] + (comp,) + string[i + 1:]
-                out.append(((new_string, slots, m), field.one))
+                out.append(((new_string, slots, m), self.field.one))
         else:
-            last_dom = string[-1].dom
-            for t in range(1, last_dom + 1):
+            for t in range(1, string[-1].dom + 1):
                 comp_string, preimage = ith_component(string, t)
                 if not self._is_basis_string(comp_string):
                     continue
-                kept = set(preimage)
                 new_slots = tuple(slots[p - 1] for p in preimage)
-                mods = [(m, field.one)]
-                for p in range(1, len(slots) + 1):
-                    if p in kept:
-                        continue
-                    mods = [
-                        (m2, field.mul(c, c2))
-                        for m1, c in mods
-                        for m2, c2 in self.coeffs.act(slots[p - 1], m1)
-                    ]
-                    if not mods:
-                        break
-                for m2, c in mods:
+                rest = [v for p, v in enumerate(slots, start=1)
+                        if p not in preimage]
+                for m2, c in self.coeffs.act_all(rest, m):
                     out.append(((comp_string, new_slots, m2), c))
         return out
-
-    def boundary_terms(self, key):
-        """All terms of the alternating-sum boundary of one generator."""
-        field = self.field
-        out = {}
-        sign = field.one
-        n = len(key[0])
-        for i in range(n + 1):
-            for tkey, c in self.face_terms(key, i):
-                s = field.add(out.get(tkey, field.zero), field.mul(sign, c))
-                if s == field.zero:
-                    out.pop(tkey, None)
-                else:
-                    out[tkey] = s
-            sign = field.neg(sign)
-        return out
-
-    def boundary(self, n, w):
-        key = (n, w)
-        if key not in self._boundary:
-            f = self.field
-            idx = self.index(n - 1, w)
-            entries = {}
-            for j, bkey in enumerate(self.basis(n, w)):
-                for tkey, c in self.boundary_terms(bkey).items():
-                    entries[(idx[tkey], j)] = c
-            self._boundary[key] = SparseMatrix(
-                f, len(idx), self.dim(n, w), entries)
-        return self._boundary[key]
-
-    def slice(self, w, top):
-        dims = [self.dim(n, w) for n in range(top + 1)]
-        bounds = {n: self.boundary(n, w) for n in range(1, top + 1)}
-        return ChainSlice(self.field, dims, bounds)
-
-
-def _basis_sort_key(key):
-    string, slots, m = key
-    return (len(slots),
-            tuple((f.cod, f.images) for f in string),
-            slots, m)
 
 
 # -- pruning -----------------------------------------------------------------
@@ -340,15 +251,8 @@ def prune_normalized(key):
 def prune_matrix(full, ideal, n, w):
     """Matrix of the pruning map from the full-variant slice to the
     ideal-variant slice at (n, w)."""
-    field = full.field
-    idx = ideal.index(n, w)
-    entries = {}
     pruner = prune_normalized if full.normalized else prune_generator
-    for j, key in enumerate(full.basis(n, w)):
-        pruned = pruner(key)
-        if pruned is not None:
-            entries[(idx[pruned], j)] = field.one
-    return SparseMatrix(field, ideal.dim(n, w), full.dim(n, w), entries)
+    return basis_map_matrix(full, ideal, n, w, pruner)
 
 
 class PruningData:
@@ -364,39 +268,21 @@ class PruningData:
         self.ideal_chain = self.ideal.slice(w, top)
         self.prune = [prune_matrix(self.full, self.ideal, n, w)
                       for n in range(top + 1)]
-        self.include = [self._inclusion(n) for n in range(top + 1)]
+        self.include = [basis_map_matrix(self.ideal, self.full, n, w,
+                                         lambda key: key)
+                        for n in range(top + 1)]
         self._kernel = None
-
-    def _inclusion(self, n):
-        field = self.full.field
-        idx = self.full.index(n, self.w)
-        entries = {}
-        for j, key in enumerate(self.ideal.basis(n, self.w)):
-            entries[(idx[key], j)] = field.one
-        return SparseMatrix(field, self.full.dim(n, self.w),
-                            self.ideal.dim(n, self.w), entries)
 
     def kernel(self):
         """(representative columns, ChainSlice) of ker(P) with the restricted
         boundary; solving certifies that the boundary preserves the kernel."""
         if self._kernel is None:
             reps = [kernel_basis(p) for p in self.prune]
-            bounds = {}
-            for n in range(1, self.top + 1):
-                image = self.full_chain.boundary(n).mul(reps[n])
-                bounds[n] = solve_batch(reps[n - 1], image)[0]
-            chain = ChainSlice(self.full.field, [r.ncols for r in reps],
-                               bounds)
-            self._kernel = (reps, chain)
+            self._kernel = (reps, span_slice(self.full_chain.boundary, reps))
         return self._kernel
 
     def prune_is_chain_map(self):
-        for n in range(1, self.top + 1):
-            lhs = self.prune[n - 1].mul(self.full_chain.boundary(n))
-            rhs = self.ideal_chain.boundary(n).mul(self.prune[n])
-            if lhs != rhs:
-                return False
-        return True
+        return check_chain_map(self.prune, self.full_chain, self.ideal_chain)
 
     def retraction_is_identity(self):
         for n in range(self.top + 1):
@@ -406,7 +292,6 @@ class PruningData:
         return True
 
     def splitting_dims_hold(self):
-        from .sparse import Echelon
         for n in range(self.top + 1):
             rank_p = Echelon(self.prune[n]).rank
             if rank_p != self.ideal_chain.dims[n]:
@@ -485,10 +370,5 @@ def prune_split_certificates(alg, coeffs, w, top, normalized=True):
 def gamma_homology(alg, coeffs, variant, max_n, max_w, normalized=True):
     """Gamma homology dimensions per (degree, weight) computed from the
     surjection-string complex of the chosen variant."""
-    gc = GammaComplex(alg, coeffs, variant, normalized)
-    table = {}
-    for w in range(max_w + 1):
-        dims = gc.slice(w, max_n + 1).homology().dims()
-        for n in range(max_n + 1):
-            table[(n, w)] = dims[n]
-    return table
+    return GammaComplex(alg, coeffs, variant, normalized).homology_table(
+        max_n, max_w)

@@ -8,98 +8,51 @@ add up to w.  Bases are ordered lexicographically so all matrices are
 reproducible.
 """
 
-from itertools import product as iproduct
-
-from .chains import ChainSlice
+from .chains import (CertificationError, ChainSlice, SliceComplex,
+                     check_chain_map, span_slice)
 from .groupalg import eulerian_idempotent, total_shuffle
-from .sparse import Echelon, SparseMatrix, image_pivot_columns, solve_batch
+from .sparse import (Echelon, SparseMatrix, extend_basis_columns,
+                     image_pivot_columns, solve_batch)
 
 
-class CertificationError(AssertionError):
-    """An exact identity asserted by the theory failed on real data."""
-
-
-class HochschildComplex:
+class HochschildComplex(SliceComplex):
     """Slice-by-slice view of C(A, M) for a weight-graded algebra.
 
-    Bases, boundary matrices and operator actions are cached per (degree,
-    weight); everything is exact and deterministic.
+    Bases, boundary matrices and operator actions are computed per
+    (degree, weight); everything is exact and deterministic.
     """
 
+    # bound in this class's own namespace so that per-class wrappers
+    # (such as tracing spans) can replace them without touching the engine
+    basis = SliceComplex.basis
+    boundary = SliceComplex.boundary
+
     def __init__(self, alg, coeffs):
+        super().__init__(alg.field)
         self.alg = alg
         self.coeffs = coeffs
-        self.field = alg.field
-        self._basis = {}
-        self._boundary = {}
 
-    # -- bases ---------------------------------------------------------------
+    def iter_basis(self, n, w):
+        for m in self.coeffs.basis():
+            for slots in self.alg.tensors(n, w - self.coeffs.weight(m),
+                                          unit=True):
+                yield (m, slots)
 
-    def basis(self, n, w):
-        key = (n, w)
-        if key not in self._basis:
-            alg = self.alg
-            slot_values = range(alg.dim_ideal + 1)
-            out = []
-            for m in self.coeffs.basis():
-                base_w = self.coeffs.weight(m)
-                if base_w > w:
-                    continue
-                for slots in iproduct(slot_values, repeat=n):
-                    total = base_w + sum(alg.slot_weight(v) for v in slots)
-                    if total == w:
-                        out.append((m, slots))
-            out.sort()
-            self._basis[key] = tuple(out)
-        return self._basis[key]
+    @staticmethod
+    def degree(key):
+        return len(key[1])
 
-    def index(self, n, w):
-        return {k: i for i, k in enumerate(self.basis(n, w))}
-
-    def dim(self, n, w):
-        return len(self.basis(n, w))
-
-    # -- boundary -------------------------------------------------------------
-
-    def face_terms(self, key, i, n):
+    def face_terms(self, key, i):
         """The i-th face of a basis element, as [(key, coeff)] terms."""
         m, slots = key
-        alg = self.alg
-        one = self.field.one
         if i == 0:
             return [((m2, slots[1:]), c)
                     for m2, c in self.coeffs.act(slots[0], m)]
-        if i < n:
+        if i < len(slots):
             return [((m, slots[:i - 1] + (l,) + slots[i + 1:]), c)
-                    for l, c in alg.slot_product(slots[i - 1], slots[i])]
+                    for l, c in self.alg.slot_product(slots[i - 1], slots[i])]
         return [((m2, slots[:-1]), c)
                 for m2, c in self.coeffs.act(slots[-1], m)]
-
-    def boundary(self, n, w):
-        key = (n, w)
-        if key not in self._boundary:
-            f = self.field
-            idx = self.index(n - 1, w)
-            entries = {}
-            for j, bkey in enumerate(self.basis(n, w)):
-                sign = f.one
-                for i in range(n + 1):
-                    for tkey, c in self.face_terms(bkey, i, n):
-                        r = idx[tkey]
-                        s = f.add(entries.get((r, j), f.zero), f.mul(sign, c))
-                        if s == f.zero:
-                            entries.pop((r, j), None)
-                        else:
-                            entries[(r, j)] = s
-                    sign = f.neg(sign)
-            self._boundary[key] = SparseMatrix(
-                f, len(idx), self.dim(n, w), entries)
-        return self._boundary[key]
-
-    def full_slice(self, w, top):
-        dims = [self.dim(n, w) for n in range(top + 1)]
-        bounds = {n: self.boundary(n, w) for n in range(1, top + 1)}
-        return ChainSlice(self.field, dims, bounds)
 
     # -- operator actions -------------------------------------------------------
 
@@ -150,11 +103,6 @@ def is_ideal_only(key):
     return all(v != 0 for v in key[1])
 
 
-def _structural_indices(hc, w, top, keep):
-    return [[j for j, k in enumerate(hc.basis(n, w)) if keep(k)]
-            for n in range(top + 1)]
-
-
 def _restrict_boundary(hc, n, w, rows, cols, require_closed=True):
     """Submatrix of the full boundary on selected coordinates; complains if
     a column leaks outside the selected rows."""
@@ -179,7 +127,8 @@ def _restrict_boundary(hc, n, w, rows, cols, require_closed=True):
 def structural_slice(hc, w, top, keep, require_closed=True):
     """ChainSlice spanned by the basis elements selected by `keep`,
     together with their positions in the full basis."""
-    indices = _structural_indices(hc, w, top, keep)
+    indices = [[j for j, k in enumerate(hc.basis(n, w)) if keep(k)]
+               for n in range(top + 1)]
     dims = [len(ix) for ix in indices]
     bounds = {
         n: _restrict_boundary(hc, n, w, indices[n - 1], indices[n],
@@ -201,14 +150,7 @@ def ideal_slice(hc, w, top):
 def normalized_slice(hc, w, top):
     """The normalized complex: quotient of the full complex by the
     degenerate part, in coordinates of the unit-free basis elements."""
-    indices = _structural_indices(hc, w, top, is_ideal_only)
-    dims = [len(ix) for ix in indices]
-    bounds = {
-        n: _restrict_boundary(hc, n, w, indices[n - 1], indices[n],
-                              require_closed=False)
-        for n in range(1, top + 1)
-    }
-    return ChainSlice(hc.field, dims, bounds), indices
+    return structural_slice(hc, w, top, is_ideal_only, require_closed=False)
 
 
 def aug_split_iso(hc, w, top):
@@ -226,29 +168,16 @@ def aug_split_iso(hc, w, top):
 
 # -- image subcomplexes (shuffle, Eulerian) -------------------------------------
 
+def _image_reps(mat):
+    """The lex-first columns of a matrix spanning its image."""
+    return mat.select_columns(image_pivot_columns(mat))
+
+
 def _image_slice(hc, w, top, matrix_of):
     """ChainSlice of the image of a per-degree projector/operator family,
-    with representative columns in full coordinates.
-
-    The boundary is expressed in the chosen image bases; solving fails
-    loudly if the image is not closed under the boundary.
-    """
-    reps = []
-    for n in range(top + 1):
-        mat = matrix_of(n)
-        piv = image_pivot_columns(mat)
-        reps.append(mat.select_columns(piv))
-    dims = [r.ncols for r in reps]
-    bounds = {}
-    for n in range(1, top + 1):
-        image = hc.boundary(n, w).mul(reps[n])
-        try:
-            bounds[n], _ = solve_batch(reps[n - 1], image)
-        except ValueError as exc:
-            raise CertificationError(
-                f"boundary does not preserve the subcomplex at degree {n}, "
-                f"weight {w}: {exc}") from None
-    return ChainSlice(hc.field, dims, bounds), reps
+    with representative columns in full coordinates."""
+    reps = [_image_reps(matrix_of(n)) for n in range(top + 1)]
+    return span_slice(lambda n: hc.boundary(n, w), reps), reps
 
 
 def shuffle_slice(hc, w, top):
@@ -300,13 +229,9 @@ class HarrisonQuotient:
         self.class_indices = []   # positions of the chosen complement keys
         self._solvers = []
         for n in range(top + 1):
-            smat = hc.shuffle_matrix(n, w)
-            piv = image_pivot_columns(smat)
-            sreps = smat.select_columns(piv)
+            sreps = _image_reps(hc.shuffle_matrix(n, w))
             full_id = SparseMatrix.identity(field, hc.dim(n, w))
-            ech = Echelon(sreps.hstack(full_id))
-            classes = [c - sreps.ncols for c in ech.pivot_cols
-                       if c >= sreps.ncols]
+            classes = extend_basis_columns(sreps, full_id)
             self.shuffle_reps.append(sreps)
             self.class_indices.append(classes)
         dims = [len(c) for c in self.class_indices]
@@ -326,10 +251,7 @@ class HarrisonQuotient:
             field, self.hc.dim(n, self.w), len(classes),
             {(r, t): field.one for t, r in enumerate(classes)}))
         sol, _ = solve_batch(basis, vectors)
-        return SparseMatrix(
-            field, len(classes), vectors.ncols,
-            {(i - sreps.ncols, j): v
-             for (i, j), v in sol.entries.items() if i >= sreps.ncols})
+        return sol.row_block(sreps.ncols, sol.nrows)
 
 
 def harrison_quotient_slice(hc, w, top):
@@ -376,11 +298,9 @@ class NormalizedHarrison:
             keys = hc.basis(n, w)
             ideal_cols = [j for j, k in enumerate(keys) if is_ideal_only(k)]
             degen_cols = [j for j, k in enumerate(keys) if is_degenerate(k)]
-            c_reps = pmat.select_columns(image_pivot_columns(pmat))
-            p_ideal = pmat.select_columns(ideal_cols)
-            i_reps = p_ideal.select_columns(image_pivot_columns(p_ideal))
-            p_degen = pmat.select_columns(degen_cols)
-            d_reps = p_degen.select_columns(image_pivot_columns(p_degen))
+            c_reps = _image_reps(pmat)
+            i_reps = _image_reps(pmat.select_columns(ideal_cols))
+            d_reps = _image_reps(pmat.select_columns(degen_cols))
             if i_reps.ncols + d_reps.ncols != c_reps.ncols:
                 raise CertificationError(
                     f"e^({i}) splitting dimension mismatch at degree {n}: "
@@ -394,25 +314,17 @@ class NormalizedHarrison:
             inc, _ = solve_batch(c_reps, i_reps)
             # quotient by the degenerate part: classes of the columns of
             # c_reps extending d_reps
-            ech = Echelon(d_reps.hstack(c_reps))
-            ext = [c - d_reps.ncols for c in ech.pivot_cols
-                   if c >= d_reps.ncols]
+            ext = extend_basis_columns(d_reps, c_reps)
             section = SparseMatrix(
                 field, c_reps.ncols, len(ext),
                 {(r, t): field.one for t, r in enumerate(ext)})
             dc = d_reps.hstack(c_reps.select_columns(ext))
             sol, _ = solve_batch(dc, c_reps)
-            quo = SparseMatrix(
-                field, len(ext), c_reps.ncols,
-                {(r - d_reps.ncols, j): v
-                 for (r, j), v in sol.entries.items() if r >= d_reps.ncols})
+            quo = sol.row_block(d_reps.ncols, sol.nrows)
             # collapse of the quotient onto the ideal part
             idp = i_reps.hstack(d_reps)
             sol, _ = solve_batch(idp, c_reps.select_columns(ext))
-            col = SparseMatrix(
-                field, i_reps.ncols, len(ext),
-                {(r, j): v for (r, j), v in sol.entries.items()
-                 if r < i_reps.ncols})
+            col = sol.row_block(0, i_reps.ncols)
             self.c_reps.append(c_reps)
             self.i_reps.append(i_reps)
             self.d_reps.append(d_reps)
@@ -420,24 +332,13 @@ class NormalizedHarrison:
             self.quotient.append(quo)
             self.collapse.append(col)
             self.quot_sections.append(section)
-        self.c_chain = self._chain(self.c_reps)
-        self.i_chain = self._chain(self.i_reps)
-        self.d_chain = self._chain(self.d_reps)
-        self.quot_chain = self._quotient_chain()
+        def boundary(n):
+            return hc.boundary(n, w)
 
-    def _chain(self, reps):
-        hc, w = self.hc, self.w
-        dims = [r.ncols for r in reps]
-        bounds = {}
-        for n in range(1, self.top + 1):
-            image = hc.boundary(n, w).mul(reps[n])
-            try:
-                bounds[n], _ = solve_batch(reps[n - 1], image)
-            except ValueError as exc:
-                raise CertificationError(
-                    f"boundary leaves the e^({self.i}) subcomplex at degree "
-                    f"{n}: {exc}") from None
-        return ChainSlice(hc.field, dims, bounds)
+        self.c_chain = span_slice(boundary, self.c_reps)
+        self.i_chain = span_slice(boundary, self.i_reps)
+        self.d_chain = span_slice(boundary, self.d_reps)
+        self.quot_chain = self._quotient_chain()
 
     def _quotient_chain(self):
         dims = [q.nrows for q in self.quotient]
@@ -466,16 +367,10 @@ class NormalizedHarrison:
 
     def maps_are_chain_maps(self):
         """All three comparison maps intertwine the boundaries."""
-        for n in range(1, self.top + 1):
-            bc, bi = self.c_chain.boundary(n), self.i_chain.boundary(n)
-            bq = self.quot_chain.boundary(n)
-            if self.inclusion[n - 1].mul(bi) != bc.mul(self.inclusion[n]):
-                return False
-            if self.quotient[n - 1].mul(bc) != bq.mul(self.quotient[n]):
-                return False
-            if self.collapse[n - 1].mul(bq) != bi.mul(self.collapse[n]):
-                return False
-        return True
+        c, i, q = self.c_chain, self.i_chain, self.quot_chain
+        return (check_chain_map(self.inclusion, i, c)
+                and check_chain_map(self.quotient, c, q)
+                and check_chain_map(self.collapse, q, i))
 
 
 def normalized_harrison(hc, w, top, i=1):
@@ -505,10 +400,4 @@ def harrison_homology(alg, coeffs, max_n, max_w):
 
 def hochschild_homology(alg, coeffs, max_n, max_w):
     """Hochschild homology dimensions per (degree, weight)."""
-    hc = HochschildComplex(alg, coeffs)
-    table = {}
-    for w in range(max_w + 1):
-        dims = hc.full_slice(w, max_n + 1).homology().dims()
-        for n in range(max_n + 1):
-            table[(n, w)] = dims[n]
-    return table
+    return HochschildComplex(alg, coeffs).homology_table(max_n, max_w)

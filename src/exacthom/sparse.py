@@ -155,6 +155,13 @@ class SparseMatrix:
             ents[(i, j + off)] = v
         return SparseMatrix(self.field, self.nrows, self.ncols + other.ncols, ents)
 
+    def row_block(self, lo, hi):
+        """Submatrix of the rows lo..hi-1."""
+        return SparseMatrix(
+            self.field, hi - lo, self.ncols,
+            {(i - lo, j): v for (i, j), v in self.entries.items()
+             if lo <= i < hi})
+
     def select_columns(self, cols):
         """Submatrix of the given columns, in the given order."""
         colset = {c: t for t, c in enumerate(cols)}
@@ -168,13 +175,6 @@ class SparseMatrix:
     @property
     def shape(self):
         return (self.nrows, self.ncols)
-
-    def to_lists(self):
-        zero = self.field.zero
-        out = [[zero] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
 
     def _check_shape(self, other):
         if self.shape != other.shape:

@@ -9,13 +9,14 @@ generator calculus are conversion and certification surfaces only.
 """
 
 from functools import lru_cache
-from itertools import permutations, product as iproduct
+from itertools import permutations
 
 from .algebras import Coefficients
-from .chains import ChainSlice
+from .chains import (SliceComplex, basis_map_matrix, check_chain_map,
+                     span_slice)
 from .gamma import GammaComplex, Surjection
 from .groupalg import Permutation
-from .sparse import Echelon, SparseMatrix, kernel_basis, solve_batch
+from .sparse import Echelon, kernel_basis
 
 
 class FiberOrderedMap:
@@ -242,28 +243,16 @@ def b_sym_apply(alg, f, slots, ideal_only=True):
         raise ValueError("tensor length does not match the morphism")
     if ideal_only and not f.is_epi():
         raise ValueError("the ideal bar construction needs an epimorphism")
-    field = alg.field
-    terms = [((), field.one)]
-    for fb in f.fibers:
-        prod = [(0, field.one)]
-        for i in fb:
-            prod = [
-                (l, field.mul(c, cl))
-                for slot_val, c in prod
-                for l, cl in alg.slot_product(slot_val, slots[i - 1])
-            ]
-        terms = [(out + (l,), field.mul(c, cl))
-                 for out, c in terms for l, cl in prod]
-    return terms
+    return alg.map_tensor(f, slots)
 
 
 # -- strings of epimorphisms -----------------------------------------------------
 
 @lru_cache(maxsize=None)
-def epi_strings(x, n, to_point=False):
-    """Composable strings (f_1, .., f_n) of non-identity epimorphisms
-    starting at {1..x}; with to_point=True the final codomain is the
-    one-point set."""
+def epi_strings(x, n, to_point=False, normalized=True):
+    """Composable strings (f_1, .., f_n) of epimorphisms starting at
+    {1..x}; with to_point=True the final codomain is the one-point set,
+    and with normalized=True identities are excluded."""
     if n == 0:
         if to_point and x != 1:
             return ()
@@ -271,57 +260,46 @@ def epi_strings(x, n, to_point=False):
     out = []
     for y in range(1, x + 1):
         for f in epi_maps(x, y):
-            if f.is_identity():
+            if normalized and f.is_identity():
                 continue
-            for rest in epi_strings(y, n - 1, to_point):
+            for rest in epi_strings(y, n - 1, to_point, normalized):
                 out.append((f,) + rest)
     return tuple(out)
 
 
-class SymmetricComplex:
+class SymmetricComplex(SliceComplex):
     """The normalized Gabriel-Zisman complex of the epi subcategory with the
     ideal bar construction: full variant, or the quotient by strings whose
     final codomain is bigger than a point."""
 
+    # bound in this class's own namespace so that per-class wrappers
+    # (such as tracing spans) can replace them without touching the engine
+    basis = SliceComplex.basis
+    boundary = SliceComplex.boundary
+
     def __init__(self, alg, variant="full", normalized=True):
         if variant not in ("full", "quotient"):
             raise ValueError("variant must be 'full' or 'quotient'")
+        super().__init__(alg.field)
         self.alg = alg
         self.variant = variant
         self.normalized = normalized
-        self.field = alg.field
-        self._basis = {}
-        self._boundary = {}
-        self._tensor_cache = {}
-
-    def _tensors(self, x, w):
-        values = range(1, self.alg.dim_ideal + 1)
-        return [slots for slots in iproduct(values, repeat=x)
-                if sum(self.alg.slot_weight(v) for v in slots) == w]
 
     def iter_basis(self, n, w):
         to_point = self.variant == "quotient"
         for x in range(1, w + 1):
-            if self.normalized:
-                strings = epi_strings(x, n, to_point)
-            else:
-                strings = _all_epi_strings(x, n, to_point)
-            for string in strings:
-                for slots in self._tensors(x, w):
+            for string in epi_strings(x, n, to_point, self.normalized):
+                for slots in self.alg.tensors(x, w):
                     yield (string, slots)
 
-    def basis(self, n, w):
-        key = (n, w)
-        if key not in self._basis:
-            self._basis[key] = tuple(sorted(self.iter_basis(n, w),
-                                            key=_sym_sort_key))
-        return self._basis[key]
+    @staticmethod
+    def degree(key):
+        return len(key[0])
 
-    def index(self, n, w):
-        return {k: i for i, k in enumerate(self.basis(n, w))}
-
-    def dim(self, n, w):
-        return len(self.basis(n, w))
+    @staticmethod
+    def sort_key(key):
+        string, slots = key
+        return (len(slots), tuple((f.cod, f.fibers) for f in string), slots)
 
     def _keeps(self, string, obj):
         """obj is the final codomain: the codomain of the last morphism, or
@@ -332,85 +310,27 @@ class SymmetricComplex:
             return False
         return True
 
-    def _apply_bar(self, f, slots):
-        key = (f, slots)
-        if key not in self._tensor_cache:
-            self._tensor_cache[key] = b_sym_apply(self.alg, f, slots)
-        return self._tensor_cache[key]
-
     def face_terms(self, key, i):
         string, slots = key
         n = len(string)
-        field = self.field
         out = []
         if i == 0:
             new_string = string[1:]
             obj = new_string[-1].cod if new_string else string[0].cod
             if self._keeps(new_string, obj):
-                for new_slots, c in self._apply_bar(string[0], slots):
+                for new_slots, c in self.alg.map_tensor(string[0], slots):
                     out.append(((new_string, new_slots), c))
         elif i < n:
             comp = string[i].after(string[i - 1])
             new_string = string[:i - 1] + (comp,) + string[i + 1:]
             if self._keeps(new_string, new_string[-1].cod):
-                out.append(((new_string, slots), field.one))
+                out.append(((new_string, slots), self.field.one))
         else:
             new_string = string[:-1]
             obj = new_string[-1].cod if new_string else len(slots)
             if self._keeps(new_string, obj):
-                out.append(((new_string, slots), field.one))
+                out.append(((new_string, slots), self.field.one))
         return out
-
-    def boundary_terms(self, key):
-        field = self.field
-        out = {}
-        sign = field.one
-        for i in range(len(key[0]) + 1):
-            for tkey, c in self.face_terms(key, i):
-                s = field.add(out.get(tkey, field.zero), field.mul(sign, c))
-                if s == field.zero:
-                    out.pop(tkey, None)
-                else:
-                    out[tkey] = s
-            sign = field.neg(sign)
-        return out
-
-    def boundary(self, n, w):
-        key = (n, w)
-        if key not in self._boundary:
-            idx = self.index(n - 1, w)
-            entries = {}
-            for j, bkey in enumerate(self.basis(n, w)):
-                for tkey, c in self.boundary_terms(bkey).items():
-                    entries[(idx[tkey], j)] = c
-            self._boundary[key] = SparseMatrix(
-                self.field, len(idx), self.dim(n, w), entries)
-        return self._boundary[key]
-
-    def slice(self, w, top):
-        dims = [self.dim(n, w) for n in range(top + 1)]
-        bounds = {n: self.boundary(n, w) for n in range(1, top + 1)}
-        return ChainSlice(self.field, dims, bounds)
-
-
-def _sym_sort_key(key):
-    string, slots = key
-    return (len(slots), tuple((f.cod, f.fibers) for f in string), slots)
-
-
-@lru_cache(maxsize=None)
-def _all_epi_strings(x, n, to_point=False):
-    """Strings allowing identity morphisms (the unnormalized complex)."""
-    if n == 0:
-        if to_point and x != 1:
-            return ()
-        return ((),)
-    out = []
-    for y in range(1, x + 1):
-        for f in epi_maps(x, y):
-            for rest in _all_epi_strings(y, n - 1, to_point):
-                out.append((f,) + rest)
-    return tuple(out)
 
 
 # -- the quotient map and the comparison map -------------------------------------
@@ -418,15 +338,12 @@ def _all_epi_strings(x, n, to_point=False):
 def quotient_matrix(sym_full, sym_quot, n, w):
     """The quotient map killing classes whose final codomain is bigger than
     a point."""
-    field = sym_full.field
-    idx = sym_quot.index(n, w)
-    entries = {}
-    for j, (string, slots) in enumerate(sym_full.basis(n, w)):
+    def image(key):
+        string, slots = key
         obj = string[-1].cod if string else len(slots)
-        if obj == 1:
-            entries[(idx[(string, slots)], j)] = field.one
-    return SparseMatrix(field, sym_quot.dim(n, w), sym_full.dim(n, w),
-                        entries)
+        return key if obj == 1 else None
+
+    return basis_map_matrix(sym_full, sym_quot, n, w, image)
 
 
 def forget_string(string):
@@ -436,14 +353,9 @@ def forget_string(string):
 def phi_matrix(sym_quot, gamma_ideal, n, w):
     """The comparison map: forget the fiber orders, tensor untouched, unit
     module slot."""
-    field = sym_quot.field
-    idx = gamma_ideal.index(n, w)
-    entries = {}
-    for j, (string, slots) in enumerate(sym_quot.basis(n, w)):
-        target = (forget_string(string), slots, 0)
-        entries[(idx[target], j)] = field.one
-    return SparseMatrix(field, gamma_ideal.dim(n, w), sym_quot.dim(n, w),
-                        entries)
+    return basis_map_matrix(
+        sym_quot, gamma_ideal, n, w,
+        lambda key: (forget_string(key[0]), key[1], 0))
 
 
 class ComparisonData:
@@ -468,18 +380,10 @@ class ComparisonData:
         self._kernel = None
 
     def q_is_chain_map(self):
-        for n in range(1, self.top + 1):
-            if (self.q[n - 1].mul(self.sym_chain.boundary(n))
-                    != self.quot_chain.boundary(n).mul(self.q[n])):
-                return False
-        return True
+        return check_chain_map(self.q, self.sym_chain, self.quot_chain)
 
     def phi_is_chain_map(self):
-        for n in range(1, self.top + 1):
-            if (self.phi[n - 1].mul(self.quot_chain.boundary(n))
-                    != self.gamma_chain.boundary(n).mul(self.phi[n])):
-                return False
-        return True
+        return check_chain_map(self.phi, self.quot_chain, self.gamma_chain)
 
     def surjective(self):
         for n in range(self.top + 1):
@@ -491,13 +395,7 @@ class ComparisonData:
         """(inclusion columns, ChainSlice) of ker(phi o q)."""
         if self._kernel is None:
             reps = [kernel_basis(p) for p in self.proj]
-            bounds = {}
-            for n in range(1, self.top + 1):
-                image = self.sym_chain.boundary(n).mul(reps[n])
-                bounds[n] = solve_batch(reps[n - 1], image)[0]
-            chain = ChainSlice(self.alg.field, [r.ncols for r in reps],
-                               bounds)
-            self._kernel = (reps, chain)
+            self._kernel = (reps, span_slice(self.sym_chain.boundary, reps))
         return self._kernel
 
     def ses(self):
@@ -509,13 +407,8 @@ class ComparisonData:
 
 def reduced_symmetric_homology(alg, max_n, max_w, normalized=True):
     """Reduced symmetric homology dimensions per (degree, weight)."""
-    table = {}
-    for w in range(max_w + 1):
-        sym = SymmetricComplex(alg, "full", normalized)
-        dims = sym.slice(w, max_n + 1).homology().dims()
-        for n in range(max_n + 1):
-            table[(n, w)] = dims[n]
-    return table
+    return SymmetricComplex(alg, "full", normalized).homology_table(
+        max_n, max_w)
 
 
 def hs0_consistency(alg, max_w):

@@ -36,12 +36,6 @@ class Check:
         return out
 
 
-def _algebra(config):
-    name = config.get("preset", "dual-numbers")
-    field = config.get("field", QQ)
-    return preset(name, field)
-
-
 def suite_eulerian(config):
     max_n = config.get("max_n", 6)
     field = config.get("field", QQ)

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from exacthom.chains import (ChainSlice, HomologyBases, check_chain_map,
-                             check_ses, connecting_homomorphism,
+from exacthom.chains import (CertificationError, ChainSlice, HomologyBases,
+                             check_chain_map, check_ses,
+                             connecting_homomorphism,
                              induced_map_on_homology,
-                             long_exact_sequence_nodes)
+                             long_exact_sequence_nodes, span_slice)
 from exacthom.fields import GF, QQ
 from exacthom.sparse import SparseMatrix, kernel_basis
 
@@ -215,3 +216,22 @@ def test_check_ses_rejects_non_exact_input():
     # im(inc) is one-dimensional but ker(proj) is zero: not exact
     with pytest.raises(ValueError):
         check_ses(inc, proj, sub, total, quot)
+
+
+def test_span_slice_restricts_the_boundary():
+    # C_1 = <a, b>, C_0 = <c>, d(a) = d(b) = c; the span of a - b and 0
+    d1 = mat([[1, 1]])
+    reps = [SparseMatrix.zeros(QQ, 1, 0), mat([[1], [-1]])]
+    sl = span_slice(lambda n: d1, reps)
+    assert sl.dims == [0, 1]
+    assert sl.boundary(1).shape == (0, 1)
+
+
+def test_span_slice_rejects_a_span_not_closed_under_the_boundary():
+    from exacthom import hochschild
+    d1 = mat([[1, 1]])
+    reps = [SparseMatrix.zeros(QQ, 1, 0), mat([[1], [0]])]
+    with pytest.raises(CertificationError, match="degree 1"):
+        span_slice(lambda n: d1, reps)
+    # the error class is still reachable from the Hochschild module
+    assert hochschild.CertificationError is CertificationError

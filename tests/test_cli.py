@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from exacthom.cli import main
+from exacthom.cli import main, worker_count
 
 
 def run(capsys, *argv):
@@ -146,12 +146,106 @@ def test_compute_comparison_rows(capsys):
 
 
 def test_jobs_parallel_matches_sequential(tmp_path):
-    seq = tmp_path / "seq.json"
-    par = tmp_path / "par.json"
-    base = ["compute", "--preset", "dual-numbers", "--theory", "hochschild",
-            "--max-degree", "2", "--max-weight", "2"]
-    assert main(base + ["--output", str(seq)]) == 0
-    assert main(base + ["--jobs", "2", "--output", str(par)]) == 0
-    a = json.loads(seq.read_text())
-    b = json.loads(par.read_text())
-    assert a["tables"] == b["tables"]
+    for theory in ("hochschild", "gamma", "symmetric"):
+        seq = tmp_path / f"{theory}-seq.json"
+        par = tmp_path / f"{theory}-par.json"
+        base = ["compute", "--preset", "dual-numbers", "--theory", theory,
+                "--max-degree", "2", "--max-weight", "2"]
+        assert main(base + ["--output", str(seq)]) == 0
+        assert main(base + ["--jobs", "2", "--output", str(par)]) == 0
+        a = json.loads(seq.read_text())
+        b = json.loads(par.read_text())
+        assert a["tables"] == b["tables"], theory
+        assert a["certifications"] == b["certifications"], theory
+
+
+def test_worker_count_is_capped():
+    # requested jobs, weight slices and CPUs each bound the pool
+    assert worker_count(1, 9, 8) == 1
+    assert worker_count(64, 9, 8) == 8
+    assert worker_count(64, 2, 8) == 3
+    assert worker_count(10_000, 9, 2) == 2
+    assert worker_count(4, 9, None) == 1
+
+
+def run_error(capsys, *argv):
+    """Run a command that must be refused: exit 2 and one error line."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+def test_algebra_file_with_unknown_symbol_rejected(tmp_path, capsys):
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps({
+        "name": "typo", "field": "Q",
+        "generators": [{"symbol": "x", "weight": 1}],
+        "products": [{"left": "x", "right": "z", "result": {}}],
+    }))
+    line = run_error(capsys, "compute", "--algebra-file", str(path),
+                     "--theory", "hochschild")
+    assert "'z'" in line
+
+
+def test_algebra_file_with_invalid_json_rejected(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{\"name\": ")
+    run_error(capsys, "compute", "--algebra-file", str(path),
+              "--theory", "hochschild")
+    run_error(capsys, "validate", "--algebra-file", str(path))
+
+
+def test_non_prime_field_rejected(capsys):
+    line = run_error(capsys, "compute", "--field", "Fp:4",
+                     "--theory", "hochschild")
+    assert "not prime" in line
+
+
+def test_harrison_over_too_small_characteristic_rejected(capsys):
+    line = run_error(capsys, "compute", "--theory", "harrison",
+                     "--field", "Fp:2", "--max-degree", "2",
+                     "--max-weight", "2")
+    assert "characteristic" in line
+
+
+@pytest.mark.parametrize("flag", ["--max-degree", "--max-weight"])
+def test_negative_bounds_rejected(capsys, flag):
+    line = run_error(capsys, "compute", "--theory", "hochschild", flag, "-1")
+    assert flag in line
+
+
+def test_jobs_below_one_rejected(capsys):
+    line = run_error(capsys, "compute", "--theory", "hochschild",
+                     "--jobs", "0")
+    assert "--jobs" in line
+
+
+def test_verify_rejects_algebra_file(tmp_path, capsys):
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({
+        "name": "z2", "field": "Q",
+        "generators": [{"symbol": "z", "weight": 2}], "products": [],
+    }))
+    line = run_error(capsys, "verify", "--suite", "comparison",
+                     "--algebra-file", str(path))
+    assert "--algebra-file" in line
+
+
+def test_verify_uses_suite_presets_by_default(capsys):
+    code, out = run(capsys, "verify", "--suite", "comparison",
+                    "--max-degree", "1", "--max-weight", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert "presets" not in report["config"]
+    names = " ".join(c["name"] for c in report["certifications"])
+    assert "dual-numbers" in names and "trunc3" in names
+    code, out = run(capsys, "verify", "--suite", "comparison",
+                    "--preset", "trunc3",
+                    "--max-degree", "1", "--max-weight", "1")
+    assert code == 0
+    names = " ".join(c["name"] for c in json.loads(out)["certifications"])
+    assert "trunc3" in names and "dual-numbers" not in names

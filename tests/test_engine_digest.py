@@ -1,0 +1,132 @@
+"""Differential test of the complex engines against a recorded reference.
+
+Every case hashes the basis tuples and the sorted boundary entries of the
+small slices (degree n <= 3, weight w <= 3) of one complex.  The digests
+were recorded from the separate per-theory complex classes that preceded
+the shared slice engine, so any change of basis order, basis content or
+matrix entry shows up here.
+
+Keys and coefficients are hashed in a canonical plain form (surjections
+and fiber-ordered maps as tuples, field elements through ``to_str``), so
+the digests do not depend on any ``repr``.
+"""
+
+import hashlib
+
+import pytest
+
+from exacthom.algebras import Coefficients, preset
+from exacthom.gamma import GammaComplex, Surjection
+from exacthom.hochschild import HochschildComplex
+from exacthom.symhom import FiberOrderedMap, SymmetricComplex
+
+MAX_N = 3
+MAX_W = 3
+
+
+def _canon(obj):
+    if isinstance(obj, tuple):
+        return tuple(_canon(v) for v in obj)
+    if isinstance(obj, FiberOrderedMap):
+        return ("fom", obj.cod, obj.fibers)
+    if isinstance(obj, Surjection):
+        return ("surj", obj.cod, obj.images)
+    return obj
+
+
+def slice_digest(cx):
+    h = hashlib.sha256()
+    for w in range(MAX_W + 1):
+        for n in range(MAX_N + 1):
+            h.update(repr((n, w, _canon(cx.basis(n, w)))).encode())
+            if n >= 1:
+                mat = cx.boundary(n, w)
+                entries = sorted((i, j, cx.field.to_str(v))
+                                 for (i, j), v in mat.entries.items())
+                h.update(repr((mat.shape, entries)).encode())
+    return h.hexdigest()
+
+
+def _hochschild(name, kind):
+    alg = preset(name)
+    return HochschildComplex(alg, Coefficients(alg, kind))
+
+
+def _gamma(name, kind, variant, normalized):
+    alg = preset(name)
+    return GammaComplex(alg, Coefficients(alg, kind), variant, normalized)
+
+
+def _symmetric(name, variant, normalized):
+    return SymmetricComplex(preset(name), variant, normalized)
+
+
+CASES = {
+    "hochschild trunc3 k": lambda: _hochschild("trunc3", "k"),
+    "hochschild trunc3 A": lambda: _hochschild("trunc3", "A"),
+    "hochschild square-zero-xy A":
+        lambda: _hochschild("square-zero-xy", "A"),
+    "gamma trunc3 k I normalized": lambda: _gamma("trunc3", "k", "I", True),
+    "gamma trunc3 k I raw": lambda: _gamma("trunc3", "k", "I", False),
+    "gamma trunc3 k A normalized": lambda: _gamma("trunc3", "k", "A", True),
+    "gamma trunc3 k A raw": lambda: _gamma("trunc3", "k", "A", False),
+    "gamma trunc3 A I normalized": lambda: _gamma("trunc3", "A", "I", True),
+    "gamma trunc3 A A normalized": lambda: _gamma("trunc3", "A", "A", True),
+    "gamma trunc3 A A raw": lambda: _gamma("trunc3", "A", "A", False),
+    "gamma square-zero-xy k A raw":
+        lambda: _gamma("square-zero-xy", "k", "A", False),
+    "symmetric trunc3 full normalized":
+        lambda: _symmetric("trunc3", "full", True),
+    "symmetric trunc3 full raw": lambda: _symmetric("trunc3", "full", False),
+    "symmetric trunc3 quotient normalized":
+        lambda: _symmetric("trunc3", "quotient", True),
+    "symmetric trunc3 quotient raw":
+        lambda: _symmetric("trunc3", "quotient", False),
+    "symmetric square-zero-xy full normalized":
+        lambda: _symmetric("square-zero-xy", "full", True),
+}
+
+EXPECTED = {
+    "gamma square-zero-xy k A raw":
+        "015bfec61534d80da7ba9a881fadd24a69b9b0e591174c0e201d08ba98090aa3",
+    "gamma trunc3 A A normalized":
+        "d772131d714132d8eefcaf6c65427d4c65229ae53dc9c8a6aef33d71d417ae52",
+    "gamma trunc3 A A raw":
+        "a5539a445bde74bece88511676bfb57868f546c98b2947e2e61f989d26ffb268",
+    "gamma trunc3 A I normalized":
+        "931f048c4369ac6d1a29c1b1995676a2c410161f7ac9767f599e5f1f94360b51",
+    "gamma trunc3 k A normalized":
+        "38b41c4d95e121398accc593727098005abae9c1c0dc6079a65401ca38d64140",
+    "gamma trunc3 k A raw":
+        "a39506690cf5c2a2b01a11bae7d0e0affd297e7be87fbfacd633d362a299d32a",
+    "gamma trunc3 k I normalized":
+        "079fed4554428ce09816b913f0caea8f1cbdb97f81852ce38b168feac4f45a65",
+    "gamma trunc3 k I raw":
+        "f2ea39ecd7f019d45e1a5afa7eded49c093ad5f0529d80ece1846094844455c7",
+    "hochschild square-zero-xy A":
+        "9b7150d8085c8983a710d37523eed3aa879e3b053986ef6793e91d29e473420c",
+    "hochschild trunc3 A":
+        "bfa7a10a1ed312d32627327b0d0379f4bd1398958e947368a5d05b3b9c28abd9",
+    "hochschild trunc3 k":
+        "f8909ce6b3e8ebf0bb0678e23bf8f4c7cd1fabb2edb74c1100573e7054312aa6",
+    "symmetric square-zero-xy full normalized":
+        "08fda5540fcec6064ad76027df2df070e4d76f1eb86df612646458c6258bf9cb",
+    "symmetric trunc3 full normalized":
+        "942280329a209550bdd1a59414d05bd5c06ede9d7c6cd25f6283b944919dfa56",
+    "symmetric trunc3 full raw":
+        "47b4410eb03f7217749db206e3caaceb7833bea550990d07e723b8afb966e6ed",
+    "symmetric trunc3 quotient normalized":
+        "51660eae4d8032115162db9dda4d3f9ef581abcea79ac61b2b935ceff5ec17a9",
+    "symmetric trunc3 quotient raw":
+        "64e3eadbff1d9770331274bd830d6ec2d140b4c5285180cd3a51ff5e2b0c9d4c",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_slices_match_recorded_engine(case):
+    assert slice_digest(CASES[case]()) == EXPECTED[case]
+
+
+if __name__ == "__main__":
+    for case in sorted(CASES):
+        print(f"    \"{case}\":\n        \"{slice_digest(CASES[case]())}\",")

@@ -38,7 +38,7 @@ def test_square_of_generator_is_a_cycle(dual_k):
 
 def test_boundary_squares_to_zero_small(trunc3_A):
     for w in range(5):
-        trunc3_A.full_slice(w, 5)  # constructor checks d o d = 0
+        trunc3_A.slice(w, 5)  # constructor checks d o d = 0
 
 
 def test_degenerate_slice_degree_one(dual_k):
