@@ -9,12 +9,16 @@ theory-level drivers do exactly that).
 
 from dataclasses import dataclass, field as dc_field
 
-from .sparse import (Echelon, SparseMatrix, extend_basis_columns,
-                     kernel_basis, solve_batch)
+from .sparse import (SparseMatrix, extend_basis_columns, kernel_basis, rank,
+                     solve_batch)
 
 
 class CertificationError(AssertionError):
     """An exact identity asserted by the theory failed on real data."""
+
+
+class NotAComplexError(CertificationError, ValueError):
+    """Consecutive boundaries of a slice do not compose to zero."""
 
 
 class SliceComplex:
@@ -131,7 +135,8 @@ class ChainSlice:
             for n in range(2, self.top + 1):
                 prod = self.boundary(n - 1).mul(self.boundary(n))
                 if not prod.is_zero():
-                    raise ValueError(f"d_{n-1} o d_{n} != 0: not a chain complex")
+                    raise NotAComplexError(
+                        f"d_{n-1} o d_{n} != 0: not a chain complex")
 
     def boundary(self, n):
         mat = self.boundaries.get(n)
@@ -156,6 +161,11 @@ class DegreeHomology:
     def dim(self):
         return self.cycle_dim - self.boundary_rank
 
+    def checked(self):
+        if self.dim < 0:
+            raise AssertionError("negative homology dimension: broken complex")
+        return self
+
 
 @dataclass
 class HomologyReport:
@@ -164,9 +174,19 @@ class HomologyReport:
 
     @classmethod
     def of(cls, sl, with_reps=False):
+        """Homology of every degree of sl.  Without representatives it is
+        rank-only, dim H_n = dims[n] - rk d_n - rk d_{n+1}, with each
+        boundary eliminated once."""
         report = cls(sl)
+        if with_reps:
+            for n in range(sl.top + 1):
+                report.degrees[n] = _degree_homology(sl, n)
+            return report
+        # d_0 and d_{top+1} are empty matrices of rank 0
+        ranks = [rank(sl.boundary(n)) for n in range(sl.top + 2)]
         for n in range(sl.top + 1):
-            report.degrees[n] = _degree_homology(sl, n, with_reps)
+            report.degrees[n] = DegreeHomology(
+                n, sl.dims[n] - ranks[n], ranks[n + 1]).checked()
         return report
 
     def dim(self, n):
@@ -182,18 +202,13 @@ def _cycles(sl, n):
     return kernel_basis(sl.boundary(n))
 
 
-def _degree_homology(sl, n, with_reps):
+def _degree_homology(sl, n):
+    """Homology of degree n with representatives: kernel columns extending
+    a spanning set of the boundary space."""
     cyc = _cycles(sl, n)
     bnd = sl.boundary(n + 1)
-    brank = Echelon(bnd).rank
-    reps = None
-    if with_reps:
-        # kernel columns extending a spanning set of the boundary space
-        reps = cyc.select_columns(extend_basis_columns(bnd, cyc))
-    hom = DegreeHomology(n, cyc.ncols, brank, reps)
-    if hom.dim < 0:
-        raise AssertionError("negative homology dimension: broken complex")
-    return hom
+    reps = cyc.select_columns(extend_basis_columns(bnd, cyc))
+    return DegreeHomology(n, cyc.ncols, rank(bnd), reps).checked()
 
 
 def span_slice(boundary, reps):
@@ -222,7 +237,7 @@ class HomologyBases:
 
     def _data(self, n):
         if n not in self._deg:
-            self._deg[n] = _degree_homology(self.slice, n, with_reps=True)
+            self._deg[n] = _degree_homology(self.slice, n)
         return self._deg[n]
 
     def dim(self, n):
@@ -268,8 +283,8 @@ def check_ses(inc, proj, sub, total, quot):
     for n in range(min(sub.top, total.top, quot.top) + 1):
         if not proj[n].mul(inc[n]).is_zero():
             raise ValueError(f"p o i != 0 in degree {n}")
-        rk_i = Echelon(inc[n]).rank
-        rk_p = Echelon(proj[n]).rank
+        rk_i = rank(inc[n])
+        rk_p = rank(proj[n])
         if rk_i != sub.dims[n]:
             raise ValueError(f"inclusion not injective in degree {n}")
         if rk_p != quot.dims[n]:
@@ -319,17 +334,14 @@ def long_exact_sequence_nodes(inc, proj, sub, total, quot, max_n):
             delta[n] = connecting_homomorphism(
                 inc, proj, sub, total, quot, n, hs, hq, checked=True)
 
-    def rk(m):
-        return Echelon(m).rank
-
     nodes = []
     for n in range(max_n + 1):
         nodes.append((
-            f"H_{n}(total)", rk(alpha[n]), ht.dim(n) - rk(beta[n])))
-        out_rank = rk(delta[n]) if n >= 1 else 0  # H_0(quot) -> 0
+            f"H_{n}(total)", rank(alpha[n]), ht.dim(n) - rank(beta[n])))
+        out_rank = rank(delta[n]) if n >= 1 else 0  # H_0(quot) -> 0
         nodes.append((
-            f"H_{n}(quot)", rk(beta[n]), hq.dim(n) - out_rank))
+            f"H_{n}(quot)", rank(beta[n]), hq.dim(n) - out_rank))
         if n + 1 <= max_n:
             nodes.append((
-                f"H_{n}(sub)", rk(delta[n + 1]), hs.dim(n) - rk(alpha[n])))
+                f"H_{n}(sub)", rank(delta[n + 1]), hs.dim(n) - rank(alpha[n])))
     return nodes

@@ -17,12 +17,13 @@ import time
 
 from . import __version__
 from .algebras import Coefficients, PRESETS, load_algebra, preset
-from .chains import long_exact_sequence_nodes
+from .chains import (CertificationError, NotAComplexError,
+                     long_exact_sequence_nodes)
 from .fields import QQ, field_from_name
 from .gamma import GammaComplex
 from .hochschild import HochschildComplex, harrison_homology
 from .symhom import ComparisonData, SymmetricComplex, hs0_consistency
-from .verify import SUITES, run_suite
+from .verify import SUITES, BoundsError, run_suite
 
 THEORIES = ("hochschild", "harrison", "gamma", "symmetric", "comparison")
 # theories whose weight slices are computed independently (and in parallel
@@ -104,9 +105,17 @@ def _timer(timings):
     return timed
 
 
+def _cert(name, failure=None):
+    """A certification entry; failure, when given, is the failing witness."""
+    if failure is None:
+        return {"name": name, "status": "pass"}
+    return {"name": name, "status": "fail", "witness": failure}
+
+
 def _weight_rows(alg, args, weights, timings):
     """Dimension-table rows of a theory whose weight slices are independent
-    (hochschild, gamma, symmetric), for the given weights only."""
+    (hochschild, gamma, symmetric), for the given weights only, and the
+    text of each failed d o d = 0 check (that weight gets no rows)."""
     theory = args.theory
     N = args.max_degree
     ceiling = args.max_basis
@@ -119,6 +128,7 @@ def _weight_rows(alg, args, weights, timings):
     else:
         complexes = [(None, SymmetricComplex(alg, "full"))]
     rows = []
+    broken = []
     for variant, cx in complexes:
         tag = {"variant": variant} if variant else {}
         name = f"{theory}({variant})" if variant else theory
@@ -126,29 +136,34 @@ def _weight_rows(alg, args, weights, timings):
         for w in weights:
             _guard_dim(max(cx.dim(n, w) for n in range(N + 2)), ceiling,
                        f"{name} slice w={w}")
-            dims = timed(f"{prefix}w={w}",
-                         lambda: cx.slice(w, N + 1).homology().dims())
+            try:
+                dims = timed(f"{prefix}w={w}",
+                             lambda: cx.slice(w, N + 1).homology().dims())
+            except NotAComplexError as exc:
+                broken.append(f"{name} w={w}: {exc}")
+                continue
             rows += [{"theory": theory, **tag, "n": n, "w": w,
                       "dim": dims[n]} for n in range(N + 1)]
-    return rows
+    return rows, broken
 
 
-def _weight_certs(alg, args):
-    """Certifications of a theory whose tables _weight_rows builds."""
-    if args.theory == "hochschild":
-        return [{"name": "boundary squares to zero", "status": "pass"}]
+def _weight_certs(alg, args, broken):
+    """Certifications of a theory whose tables _weight_rows builds, given
+    the failed d o d = 0 checks it reported."""
+    certs = []
+    if args.theory in ("hochschild", "gamma") or broken:
+        certs.append(_cert("boundary squares to zero",
+                           "; ".join(sorted(broken)) or None))
     if args.theory == "gamma":
-        return [
-            {"name": "boundary squares to zero", "status": "pass"},
-            {"name": "full-algebra variant truncated to strings with "
-                     "initial domain <= weight",
-             "status": "pass"}]
-    bad = [(w, got, exp)
-           for w, got, exp in hs0_consistency(alg, args.max_weight)
-           if got != exp]
-    return [{"name": "degree-zero law vs algebra dimensions",
-             "status": "pass" if not bad else "fail",
-             **({"witness": str(bad)} if bad else {})}]
+        certs.append(_cert("full-algebra variant truncated to strings with "
+                           "initial domain <= weight"))
+    if args.theory == "symmetric":
+        bad = [(w, got, exp)
+               for w, got, exp in hs0_consistency(alg, args.max_weight)
+               if got != exp]
+        certs.append(_cert("degree-zero law vs algebra dimensions",
+                           str(bad) if bad else None))
+    return certs
 
 
 def _compute_rows(alg, args, timings):
@@ -167,12 +182,16 @@ def _compute_rows(alg, args, timings):
                 f"harrison homology through degree {N} uses slices through "
                 f"degree {N + 1} and needs a field characteristic above "
                 f"{N + 1}; got {p}")
-        table = timed("table",
-                      lambda: harrison_homology(alg, co, N, W))
-        rows += [{"theory": theory, "n": n, "w": w, "dim": table[(n, w)]}
-                 for (n, w) in sorted(table)]
-        certs.append({"name": "quotient and eulerian pipelines agree",
-                      "status": "pass"})
+        name = "quotient and eulerian pipelines agree"
+        try:
+            table = timed("table",
+                          lambda: harrison_homology(alg, co, N, W))
+        except CertificationError as exc:
+            certs.append(_cert(name, str(exc)))
+        else:
+            rows += [{"theory": theory, "n": n, "w": w,
+                      "dim": table[(n, w)]} for (n, w) in sorted(table)]
+            certs.append(_cert(name))
     elif theory == "comparison":
         for w in range(W + 1):
             cd = timed(f"build w={w}",
@@ -190,9 +209,8 @@ def _compute_rows(alg, args, timings):
                           lambda: long_exact_sequence_nodes(
                               inc, proj, sub, total, quot, N))
             bad = [node for node, rin, kout in nodes if rin != kout]
-            certs.append({"name": f"long exact sequence exact (w={w})",
-                          "status": "pass" if not bad else "fail",
-                          **({"witness": str(bad)} if bad else {})})
+            certs.append(_cert(f"long exact sequence exact (w={w})",
+                               str(bad) if bad else None))
             for src, chain in (("kernel", sub), ("symmetric", total),
                                ("gamma", quot)):
                 hom = chain.homology()
@@ -233,10 +251,10 @@ def cmd_compute(args):
         weights = range(args.max_weight + 1)
         workers = worker_count(args.jobs, args.max_weight, os.cpu_count())
         if workers > 1:
-            rows = _parallel_rows(args, weights, workers, timings)
+            rows, broken = _parallel_rows(args, weights, workers, timings)
         else:
-            rows = _weight_rows(alg, args, weights, timings)
-        certs = _weight_certs(alg, args)
+            rows, broken = _weight_rows(alg, args, weights, timings)
+        certs = _weight_certs(alg, args, broken)
     else:
         rows, certs = _compute_rows(alg, args, timings)
     rows.sort(key=lambda r: (r["theory"], r.get("variant", ""),
@@ -276,11 +294,11 @@ def _parallel_rows(args, weights, workers, timings):
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=context) as pool:
-        rows = [row for wrows in pool.map(_parallel_worker,
-                                          [(args, w) for w in weights])
-                for row in wrows]
+        results = list(pool.map(_parallel_worker,
+                                 [(args, w) for w in weights]))
     timings["parallel total"] = round(time.perf_counter() - t0, 6)
-    return rows
+    return ([row for wrows, _ in results for row in wrows],
+            [text for _, wbroken in results for text in wbroken])
 
 
 def cmd_verify(args):
@@ -298,7 +316,10 @@ def cmd_verify(args):
         config["presets"] = [args.preset]
     if args.field:
         config["field"] = _field(args)
-    checks, elapsed = run_suite(args.suite, config)
+    try:
+        checks, elapsed = run_suite(args.suite, config)
+    except BoundsError as exc:
+        raise ConfigError(str(exc)) from None
     report = {
         "tool": "exacthom",
         "version": __version__,

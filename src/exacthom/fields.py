@@ -1,9 +1,15 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
 All linear algebra in this package runs over one of these two fields.
-Elements are plain Python objects (``mpq``/``Fraction`` for the rationals,
-ints in ``0..p-1`` for a prime field); the field object supplies the
+Elements are plain Python objects; the field object supplies the
 arithmetic so that generic code never rounds and never special-cases.
+
+A rational is a plain ``int`` whenever it is integral and an ``mpq``
+(or ``Fraction``) only when it is a genuine fraction: boundary entries
+and most pivots are integers, and int arithmetic is many times cheaper.
+Every operation returns this normal form, so a float never appears
+(``1 / 3`` on ints would be one; ``inv`` and ``div`` go through the
+rational type instead).  A prime-field element is an int in ``0..p-1``.
 """
 
 from fractions import Fraction
@@ -14,30 +20,40 @@ except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
     _rat = Fraction
 
 
+def _q(x):
+    """The normal form of a rational x: an int when integral, else x."""
+    if x.denominator == 1:
+        return int(x.numerator)
+    return x
+
+
 class Rationals:
     """The field of rational numbers with exact arbitrary-precision arithmetic."""
 
     name = "Q"
     characteristic = 0
-
-    def __init__(self):
-        self.zero = _rat(0)
-        self.one = _rat(1)
+    zero = 0
+    one = 1
 
     def of(self, num, den=1):
-        return _rat(num, den)
+        if den == 1 and type(num) is int:
+            return num
+        return _q(_rat(num, den))
 
     def parse(self, text):
-        return _rat(str(text))
+        return _q(_rat(str(text)))
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int else _q(c)
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int else _q(c)
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int else _q(c)
 
     def neg(self, a):
         return -a
@@ -45,13 +61,12 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _q(_rat(1) / a)
 
     def div(self, a, b):
-        return a / b
+        return _q(_rat(a) / b)
 
-    def of_rational(self, num, den=1):
-        return _rat(num, den)
+    of_rational = of
 
     def to_str(self, a):
         return str(a)

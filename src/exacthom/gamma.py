@@ -22,7 +22,7 @@ from itertools import product as iproduct
 
 from .chains import (SliceComplex, basis_map_matrix, check_chain_map,
                      span_slice)
-from .sparse import Echelon, SparseMatrix, kernel_basis
+from .sparse import SparseMatrix, kernel_basis, rank
 
 
 class Surjection:
@@ -293,7 +293,7 @@ class PruningData:
 
     def splitting_dims_hold(self):
         for n in range(self.top + 1):
-            rank_p = Echelon(self.prune[n]).rank
+            rank_p = rank(self.prune[n])
             if rank_p != self.ideal_chain.dims[n]:
                 return False
             kernel_dim = self.full_chain.dims[n] - rank_p

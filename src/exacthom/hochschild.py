@@ -11,8 +11,8 @@ reproducible.
 from .chains import (CertificationError, ChainSlice, SliceComplex,
                      check_chain_map, span_slice)
 from .groupalg import eulerian_idempotent, total_shuffle
-from .sparse import (Echelon, SparseMatrix, extend_basis_columns,
-                     image_pivot_columns, solve_batch)
+from .sparse import (SparseMatrix, extend_basis_columns, image_pivot_columns,
+                     rank, solve_batch)
 
 
 class HochschildComplex(SliceComplex):
@@ -306,7 +306,7 @@ class NormalizedHarrison:
                     f"e^({i}) splitting dimension mismatch at degree {n}: "
                     f"{i_reps.ncols} + {d_reps.ncols} != {c_reps.ncols}")
             id_pair = i_reps.hstack(d_reps)
-            if Echelon(id_pair).rank != c_reps.ncols:
+            if rank(id_pair) != c_reps.ncols:
                 raise CertificationError(
                     f"e^({i}) ideal and degenerate parts are not independent "
                     f"at degree {n}")
@@ -360,7 +360,7 @@ class NormalizedHarrison:
         """dim ker(collapse o quotient) equals the degenerate dimension."""
         for n in range(self.top + 1):
             fq = self.collapse[n].mul(self.quotient[n])
-            ker = fq.ncols - Echelon(fq).rank
+            ker = fq.ncols - rank(fq)
             if ker != self.d_reps[n].ncols:
                 return False
         return True

@@ -1,11 +1,21 @@
 """Sparse matrices over an exact field, with rank, kernel and batched solving.
 
-The elimination engine builds the (unique) reduced row echelon form by
-inserting rows one at a time, sparsest first, back-eliminating each new
-pivot column from all earlier rows.  Pivot columns are therefore the
-lex-first independent column set, which callers rely on when they extend
-one basis by another (put the preferred columns first).
+Two elimination engines share one row order (sparsest first):
+
+- ``rank`` is forward-only: each row is reduced against the pivots at its
+  leading (minimum) column until its lead is new, with no
+  back-substitution.  Over Q it is fraction-free: rows are primitive
+  integer vectors, eliminated by integer cross-multiplication and divided
+  by their content, so no rational is ever formed.  Over F_p it runs the
+  same loop mod p.
+- ``Echelon`` builds the (unique) reduced row echelon form by inserting
+  rows one at a time, back-eliminating each new pivot column from all
+  earlier rows.  Pivot columns are therefore the lex-first independent
+  column set, which callers rely on when they extend one basis by another
+  (put the preferred columns first); kernels and solves read it off too.
 """
+
+from math import gcd, lcm
 
 
 class SparseMatrix:
@@ -300,8 +310,73 @@ class Echelon:
 
 
 def rank(matrix):
-    """Exact rank over the matrix's field."""
-    return Echelon(matrix).rank
+    """Exact rank over the matrix's field, by forward elimination."""
+    rows = sorted((r for r in matrix.rows_as_dicts() if r), key=len)
+    p = matrix.field.characteristic
+    if p:
+        return _forward_rank_mod(rows, p)
+    return _forward_rank_integral(rows)
+
+
+def _primitive(row):
+    """A rational row scaled to an integer row with content 1."""
+    den = lcm(*(v.denominator for v in row.values()))
+    if den != 1:
+        row = {j: v.numerator * (den // v.denominator)
+               for j, v in row.items()}
+    g = gcd(*row.values())
+    if g != 1:
+        row = {j: v // g for j, v in row.items()}
+    return row
+
+
+def _forward_rank_integral(rows):
+    pivots = {}  # leading column -> primitive integer row
+    for row in rows:
+        row = _primitive(row)
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = row
+                break
+            # row <- b*row - a*piv clears the lead; a, b coprime
+            a, b = row[lead], piv[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if b != 1:
+                row = {j: b * v for j, v in row.items()}
+            for j, v in piv.items():
+                s = row.get(j, 0) - a * v
+                if s:
+                    row[j] = s
+                else:
+                    del row[j]
+            if row:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {j: v // g for j, v in row.items()}
+    return len(pivots)
+
+
+def _forward_rank_mod(rows, p):
+    pivots = {}  # leading column -> row with leading entry 1
+    for row in rows:
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(row[lead], p - 2, p)
+                pivots[lead] = {j: v * inv % p for j, v in row.items()}
+                break
+            a = row[lead]
+            for j, v in piv.items():
+                s = (row.get(j, 0) - a * v) % p
+                if s:
+                    row[j] = s
+                else:
+                    del row[j]
+    return len(pivots)
 
 
 def kernel_basis(matrix):

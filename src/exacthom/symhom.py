@@ -16,7 +16,7 @@ from .chains import (SliceComplex, basis_map_matrix, check_chain_map,
                      span_slice)
 from .gamma import GammaComplex, Surjection
 from .groupalg import Permutation
-from .sparse import Echelon, kernel_basis
+from .sparse import kernel_basis, rank
 
 
 class FiberOrderedMap:
@@ -387,7 +387,7 @@ class ComparisonData:
 
     def surjective(self):
         for n in range(self.top + 1):
-            if Echelon(self.proj[n]).rank != self.gamma_chain.dims[n]:
+            if rank(self.proj[n]) != self.gamma_chain.dims[n]:
                 return False
         return True
 

@@ -235,3 +235,51 @@ def test_span_slice_rejects_a_span_not_closed_under_the_boundary():
         span_slice(lambda n: d1, reps)
     # the error class is still reachable from the Hochschild module
     assert hochschild.CertificationError is CertificationError
+
+
+def _fractional_trunc4():
+    # trunc4 with x*x = (2/3) y and x*y = (5/4) z: genuine fractions in
+    # every boundary that multiplies
+    from exacthom.algebras import algebra_from_dict
+    alg = algebra_from_dict({
+        "name": "trunc4-fractional", "field": "Q",
+        "generators": [{"symbol": "x", "weight": 1},
+                       {"symbol": "y", "weight": 2},
+                       {"symbol": "z", "weight": 3}],
+        "products": [
+            {"left": "x", "right": "x", "result": {"y": "2/3"}},
+            {"left": "x", "right": "y", "result": {"z": "5/4"}},
+            {"left": "y", "right": "x", "result": {"z": "5/4"}}]})
+    assert alg.validate() == []
+    return alg
+
+
+def _complexes():
+    """name -> (complex, top degree reported, max weight)"""
+    from exacthom.algebras import Coefficients, preset
+    from exacthom.gamma import GammaComplex
+    from exacthom.hochschild import HochschildComplex
+    from exacthom.symhom import SymmetricComplex
+    trunc3 = preset("trunc3")
+    fractional = _fractional_trunc4()
+    return {
+        "hochschild trunc3 A": (HochschildComplex(
+            trunc3, Coefficients(trunc3, "A")), 4, 6),
+        "gamma trunc3 k I": (GammaComplex(
+            trunc3, Coefficients(trunc3, "k")), 3, 3),
+        "gamma trunc3 k A": (GammaComplex(
+            trunc3, Coefficients(trunc3, "k"), "A"), 3, 3),
+        "symmetric trunc3": (SymmetricComplex(trunc3), 2, 3),
+        "hochschild fractional A": (HochschildComplex(
+            fractional, Coefficients(fractional, "A")), 4, 6),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_complexes()))
+def test_rank_only_homology_matches_representatives(name):
+    # the rank-only report and the kernel-basis path share no elimination
+    cx, top, max_w = _complexes()[name]
+    for w in range(max_w + 1):
+        sl = cx.slice(w, top + 1)
+        bases = HomologyBases(sl)
+        assert sl.homology().dims() == [bases.dim(n) for n in range(top + 2)]

@@ -249,3 +249,47 @@ def test_verify_uses_suite_presets_by_default(capsys):
     assert code == 0
     names = " ".join(c["name"] for c in json.loads(out)["certifications"])
     assert "trunc3" in names and "dual-numbers" not in names
+
+
+@pytest.mark.parametrize("suite", ["harrison", "hodge", "barr", "eulerian",
+                                   "gamma-iso"])
+def test_verify_over_too_small_characteristic_rejected(capsys, suite):
+    line = run_error(capsys, "verify", "--suite", suite, "--field", "Fp:2",
+                     "--preset", "dual-numbers", "--max-degree", "2",
+                     "--max-weight", "2", "--max-n", "3")
+    assert "characteristic" in line and suite in line
+
+
+def test_verify_with_nothing_to_check_rejected(capsys):
+    line = run_error(capsys, "verify", "--suite", "eulerian", "--max-n", "0")
+    assert "nothing to check" in line
+
+
+@pytest.fixture
+def broken_hochschild_boundary(monkeypatch):
+    """Double the first face of every Hochschild boundary, so that
+    d o d != 0 in the slices that use that face twice."""
+    from exacthom.hochschild import HochschildComplex
+    face_terms = HochschildComplex.face_terms
+
+    def doubled(self, key, i):
+        terms = face_terms(self, key, i)
+        if i != 1:
+            return terms
+        return [(k, self.field.mul(2, c)) for k, c in terms]
+
+    monkeypatch.setattr(HochschildComplex, "face_terms", doubled)
+
+
+@pytest.mark.parametrize("theory,name", [
+    ("hochschild", "boundary squares to zero"),
+    ("harrison", "quotient and eulerian pipelines agree")])
+def test_compute_reports_a_failing_check(capsys, broken_hochschild_boundary,
+                                         theory, name):
+    code, out = run(capsys, "compute", "--preset", "dual-numbers",
+                    "--theory", theory, "--max-degree", "2",
+                    "--max-weight", "2")
+    assert code == 1
+    certs = json.loads(out)["certifications"]
+    assert [c["name"] for c in certs] == [name]
+    assert certs[0]["status"] == "fail" and certs[0]["witness"]

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from exacthom import fields
 from exacthom.fields import GF, QQ, field_from_name, rational_parts
 
 
@@ -55,3 +58,46 @@ def test_division_by_zero_rejected():
         QQ.inv(QQ.zero)
     with pytest.raises(ZeroDivisionError):
         GF(5).inv(0)
+
+
+def test_integral_rationals_are_ints():
+    half = QQ.of(1, 2)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    for value in (QQ.of(4, 2), QQ.of(-3), QQ.parse("6/3"), QQ.parse("-7"),
+                  QQ.of_rational(9, 3), QQ.add(half, half),
+                  QQ.sub(QQ.of(5, 2), half), QQ.mul(half, 4),
+                  QQ.mul(3, -2), QQ.inv(QQ.of(1, 3)), QQ.div(half, half),
+                  QQ.div(6, 3), QQ.inv(-1)):
+        assert type(value) is int, value
+
+
+def test_genuine_fractions_stay_rational():
+    for value, expected in ((QQ.of(1, 2), Fraction(1, 2)),
+                            (QQ.parse("3/2"), Fraction(3, 2)),
+                            (QQ.add(QQ.of(1, 3), 1), Fraction(4, 3)),
+                            (QQ.sub(1, QQ.of(1, 3)), Fraction(2, 3)),
+                            (QQ.mul(QQ.of(1, 3), 2), Fraction(2, 3))):
+        assert type(value) is fields._rat and value == expected
+
+
+def test_inverse_and_division_never_float():
+    assert QQ.inv(3) == Fraction(1, 3)
+    assert QQ.div(1, 3) == Fraction(1, 3)
+    assert QQ.div(-2, 4) == Fraction(-1, 2)
+    for value in (QQ.inv(3), QQ.div(1, 3), QQ.div(-2, 4)):
+        assert not isinstance(value, float)
+        assert type(value) is fields._rat
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
+def test_to_str_is_unchanged():
+    # integral values print as before, when they were Fraction(n, 1)
+    assert QQ.to_str(QQ.of(4, 2)) == str(Fraction(2)) == "2"
+    assert QQ.to_str(QQ.of(-6, 4)) == "-3/2"
+    assert QQ.to_str(QQ.zero) == "0"
+
+
+def test_rational_backend_name_is_exposed():
+    # the benchmark stamps every result with this type's name
+    assert fields._rat.__name__ in ("Fraction", "mpq")

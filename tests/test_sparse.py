@@ -146,3 +146,72 @@ def test_rank_against_dense_oracle():
         dense = _dense_rank(rows, ncols)
         sparse = rank(SparseMatrix.from_rows(QQ, rows))
         assert sparse == dense, rows
+
+
+def _entry(rng, field, kind):
+    if field.characteristic:
+        return rng.randrange(1, field.p)
+    integer = QQ.of(rng.choice([-3, -2, -1, 1, 2, 5, 12]))
+    fraction = QQ.of(rng.choice([-7, -2, -1, 1, 3, 4]), rng.choice([2, 3, 9]))
+    if kind == "integers":
+        return integer
+    if kind == "fractions":
+        return fraction
+    return rng.choice([integer, fraction])
+
+
+def _structured_matrix(rng, field, kind):
+    """A random sparse matrix whose rows include zero rows, duplicates and
+    combinations of earlier rows (rank-deficient blocks)."""
+    nrows, ncols = rng.randint(0, 10), rng.randint(0, 10)
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if roll < 0.15 or not ncols:
+            row = {}
+        elif roll < 0.3 and rows:
+            row = dict(rng.choice(rows))
+        elif roll < 0.5 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            ca, cb = _entry(rng, field, kind), _entry(rng, field, kind)
+            row = {j: field.add(field.mul(ca, a.get(j, field.zero)),
+                                field.mul(cb, b.get(j, field.zero)))
+                   for j in set(a) | set(b)}
+        else:
+            row = {j: _entry(rng, field, kind)
+                   for j in rng.sample(range(ncols), rng.randint(1, ncols))}
+        rows.append(row)
+    return SparseMatrix(field, nrows, ncols,
+                        {(i, j): v for i, row in enumerate(rows)
+                         for j, v in row.items()})
+
+
+@pytest.mark.parametrize("field,kind", [
+    (QQ, "fractions"), (QQ, "integers"), (QQ, "mixed"),
+    (GF(3), None), (GF(2**31 - 1), None)])
+def test_forward_rank_matches_echelon(field, kind):
+    # rank() eliminates forward only (fraction-free over Q); Echelon builds
+    # the full reduced form, so the two share no elimination code
+    rng = random.Random(f"rank:{field}:{kind}")
+    for _ in range(150):
+        m = _structured_matrix(rng, field, kind)
+        assert rank(m) == Echelon(m).rank, m.entries
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(2**31 - 1)])
+def test_forward_rank_of_empty_and_degenerate_shapes(field):
+    for shape in ((0, 0), (0, 4), (4, 0), (3, 3)):
+        assert rank(SparseMatrix.zeros(field, *shape)) == 0
+    one = field.one
+    twice = SparseMatrix(field, 2, 3, {(0, 1): one, (1, 1): one})
+    assert rank(twice) == 1
+
+
+def test_forward_rank_of_fractional_block():
+    # rows 2 and 3 are (1/2) row 0 + (2/3) row 1 and 3 * row 2
+    rows = [[QQ.of(1, 3), 0, QQ.of(5, 7)], [0, QQ.of(-4, 9), 1]]
+    rows.append([QQ.add(QQ.mul(QQ.of(1, 2), a), QQ.mul(QQ.of(2, 3), b))
+                 for a, b in zip(*rows)])
+    rows.append([QQ.mul(3, v) for v in rows[2]])
+    m = SparseMatrix.from_rows(QQ, rows)
+    assert rank(m) == Echelon(m).rank == 2
