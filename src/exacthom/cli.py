@@ -194,30 +194,46 @@ def _compute_rows(alg, args, timings):
             certs.append(_cert(name))
     elif theory == "comparison":
         for w in range(W + 1):
-            cd = timed(f"build w={w}",
-                       lambda w=w: ComparisonData(alg, w, N + 1))
-            _guard_dim(max(cd.sym_chain.dims), args.max_basis,
-                       f"symmetric slice w={w}")
-            for label, flag in (
-                    ("quotient map is a chain map", cd.q_is_chain_map()),
-                    ("comparison map is a chain map", cd.phi_is_chain_map()),
-                    ("comparison map surjective", cd.surjective())):
-                certs.append({"name": f"{label} (w={w})",
-                              "status": "pass" if flag else "fail"})
-            inc, proj, sub, total, quot = cd.ses()
-            nodes = timed(f"les w={w}",
-                          lambda: long_exact_sequence_nodes(
-                              inc, proj, sub, total, quot, N))
-            bad = [node for node, rin, kout in nodes if rin != kout]
-            certs.append(_cert(f"long exact sequence exact (w={w})",
-                               str(bad) if bad else None))
-            for src, chain in (("kernel", sub), ("symmetric", total),
-                               ("gamma", quot)):
-                hom = chain.homology()
-                rows += [{"theory": f"comparison/{src}", "n": n, "w": w,
-                          "dim": hom.dim(n)} for n in range(N + 1)]
+            try:
+                wrows, wcerts = _comparison_weight(alg, args, w, timed)
+            except CertificationError as exc:
+                certs.append(_cert(f"comparison slices certified (w={w})",
+                                   str(exc)))
+                continue
+            rows += wrows
+            certs += wcerts
     else:
         raise ConfigError(f"unknown theory {theory!r}")
+    return rows, certs
+
+
+def _comparison_weight(alg, args, w, timed):
+    """Rows and certifications of the comparison at one weight.  A failed
+    d o d = 0 check or a kernel span not closed under the boundary raises
+    CertificationError."""
+    N = args.max_degree
+    cd = timed(f"build w={w}", lambda: ComparisonData(alg, w, N + 1))
+    _guard_dim(max(cd.sym_chain.dims), args.max_basis,
+               f"symmetric slice w={w}")
+    certs = []
+    for label, flag in (
+            ("quotient map is a chain map", cd.q_is_chain_map()),
+            ("comparison map is a chain map", cd.phi_is_chain_map()),
+            ("comparison map surjective", cd.surjective())):
+        certs.append({"name": f"{label} (w={w})",
+                      "status": "pass" if flag else "fail"})
+    inc, proj, sub, total, quot = cd.ses()
+    nodes = timed(f"les w={w}", lambda: long_exact_sequence_nodes(
+        inc, proj, sub, total, quot, N))
+    bad = [node for node, rin, kout in nodes if rin != kout]
+    certs.append(_cert(f"long exact sequence exact (w={w})",
+                       str(bad) if bad else None))
+    rows = []
+    for src, chain in (("kernel", sub), ("symmetric", total),
+                       ("gamma", quot)):
+        hom = chain.homology()
+        rows += [{"theory": f"comparison/{src}", "n": n, "w": w,
+                  "dim": hom.dim(n)} for n in range(N + 1)]
     return rows, certs
 
 

@@ -4,9 +4,9 @@ All linear algebra in this package runs over one of these two fields.
 Elements are plain Python objects; the field object supplies the
 arithmetic so that generic code never rounds and never special-cases.
 
-A rational is a plain ``int`` whenever it is integral and an ``mpq``
-(or ``Fraction``) only when it is a genuine fraction: boundary entries
-and most pivots are integers, and int arithmetic is many times cheaper.
+A rational is a plain ``int`` whenever it is integral and a ``Fraction``
+only when it is a genuine fraction: boundary entries and most pivots are
+integers, and int arithmetic is many times cheaper.
 Every operation returns this normal form, so a float never appears
 (``1 / 3`` on ints would be one; ``inv`` and ``div`` go through the
 rational type instead).  A prime-field element is an int in ``0..p-1``.
@@ -14,10 +14,7 @@ rational type instead).  A prime-field element is an int in ``0..p-1``.
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _rat
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    _rat = Fraction
+_rat = Fraction  # the one rational type; perfbench records its name
 
 
 def _q(x):
@@ -171,6 +168,4 @@ def field_from_name(name):
 
 def rational_parts(a):
     """Numerator and denominator of a rational field element."""
-    if isinstance(a, Fraction):
-        return a.numerator, a.denominator
-    return int(a.numerator), int(a.denominator)
+    return a.numerator, a.denominator

@@ -1,18 +1,22 @@
 """Sparse matrices over an exact field, with rank, kernel and batched solving.
 
-Two elimination engines share one row order (sparsest first):
+Two elimination engines share one row order (sparsest first) and one
+elimination step, ``_eliminate``.  Over Q both are fraction-free: rows are
+primitive integer vectors, a column is cleared by integer
+cross-multiplication and the result is divided by its content, so no
+rational is formed while eliminating.  Over F_p the same step runs mod p
+against monic pivot rows.
 
 - ``rank`` is forward-only: each row is reduced against the pivots at its
   leading (minimum) column until its lead is new, with no
-  back-substitution.  Over Q it is fraction-free: rows are primitive
-  integer vectors, eliminated by integer cross-multiplication and divided
-  by their content, so no rational is ever formed.  Over F_p it runs the
-  same loop mod p.
-- ``Echelon`` builds the (unique) reduced row echelon form by inserting
-  rows one at a time, back-eliminating each new pivot column from all
-  earlier rows.  Pivot columns are therefore the lex-first independent
-  column set, which callers rely on when they extend one basis by another
-  (put the preferred columns first); kernels and solves read it off too.
+  back-substitution.
+- ``Echelon`` builds the (unique) reduced row echelon form, up to one
+  scale per row, by inserting rows one at a time and back-eliminating each
+  new pivot column from all earlier rows.  Pivot columns are therefore
+  the lex-first independent column set, which callers rely on when they
+  extend one basis by another (put the preferred columns first).  Kernels
+  and solves read it off, and form a rational only there: an entry over
+  its row's lead.
 """
 
 from math import gcd, lcm
@@ -211,65 +215,44 @@ class Echelon:
     rows whose leading part vanishes are kept as residual rows, so
     membership of an augmented column in the column span of the leading
     block can be read off afterwards.
+
+    Over Q every stored row is a primitive integer row, a positive
+    multiple of the row the rational RREF holds; a pivot row's entries
+    are read as fractions of its lead.  Over F_p the pivot rows are monic.
     """
 
     def __init__(self, matrix, pivot_limit=None):
         field = matrix.field
+        p = field.characteristic
         self.field = field
         self.ncols = matrix.ncols
-        self.pivot_limit = matrix.ncols if pivot_limit is None else pivot_limit
-        self.rows = {}       # pivot col -> row dict (lead coefficient 1)
-        self.residuals = []  # row dicts with no entry below pivot_limit
+        self.pivot_limit = limit = (matrix.ncols if pivot_limit is None
+                                    else pivot_limit)
+        self.rows = rows = {}  # pivot col -> row dict
+        self.residuals = []    # row dicts with no entry below pivot_limit
         raw = matrix.rows_as_dicts()
-        order = sorted(range(len(raw)), key=lambda i: (len(raw[i]), i))
-        for i in order:
-            if raw[i]:
-                self._insert(dict(raw[i]))
-
-    def _reduce(self, row):
-        f = self.field
-        zero = f.zero
-        rows = self.rows
-        # eliminate known pivot columns from the incoming row
-        for c in sorted(k for k in row if k < self.pivot_limit and k in rows):
-            coef = row.get(c)
-            if coef is None or coef == zero:
+        for i in sorted(range(len(raw)), key=lambda i: (len(raw[i]), i)):
+            row = raw[i]
+            if not row:
                 continue
-            piv = rows[c]
-            for j, v in piv.items():
-                s = f.sub(row.get(j, zero), f.mul(coef, v))
-                if s == zero:
-                    row.pop(j, None)
-                else:
-                    row[j] = s
-        return row
-
-    def _insert(self, row):
-        f = self.field
-        zero = f.zero
-        row = self._reduce(row)
-        lead = min((c for c in row if c < self.pivot_limit), default=None)
-        if lead is None:
-            if row:
-                self.residuals.append(row)
-            return
-        # normalize and back-eliminate the new pivot column
-        inv = f.inv(row[lead])
-        if inv != f.one:
-            row = {j: f.mul(inv, v) for j, v in row.items()}
-        for pcol, other in self.rows.items():
-            coef = other.get(lead)
-            if coef is None:
+            if not p:
+                row = _primitive(row)
+            # pivot rows vanish at each other's pivot columns, so clearing
+            # one of these columns leaves the others in place
+            for c in [c for c in row if c < limit and c in rows]:
+                row = _eliminate(row, rows[c], c, p)
+            lead = min((c for c in row if c < limit), default=None)
+            if lead is None:
+                if row:
+                    self.residuals.append(row)
                 continue
-            for j, v in row.items():
-                s = f.sub(other.get(j, zero), f.mul(coef, v))
-                if s == zero:
-                    other.pop(j, None)
-                else:
-                    other[j] = s
-        # residual rows have no leading-block entries, so the new pivot
-        # column cannot appear in them; nothing to update there
-        self.rows[lead] = row
+            row = _normalize(row, lead, p)
+            # back-eliminate the new pivot column; residual rows have no
+            # leading-block entries, so they cannot contain it
+            for pcol, other in rows.items():
+                if lead in other:
+                    rows[pcol] = _eliminate(other, row, lead, p)
+            rows[lead] = row
 
     @property
     def rank(self):
@@ -288,34 +271,44 @@ class Echelon:
         for res in self.residuals:
             if j in res:
                 return None
+        of = self.field.of
         x = {}
         for pcol, row in self.rows.items():
             v = row.get(j)
             if v is not None:
-                x[pcol] = v
+                x[pcol] = of(v, row[pcol])
         return x
 
     def kernel_vectors(self):
         """Kernel basis of the leading block, one vector per free column."""
-        f = self.field
+        of = self.field.of
+        one = self.field.one
         vecs = []
         for c in self.free_cols():
-            vec = {c: f.one}
+            vec = {c: one}
             for pcol, row in self.rows.items():
                 v = row.get(c)
                 if v is not None:
-                    vec[pcol] = f.neg(v)
+                    vec[pcol] = of(-v, row[pcol])
             vecs.append(vec)
         return vecs
 
 
 def rank(matrix):
     """Exact rank over the matrix's field, by forward elimination."""
-    rows = sorted((r for r in matrix.rows_as_dicts() if r), key=len)
     p = matrix.field.characteristic
-    if p:
-        return _forward_rank_mod(rows, p)
-    return _forward_rank_integral(rows)
+    pivots = {}  # leading column -> pivot row
+    for row in sorted((r for r in matrix.rows_as_dicts() if r), key=len):
+        if not p:
+            row = _primitive(row)
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = _normalize(row, lead, p)
+                break
+            row = _eliminate(row, piv, lead, p)
+    return len(pivots)
 
 
 def _primitive(row):
@@ -330,53 +323,56 @@ def _primitive(row):
     return row
 
 
-def _forward_rank_integral(rows):
-    pivots = {}  # leading column -> primitive integer row
-    for row in rows:
-        row = _primitive(row)
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = row
-                break
-            # row <- b*row - a*piv clears the lead; a, b coprime
-            a, b = row[lead], piv[lead]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if b != 1:
-                row = {j: b * v for j, v in row.items()}
-            for j, v in piv.items():
-                s = row.get(j, 0) - a * v
-                if s:
-                    row[j] = s
-                else:
-                    del row[j]
-            if row:
-                g = gcd(*row.values())
-                if g != 1:
-                    row = {j: v // g for j, v in row.items()}
-    return len(pivots)
+def _normalize(row, lead, p):
+    """A new pivot row: monic mod p, or with a positive lead over Z."""
+    a = row[lead]
+    if p:
+        if a != 1:
+            inv = pow(a, p - 2, p)
+            row = {j: v * inv % p for j, v in row.items()}
+    elif a < 0:
+        row = {j: -v for j, v in row.items()}
+    return row
 
 
-def _forward_rank_mod(rows, p):
-    pivots = {}  # leading column -> row with leading entry 1
-    for row in rows:
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = pow(row[lead], p - 2, p)
-                pivots[lead] = {j: v * inv % p for j, v in row.items()}
-                break
-            a = row[lead]
-            for j, v in piv.items():
-                s = (row.get(j, 0) - a * v) % p
-                if s:
-                    row[j] = s
-                else:
-                    del row[j]
-    return len(pivots)
+def _eliminate(row, piv, c, p):
+    """The one elimination step of both engines: clear column c of row
+    with the pivot row piv, which may modify row in place.
+
+    Over Z (p = 0) both rows are primitive and the result is
+    ``b·row − a·piv`` with a/b = row[c]/piv[c] in lowest terms, divided by
+    its content: a nonzero multiple of the rational step, positive when
+    piv[c] > 0.  Mod p the pivot is monic and the result is
+    ``row − row[c]·piv``.
+    """
+    a = row[c]
+    if p:
+        get = row.get
+        for j, v in piv.items():
+            s = (get(j, 0) - a * v) % p
+            if s:
+                row[j] = s
+            else:
+                del row[j]
+        return row
+    b = piv[c]
+    g = gcd(a, b)
+    if g != 1:
+        a, b = a // g, b // g
+    if b != 1:
+        row = {j: b * v for j, v in row.items()}
+    get = row.get
+    for j, v in piv.items():
+        s = get(j, 0) - a * v
+        if s:
+            row[j] = s
+        else:
+            del row[j]
+    if row:
+        g = gcd(*row.values())
+        if g != 1:
+            row = {j: v // g for j, v in row.items()}
+    return row
 
 
 def kernel_basis(matrix):

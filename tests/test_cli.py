@@ -266,30 +266,50 @@ def test_verify_with_nothing_to_check_rejected(capsys):
 
 
 @pytest.fixture
-def broken_hochschild_boundary(monkeypatch):
-    """Double the first face of every Hochschild boundary, so that
-    d o d != 0 in the slices that use that face twice."""
+def broken_boundaries(monkeypatch):
+    """Double the first face of every Hochschild and every symmetric
+    boundary, so that d o d != 0 in the slices that use that face twice."""
     from exacthom.hochschild import HochschildComplex
-    face_terms = HochschildComplex.face_terms
+    from exacthom.symhom import SymmetricComplex
 
-    def doubled(self, key, i):
-        terms = face_terms(self, key, i)
-        if i != 1:
-            return terms
-        return [(k, self.field.mul(2, c)) for k, c in terms]
+    def doubling(face_terms):
+        def doubled(self, key, i):
+            terms = face_terms(self, key, i)
+            if i != 1:
+                return terms
+            return [(k, self.field.mul(2, c)) for k, c in terms]
+        return doubled
 
-    monkeypatch.setattr(HochschildComplex, "face_terms", doubled)
+    for cls in (HochschildComplex, SymmetricComplex):
+        monkeypatch.setattr(cls, "face_terms", doubling(cls.face_terms))
 
 
-@pytest.mark.parametrize("theory,name", [
-    ("hochschild", "boundary squares to zero"),
-    ("harrison", "quotient and eulerian pipelines agree")])
-def test_compute_reports_a_failing_check(capsys, broken_hochschild_boundary,
-                                         theory, name):
+# the comparison at weights 0 and 1 passes its four certifications each;
+# weight 2 is the first whose symmetric slice uses face 1 twice
+COMPARISON_PASSED = [
+    f"{label} (w={w})" for w in (0, 1) for label in (
+        "quotient map is a chain map", "comparison map is a chain map",
+        "comparison map surjective", "long exact sequence exact")]
+
+
+@pytest.mark.parametrize("theory,name,passed", [
+    pytest.param("hochschild", "boundary squares to zero", [],
+                 id="hochschild-boundary squares to zero"),
+    pytest.param("harrison", "quotient and eulerian pipelines agree", [],
+                 id="harrison-quotient and eulerian pipelines agree"),
+    pytest.param("comparison", "comparison slices certified (w=2)",
+                 COMPARISON_PASSED, id="comparison")])
+def test_compute_reports_a_failing_check(capsys, broken_boundaries, theory,
+                                         name, passed):
     code, out = run(capsys, "compute", "--preset", "dual-numbers",
                     "--theory", theory, "--max-degree", "2",
                     "--max-weight", "2")
     assert code == 1
-    certs = json.loads(out)["certifications"]
-    assert [c["name"] for c in certs] == [name]
-    assert certs[0]["status"] == "fail" and certs[0]["witness"]
+    report = json.loads(out)
+    certs = report["certifications"]
+    assert [c["name"] for c in certs] == passed + [name]
+    assert all(c["status"] == "pass" for c in certs[:-1])
+    assert certs[-1]["status"] == "fail" and certs[-1]["witness"]
+    if theory == "comparison":
+        # the failing weight gets no rows
+        assert {r["w"] for r in report["tables"]} == {0, 1}

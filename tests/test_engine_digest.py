@@ -1,10 +1,17 @@
-"""Differential test of the complex engines against a recorded reference.
+"""Differential test of the complex and elimination engines against a
+recorded reference.
 
-Every case hashes the basis tuples and the sorted boundary entries of the
-small slices (degree n <= 3, weight w <= 3) of one complex.  The digests
-were recorded from the separate per-theory complex classes that preceded
-the shared slice engine, so any change of basis order, basis content or
-matrix entry shows up here.
+Every slice case hashes the basis tuples and the sorted boundary entries
+of the small slices (degree n <= 3, weight w <= 3) of one complex.  The
+digests were recorded from the separate per-theory complex classes that
+preceded the shared slice engine, so any change of basis order, basis
+content or matrix entry shows up here.
+
+Every elimination case hashes the exact entries of kernel bases, batched
+solves and homology representatives.  Those digests were recorded from
+the Fraction reduced row echelon form that preceded the fraction-free
+``Echelon``, so any change of a pivot choice or of a rational value that
+a kernel or a solve returns shows up here.
 
 Keys and coefficients are hashed in a canonical plain form (surjections
 and fiber-ordered maps as tuples, field elements through ``to_str``), so
@@ -15,10 +22,12 @@ import hashlib
 
 import pytest
 
-from exacthom.algebras import Coefficients, preset
+from exacthom.algebras import Coefficients, algebra_from_dict, preset
+from exacthom.chains import HomologyBases
 from exacthom.gamma import GammaComplex, Surjection
 from exacthom.hochschild import HochschildComplex
-from exacthom.symhom import FiberOrderedMap, SymmetricComplex
+from exacthom.sparse import kernel_basis
+from exacthom.symhom import ComparisonData, FiberOrderedMap, SymmetricComplex
 
 MAX_N = 3
 MAX_W = 3
@@ -127,6 +136,90 @@ def test_slices_match_recorded_engine(case):
     assert slice_digest(CASES[case]()) == EXPECTED[case]
 
 
+def _update_matrix(h, tag, mat):
+    entries = sorted((i, j, mat.field.to_str(v))
+                     for (i, j), v in mat.entries.items())
+    h.update(repr((tag, mat.shape, entries)).encode())
+
+
+def comparison_kernel_digest(alg, max_w):
+    """The kernel bases of phi o q and the boundaries of the kernel
+    subcomplex solved in those bases, for every weight up to max_w."""
+    h = hashlib.sha256()
+    for w in range(max_w + 1):
+        reps, kchain = ComparisonData(alg, w, MAX_N).kernel()
+        for n, mat in enumerate(reps):
+            _update_matrix(h, ("kernel", w, n), mat)
+        for n in range(1, MAX_N + 1):
+            _update_matrix(h, ("solved boundary", w, n), kchain.boundary(n))
+    return h.hexdigest()
+
+
+def representatives_digest(cx, max_n, max_w):
+    """For every slice (n <= max_n, w <= max_w): the homology
+    representatives, the kernel basis of d_n and the homology coordinates
+    of those kernel columns."""
+    h = hashlib.sha256()
+    for w in range(max_w + 1):
+        sl = cx.slice(w, max_n + 1)
+        bases = HomologyBases(sl)
+        for n in range(max_n + 1):
+            _update_matrix(h, ("representatives", w, n), bases.reps(n))
+            if n >= 1:
+                cycles = kernel_basis(sl.boundary(n))
+                _update_matrix(h, ("cycles", w, n), cycles)
+                _update_matrix(h, ("coordinates", w, n),
+                               bases.coords(n, cycles))
+    return h.hexdigest()
+
+
+def _fractional_trunc4():
+    # trunc4 with x*x = (2/3) y and x*y = (5/4) z: genuine fractions in
+    # every boundary that multiplies
+    alg = algebra_from_dict({
+        "name": "trunc4-fractional", "field": "Q",
+        "generators": [{"symbol": "x", "weight": 1},
+                       {"symbol": "y", "weight": 2},
+                       {"symbol": "z", "weight": 3}],
+        "products": [
+            {"left": "x", "right": "x", "result": {"y": "2/3"}},
+            {"left": "x", "right": "y", "result": {"z": "5/4"}},
+            {"left": "y", "right": "x", "result": {"z": "5/4"}}]})
+    assert alg.validate() == []
+    return alg
+
+
+def _hochschild_reps(alg):
+    return representatives_digest(
+        HochschildComplex(alg, Coefficients(alg, "A")), 4, 6)
+
+
+ELIMINATION_CASES = {
+    "comparison trunc3 kernels":
+        lambda: comparison_kernel_digest(preset("trunc3"), MAX_W),
+    "hochschild trunc3 A representatives":
+        lambda: _hochschild_reps(preset("trunc3")),
+    "hochschild fractional trunc4 A representatives":
+        lambda: _hochschild_reps(_fractional_trunc4()),
+}
+
+ELIMINATION_EXPECTED = {
+    "comparison trunc3 kernels":
+        "023f86d24ef3d0042b61e1169347bbaf642be21f1fc6ed9cebc7c4d053ba70bf",
+    "hochschild fractional trunc4 A representatives":
+        "d3d337e76210eedb86bd9e3b48f6e012aa8ceb27437ce217ee49db94ffe9c8f3",
+    "hochschild trunc3 A representatives":
+        "af4f70566adab056960b7a59c80a90747309cc38b61154b3dee872efb7eaa46a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ELIMINATION_CASES))
+def test_eliminations_match_recorded_engine(case):
+    assert ELIMINATION_CASES[case]() == ELIMINATION_EXPECTED[case]
+
+
 if __name__ == "__main__":
     for case in sorted(CASES):
         print(f"    \"{case}\":\n        \"{slice_digest(CASES[case]())}\",")
+    for case in sorted(ELIMINATION_CASES):
+        print(f"    \"{case}\":\n        \"{ELIMINATION_CASES[case]()}\",")

@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from exacthom.fields import GF, QQ
-from exacthom.sparse import (Echelon, SparseMatrix, image_pivot_columns,
-                             kernel_basis, rank, solve_batch)
+from exacthom.sparse import (Echelon, SparseMatrix, extend_basis_columns,
+                             image_pivot_columns, kernel_basis, rank,
+                             solve_batch)
 
 
 def mat(rows, field=QQ):
@@ -190,8 +193,9 @@ def _structured_matrix(rng, field, kind):
     (QQ, "fractions"), (QQ, "integers"), (QQ, "mixed"),
     (GF(3), None), (GF(2**31 - 1), None)])
 def test_forward_rank_matches_echelon(field, kind):
-    # rank() eliminates forward only (fraction-free over Q); Echelon builds
-    # the full reduced form, so the two share no elimination code
+    # rank() eliminates forward only; Echelon builds the full reduced form
+    # (both fraction-free over Q, sharing one elimination step), so they
+    # agree only if both loops pick up every pivot
     rng = random.Random(f"rank:{field}:{kind}")
     for _ in range(150):
         m = _structured_matrix(rng, field, kind)
@@ -215,3 +219,193 @@ def test_forward_rank_of_fractional_block():
     rows.append([QQ.mul(3, v) for v in rows[2]])
     m = SparseMatrix.from_rows(QQ, rows)
     assert rank(m) == Echelon(m).rank == 2
+
+
+def _gauss_jordan(matrix, pivot_limit=None):
+    """Independent oracle: dense Gauss-Jordan elimination in Fraction
+    arithmetic (plain ints mod p over F_p), pivoting on the leftmost
+    nonzero column of the first pivot_limit columns.
+
+    Returns the pivot columns, the reduced pivot rows (lead 1) and the
+    remaining rows, which vanish on the first pivot_limit columns."""
+    p = matrix.field.characteristic
+    limit = matrix.ncols if pivot_limit is None else pivot_limit
+    if p:
+        def norm(x):
+            return x % p
+
+        def inv(x):
+            return pow(x, p - 2, p)
+    else:
+        norm = Fraction
+
+        def inv(x):
+            return 1 / x
+    m = [[norm(matrix.get(i, j)) for j in range(matrix.ncols)]
+         for i in range(matrix.nrows)]
+    pivots = []
+    for col in range(limit):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(m)) if m[k][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        s = inv(m[r][col])
+        m[r] = [norm(v * s) for v in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][col]:
+                f = m[k][col]
+                m[k] = [norm(a - f * b) for a, b in zip(m[k], m[r])]
+        pivots.append(col)
+    return pivots, m[:len(pivots)], m[len(pivots):]
+
+
+def _reference_kernel(matrix):
+    pivots, rows, _ = _gauss_jordan(matrix)
+    f = matrix.field
+    cols = []
+    for c in range(matrix.ncols):
+        if c not in pivots:
+            vec = {c: 1}
+            for pcol, row in zip(pivots, rows):
+                vec[pcol] = f.neg(row[c]) if f.characteristic else -row[c]
+            cols.append(vec)
+    return cols
+
+
+def _reference_solve(a, v):
+    pivots, rows, rest = _gauss_jordan(a.hstack(v), a.ncols)
+    cols, ok = [], []
+    for j in range(a.ncols, a.ncols + v.ncols):
+        solvable = not any(row[j] for row in rest)
+        ok.append(solvable)
+        cols.append({pcol: row[j] for pcol, row in zip(pivots, rows)}
+                    if solvable else {})
+    return cols, ok
+
+
+def _columns(matrix):
+    return [matrix.column(j) for j in range(matrix.ncols)]
+
+
+def _assert_same_columns(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g == {i: v for i, v in e.items() if v}
+        for v in g.values():
+            # exacthom's normal form: integral rationals are ints
+            assert type(v) is int or v.denominator != 1
+
+
+def _random_columns(rng, field, kind, a, ncols):
+    """ncols columns of height a.nrows: about half lie in the column span
+    of a (combinations of its columns), the rest are random."""
+    acols = _columns(a)
+    cols = []
+    for _ in range(ncols):
+        if acols and rng.random() < 0.5:
+            col = {}
+            for src in rng.sample(acols, rng.randint(1, len(acols))):
+                c = _entry(rng, field, kind)
+                for i, v in src.items():
+                    col[i] = field.add(col.get(i, field.zero),
+                                       field.mul(c, v))
+        elif a.nrows:
+            col = {i: _entry(rng, field, kind)
+                   for i in rng.sample(range(a.nrows),
+                                       rng.randint(1, a.nrows))}
+        else:
+            col = {}
+        cols.append(col)
+    return SparseMatrix.from_columns(field, a.nrows, cols)
+
+
+ECHELON_FIELDS = [
+    pytest.param(QQ, "fractions", id="QQ-fractions"),
+    pytest.param(QQ, "integers", id="QQ-integers"),
+    pytest.param(QQ, "mixed", id="QQ-mixed"),
+    pytest.param(GF(3), None, id="GF(3)"),
+    pytest.param(GF(2**31 - 1), None, id="GF(2^31-1)")]
+
+
+@pytest.mark.parametrize("field,kind", ECHELON_FIELDS)
+def test_echelon_matches_dense_gauss_jordan(field, kind):
+    rng = random.Random(f"echelon:{field}:{kind}")
+    for _ in range(120):
+        a = _structured_matrix(rng, field, kind)
+        pivots, _, _ = _gauss_jordan(a)
+        assert image_pivot_columns(a) == pivots, a.entries
+        assert rank(a) == len(pivots), a.entries
+        _assert_same_columns(_columns(kernel_basis(a)), _reference_kernel(a))
+
+        second = _random_columns(rng, field, kind, a, rng.randint(0, 5))
+        joint, _, _ = _gauss_jordan(a.hstack(second))
+        assert extend_basis_columns(a, second) == [
+            c - a.ncols for c in joint if c >= a.ncols]
+
+        x, ok = solve_batch(a, second, strict=False)
+        cols, expected_ok = _reference_solve(a, second)
+        assert ok == expected_ok
+        _assert_same_columns(_columns(x), cols)
+        solved = [j for j in range(second.ncols) if ok[j]]
+        assert a.mul(x.select_columns(solved)) == second.select_columns(solved)
+
+
+@pytest.mark.parametrize("field,kind", ECHELON_FIELDS)
+def test_echelon_stores_primitive_integer_or_monic_rows(field, kind):
+    # over Q every stored row is a primitive integer row and a pivot row
+    # has a positive lead; over F_p a pivot row is monic
+    rng = random.Random(f"stored:{field}:{kind}")
+    for _ in range(120):
+        a = _structured_matrix(rng, field, kind)
+        second = _random_columns(rng, field, kind, a, rng.randint(1, 5))
+        ech = Echelon(a.hstack(second), pivot_limit=a.ncols)
+        assert ech.pivot_limit == a.ncols
+        for row in list(ech.rows.values()) + ech.residuals:
+            assert row and all(type(v) is int for v in row.values())
+            if field.characteristic:
+                assert all(0 < v < field.p for v in row.values())
+            else:
+                assert gcd(*row.values()) == 1
+        for pcol, row in ech.rows.items():
+            assert min(row) == pcol
+            assert row[pcol] == 1 if field.characteristic else row[pcol] > 0
+        for row in ech.residuals:
+            assert min(row) >= a.ncols
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(2**31 - 1)])
+def test_echelon_of_empty_and_degenerate_shapes(field):
+    one = field.one
+    for shape in ((0, 0), (0, 4), (4, 0), (3, 3)):
+        zero = SparseMatrix.zeros(field, *shape)
+        assert image_pivot_columns(zero) == []
+        k = kernel_basis(zero)
+        assert k == SparseMatrix.identity(field, shape[1])
+        x, ok = solve_batch(zero, SparseMatrix.zeros(field, shape[0], 2))
+        assert ok == [True, True] and x.is_zero()
+    # duplicate rows: one pivot, one kernel vector per free column
+    twice = SparseMatrix(field, 2, 3, {(0, 1): one, (1, 1): one})
+    assert image_pivot_columns(twice) == [1]
+    assert kernel_basis(twice) == SparseMatrix.from_columns(
+        field, 3, [{0: one}, {2: one}])
+    # a right-hand side outside the span of a zero column
+    x, ok = solve_batch(SparseMatrix.zeros(field, 2, 1),
+                        SparseMatrix(field, 2, 1, {(1, 0): one}),
+                        strict=False)
+    assert ok == [False] and x.is_zero()
+    assert extend_basis_columns(SparseMatrix.zeros(field, 2, 0), twice) == [1]
+
+
+def test_echelon_reads_fractions_of_the_lead():
+    # rows 2 and 3 are (1/2) row 0 + (2/3) row 1 and 3 * row 2
+    rows = [[QQ.of(1, 3), 0, QQ.of(5, 7)], [0, QQ.of(-4, 9), 1]]
+    rows.append([QQ.add(QQ.mul(QQ.of(1, 2), a), QQ.mul(QQ.of(2, 3), b))
+                 for a, b in zip(*rows)])
+    rows.append([QQ.mul(3, v) for v in rows[2]])
+    m = SparseMatrix.from_rows(QQ, rows)
+    ech = Echelon(m)
+    assert ech.rows == {0: {0: 7, 2: 15}, 1: {1: 4, 2: -9}}
+    assert ech.residuals == []
+    assert kernel_basis(m) == SparseMatrix.from_columns(
+        QQ, 3, [{0: QQ.of(-15, 7), 1: QQ.of(9, 4), 2: 1}])
