@@ -150,9 +150,6 @@ class GradedAlgebra:
                         vec[l] = f.add(vec[l], f.mul(c, cl))
         return AlgebraElement(self, scalar, tuple(vec))
 
-    def weight_of_gen(self, i):
-        return self.weights[i - 1]
-
     # -- the slot calculus used by the chain modules ------------------------
 
     def slot_weight(self, v):

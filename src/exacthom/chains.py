@@ -146,8 +146,8 @@ class ChainSlice:
             mat = SparseMatrix.zeros(self.field, lo, hi)
         return mat
 
-    def homology(self, with_reps=False):
-        return HomologyReport.of(self, with_reps=with_reps)
+    def homology(self):
+        return HomologyReport.of(self)
 
 
 @dataclass
@@ -173,15 +173,11 @@ class HomologyReport:
     degrees: dict = dc_field(default_factory=dict)
 
     @classmethod
-    def of(cls, sl, with_reps=False):
-        """Homology of every degree of sl.  Without representatives it is
-        rank-only, dim H_n = dims[n] - rk d_n - rk d_{n+1}, with each
-        boundary eliminated once."""
+    def of(cls, sl):
+        """Homology of every degree of sl, rank-only: dim H_n = dims[n] -
+        rk d_n - rk d_{n+1}, with each boundary eliminated once
+        (representatives come from HomologyBases)."""
         report = cls(sl)
-        if with_reps:
-            for n in range(sl.top + 1):
-                report.degrees[n] = _degree_homology(sl, n)
-            return report
         # d_0 and d_{top+1} are empty matrices of rank 0
         ranks = [rank(sl.boundary(n)) for n in range(sl.top + 2)]
         for n in range(sl.top + 1):

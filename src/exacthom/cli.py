@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 from . import __version__
 from .algebras import Coefficients, PRESETS, load_algebra, preset
@@ -21,14 +22,11 @@ from .chains import (CertificationError, NotAComplexError,
                      long_exact_sequence_nodes)
 from .fields import QQ, field_from_name
 from .gamma import GammaComplex
-from .hochschild import HochschildComplex, harrison_homology
-from .symhom import ComparisonData, SymmetricComplex, hs0_consistency
-from .verify import SUITES, BoundsError, run_suite
+from .hochschild import HochschildComplex, harrison_weight
+from .symhom import ComparisonData, SymmetricComplex, hs0_law
+from .verify import SUITES, BoundsError, Check, run_suite
 
 THEORIES = ("hochschild", "harrison", "gamma", "symmetric", "comparison")
-# theories whose weight slices are computed independently (and in parallel
-# with --jobs)
-WEIGHTWISE = ("hochschild", "gamma", "symmetric")
 
 DEFAULT_BASIS_CEILING = 200_000
 
@@ -89,11 +87,14 @@ def _config_echo(args, alg):
     }
 
 
-def _guard_dim(dim, ceiling, what):
+def _guard_basis(cx, w, top, ceiling, name):
+    """Refuse a weight whose slice through degree top has a basis over the
+    ceiling; only bases are built, so it runs before any boundary."""
+    dim = max(cx.dim(n, w) for n in range(top + 1))
     if dim > ceiling:
         raise ConfigError(
-            f"{what} has {dim} basis elements, over the ceiling {ceiling}; "
-            "lower --max-degree/--max-weight or raise --max-basis")
+            f"{name} slice w={w} has {dim} basis elements, over the ceiling "
+            f"{ceiling}; lower --max-degree/--max-weight or raise --max-basis")
 
 
 def _timer(timings):
@@ -105,136 +106,129 @@ def _timer(timings):
     return timed
 
 
-def _cert(name, failure=None):
-    """A certification entry; failure, when given, is the failing witness."""
-    if failure is None:
-        return {"name": name, "status": "pass"}
-    return {"name": name, "status": "fail", "witness": failure}
+def _rows(theory, w, dims, n_max, **tag):
+    return [{"theory": theory, **tag, "n": n, "w": w, "dim": dims[n]}
+            for n in range(n_max + 1)]
 
 
-def _weight_rows(alg, args, weights, timings):
-    """Dimension-table rows of a theory whose weight slices are independent
-    (hochschild, gamma, symmetric), for the given weights only, and the
-    text of each failed d o d = 0 check (that weight gets no rows)."""
-    theory = args.theory
-    N = args.max_degree
-    ceiling = args.max_basis
+def _joined(fails):
+    return "; ".join(sorted(fails))
+
+
+# Certificates that span weights.  Each weight reports its own Check under
+# the name with the list of its failures as witness; the report holds one
+# Check per name, in this order, whose witness reads all those failures.
+SPANNING = {
+    "boundary squares to zero": _joined,
+    "quotient and eulerian pipelines agree": _joined,
+    "degree-zero law vs algebra dimensions": str,
+}
+
+
+def _complex_weight(alg, args, w, timed):
+    """Rows and certificates of hochschild, gamma or symmetric at one
+    weight: the homology of each slice, whose d o d = 0 check is the
+    "boundary squares to zero" certificate."""
+    theory, N = args.theory, args.max_degree
     co = Coefficients(alg, args.coefficients)
-    timed = _timer(timings)
     if theory == "gamma":
-        complexes = [(v, GammaComplex(alg, co, v)) for v in ("I", "A")]
+        complexes = [(v, f"gamma({v})", GammaComplex(alg, co, v))
+                     for v in ("I", "A")]
     elif theory == "hochschild":
-        complexes = [(None, HochschildComplex(alg, co))]
+        complexes = [(None, theory, HochschildComplex(alg, co))]
     else:
-        complexes = [(None, SymmetricComplex(alg, "full"))]
-    rows = []
-    broken = []
-    for variant, cx in complexes:
-        tag = {"variant": variant} if variant else {}
-        name = f"{theory}({variant})" if variant else theory
-        prefix = f"{variant} " if variant else ""
-        for w in weights:
-            _guard_dim(max(cx.dim(n, w) for n in range(N + 2)), ceiling,
-                       f"{name} slice w={w}")
-            try:
-                dims = timed(f"{prefix}w={w}",
-                             lambda: cx.slice(w, N + 1).homology().dims())
-            except NotAComplexError as exc:
-                broken.append(f"{name} w={w}: {exc}")
-                continue
-            rows += [{"theory": theory, **tag, "n": n, "w": w,
-                      "dim": dims[n]} for n in range(N + 1)]
-    return rows, broken
-
-
-def _weight_certs(alg, args, broken):
-    """Certifications of a theory whose tables _weight_rows builds, given
-    the failed d o d = 0 checks it reported."""
-    certs = []
-    if args.theory in ("hochschild", "gamma") or broken:
-        certs.append(_cert("boundary squares to zero",
-                           "; ".join(sorted(broken)) or None))
-    if args.theory == "gamma":
-        certs.append(_cert("full-algebra variant truncated to strings with "
-                           "initial domain <= weight"))
-    if args.theory == "symmetric":
-        bad = [(w, got, exp)
-               for w, got, exp in hs0_consistency(alg, args.max_weight)
-               if got != exp]
-        certs.append(_cert("degree-zero law vs algebra dimensions",
-                           str(bad) if bad else None))
-    return certs
-
-
-def _compute_rows(alg, args, timings):
-    """Dimension-table rows plus inline certifications of the theories
-    computed over all weights at once (harrison, comparison)."""
-    theory = args.theory
-    N, W = args.max_degree, args.max_weight
-    co = Coefficients(alg, args.coefficients)
-    timed = _timer(timings)
-    rows = []
-    certs = []
-    if theory == "harrison":
-        p = alg.field.characteristic
-        if p and p <= N + 1:
-            raise ConfigError(
-                f"harrison homology through degree {N} uses slices through "
-                f"degree {N + 1} and needs a field characteristic above "
-                f"{N + 1}; got {p}")
-        name = "quotient and eulerian pipelines agree"
+        complexes = [(None, theory, SymmetricComplex(alg, "full"))]
+    for _, name, cx in complexes:
+        _guard_basis(cx, w, N + 1, args.max_basis, name)
+    rows, broken = [], []
+    for variant, name, cx in complexes:
+        label = f"{variant} w={w}" if variant else f"w={w}"
         try:
-            table = timed("table",
-                          lambda: harrison_homology(alg, co, N, W))
-        except CertificationError as exc:
-            certs.append(_cert(name, str(exc)))
-        else:
-            rows += [{"theory": theory, "n": n, "w": w,
-                      "dim": table[(n, w)]} for (n, w) in sorted(table)]
-            certs.append(_cert(name))
-    elif theory == "comparison":
-        for w in range(W + 1):
-            try:
-                wrows, wcerts = _comparison_weight(alg, args, w, timed)
-            except CertificationError as exc:
-                certs.append(_cert(f"comparison slices certified (w={w})",
-                                   str(exc)))
-                continue
-            rows += wrows
-            certs += wcerts
-    else:
-        raise ConfigError(f"unknown theory {theory!r}")
-    return rows, certs
+            dims = timed(label, lambda: cx.slice(w, N + 1).homology().dims())
+        except NotAComplexError as exc:
+            broken.append(f"{name} w={w}: {exc}")
+            continue
+        tag = {"variant": variant} if variant else {}
+        rows += _rows(theory, w, dims, N, **tag)
+    checks = []
+    # symmetric lists its d o d = 0 check only when it fails
+    if theory != "symmetric" or broken:
+        checks.append(Check("boundary squares to zero", not broken, broken))
+    if theory == "symmetric":
+        law = hs0_law(cx, w)
+        bad = [law] if law[1] != law[2] else []
+        checks.append(Check("degree-zero law vs algebra dimensions", not bad,
+                            bad))
+    return rows, checks
+
+
+def _harrison_weight(alg, args, w, timed):
+    """Rows and certificate of harrison at one weight: both pipelines,
+    certified to agree."""
+    N = args.max_degree
+    hc = HochschildComplex(alg, Coefficients(alg, args.coefficients))
+    _guard_basis(hc, w, N + 1, args.max_basis, "harrison")
+    name = "quotient and eulerian pipelines agree"
+    try:
+        dims = timed(f"w={w}", lambda: harrison_weight(hc, w, N))
+    except CertificationError as exc:
+        return [], [Check(name, False, [str(exc)])]
+    return _rows("harrison", w, dims, N), [Check(name, True, [])]
 
 
 def _comparison_weight(alg, args, w, timed):
-    """Rows and certifications of the comparison at one weight.  A failed
-    d o d = 0 check or a kernel span not closed under the boundary raises
-    CertificationError."""
+    """Rows and certificates of the comparison at one weight.  A failed
+    d o d = 0 check or a kernel span not closed under the boundary fails
+    "comparison slices certified" and costs the weight its rows."""
     N = args.max_degree
-    cd = timed(f"build w={w}", lambda: ComparisonData(alg, w, N + 1))
-    _guard_dim(max(cd.sym_chain.dims), args.max_basis,
-               f"symmetric slice w={w}")
-    certs = []
-    for label, flag in (
+    _guard_basis(SymmetricComplex(alg, "full"), w, N + 1, args.max_basis,
+                 "symmetric")
+    try:
+        cd = timed(f"build w={w}", lambda: ComparisonData(alg, w, N + 1))
+        checks = [Check(f"{label} (w={w})", flag) for label, flag in (
             ("quotient map is a chain map", cd.q_is_chain_map()),
             ("comparison map is a chain map", cd.phi_is_chain_map()),
-            ("comparison map surjective", cd.surjective())):
-        certs.append({"name": f"{label} (w={w})",
-                      "status": "pass" if flag else "fail"})
-    inc, proj, sub, total, quot = cd.ses()
+            ("comparison map surjective", cd.surjective()))]
+        inc, proj, sub, total, quot = cd.ses()
+    except CertificationError as exc:
+        return [], [Check(f"comparison slices certified (w={w})", False,
+                          str(exc))]
     nodes = timed(f"les w={w}", lambda: long_exact_sequence_nodes(
         inc, proj, sub, total, quot, N))
     bad = [node for node, rin, kout in nodes if rin != kout]
-    certs.append(_cert(f"long exact sequence exact (w={w})",
-                       str(bad) if bad else None))
+    checks.append(Check(f"long exact sequence exact (w={w})", not bad, bad))
     rows = []
     for src, chain in (("kernel", sub), ("symmetric", total),
                        ("gamma", quot)):
-        hom = chain.homology()
-        rows += [{"theory": f"comparison/{src}", "n": n, "w": w,
-                  "dim": hom.dim(n)} for n in range(N + 1)]
-    return rows, certs
+        rows += _rows(f"comparison/{src}", w, chain.homology().dims(), N)
+    return rows, checks
+
+
+def compute_weight(alg, args, w):
+    """Table rows, Check certificates and timings of args.theory at weight
+    w.  The basis size guard runs before any boundary is built; a failed
+    check becomes a failing Check."""
+    timings = {}
+    weight = {"harrison": _harrison_weight,
+              "comparison": _comparison_weight}.get(args.theory,
+                                                    _complex_weight)
+    rows, checks = weight(alg, args, w, _timer(timings))
+    return rows, checks, timings
+
+
+def _certificates(per_weight):
+    """The report's certificates from each weight's: one per spanning name
+    reported, in SPANNING order, then the others in weight order."""
+    failures = {}
+    rest = []
+    for checks in per_weight:
+        for check in checks:
+            if check.name in SPANNING:
+                failures.setdefault(check.name, []).extend(check.witness)
+            else:
+                rest.append(check)
+    return [Check(name, not failures[name], fmt(failures[name]))
+            for name, fmt in SPANNING.items() if name in failures] + rest
 
 
 def _emit(report, args):
@@ -262,31 +256,38 @@ def cmd_compute(args):
     if args.theory in ("symmetric", "comparison") and args.coefficients != "k":
         raise ConfigError(f"{args.theory} runs with k coefficients")
     alg = _resolve_algebra(args)
+    N = args.max_degree
+    p = alg.field.characteristic
+    if args.theory == "harrison" and p and p <= N + 1:
+        raise ConfigError(
+            f"harrison homology through degree {N} uses slices through "
+            f"degree {N + 1} and needs a field characteristic above "
+            f"{N + 1}; got {p}")
     timings = {}
-    if args.theory in WEIGHTWISE:
-        weights = range(args.max_weight + 1)
-        workers = worker_count(args.jobs, args.max_weight, os.cpu_count())
-        if workers > 1:
-            rows, broken = _parallel_rows(args, weights, workers, timings)
-        else:
-            rows, broken = _weight_rows(alg, args, weights, timings)
-        certs = _weight_certs(alg, args, broken)
+    work = partial(compute_weight, alg, args)
+    weights = range(args.max_weight + 1)
+    workers = worker_count(args.jobs, args.max_weight, os.cpu_count())
+    if workers > 1:
+        results = _pool_map(work, weights, workers, timings)
     else:
-        rows, certs = _compute_rows(alg, args, timings)
+        results = list(map(work, weights))
+    rows = [row for wrows, _, _ in results for row in wrows]
     rows.sort(key=lambda r: (r["theory"], r.get("variant", ""),
                              r["w"], r["n"]))
+    certs = _certificates([checks for _, checks, _ in results])
     report = {
         "tool": "exacthom",
         "version": __version__,
         "config": _config_echo(args, alg),
         "tables": rows,
-        "certifications": certs,
+        "certifications": [c.as_dict() for c in certs],
     }
     if args.timings:
+        for _, _, wtimings in results:
+            timings.update(wtimings)
         report["timings"] = timings
     _emit(report, args)
-    failed = [c for c in certs if c["status"] != "pass"]
-    return 1 if failed else 0
+    return 0 if all(c.ok for c in certs) else 1
 
 
 def worker_count(jobs, max_weight, cpus):
@@ -295,26 +296,20 @@ def worker_count(jobs, max_weight, cpus):
     return max(1, min(jobs, max_weight + 1, cpus or 1))
 
 
-def _parallel_worker(payload):
-    args, w = payload
-    return _weight_rows(_resolve_algebra(args), args, [w], {})
-
-
-def _parallel_rows(args, weights, workers, timings):
+def _pool_map(fn, items, workers, timings):
+    """list(map(fn, items)) in spawned worker processes."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     t0 = time.perf_counter()
     # spawned workers start from a fresh import and get everything they
-    # need (the parsed arguments and their weight) as the payload
+    # need (fn with its bound arguments, and their item) pickled
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=context) as pool:
-        results = list(pool.map(_parallel_worker,
-                                 [(args, w) for w in weights]))
+        results = list(pool.map(fn, items))
     timings["parallel total"] = round(time.perf_counter() - t0, 6)
-    return ([row for wrows, _ in results for row in wrows],
-            [text for _, wbroken in results for text in wbroken])
+    return results
 
 
 def cmd_verify(args):
@@ -345,12 +340,7 @@ def cmd_verify(args):
     }
     if args.timings:
         report["timings"] = {"suite": round(elapsed, 6)}
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report, args)
     return 0 if all(c.ok for c in checks) else 1
 
 
@@ -404,14 +394,14 @@ def build_parser():
     comp.add_argument("--format", default="json", choices=("json", "csv"))
     comp.add_argument("--output", default=None)
     comp.add_argument("--jobs", type=int, default=1,
-                      help="parallel weight-slice workers, capped at the "
-                           "number of weights and of CPUs (default "
-                           "sequential)")
+                      help="parallel weight workers, capped at the number "
+                           "of weights and of CPUs (default sequential)")
     comp.add_argument("--timings", action="store_true",
                       help="include wall-clock times (breaks byte-for-byte "
                            "reproducibility)")
     comp.add_argument("--max-basis", type=int, default=DEFAULT_BASIS_CEILING,
-                      help="abort if a slice basis exceeds this size")
+                      help="refuse a weight whose slice basis exceeds this "
+                           "size, before building its boundaries")
     comp.set_defaults(fn=cmd_compute)
 
     ver = sub.add_parser("verify", help="run a certification suite")
@@ -425,7 +415,7 @@ def build_parser():
     ver.add_argument("--max-weight", type=int, default=None)
     ver.add_argument("--output", default=None)
     ver.add_argument("--timings", action="store_true")
-    ver.set_defaults(fn=cmd_verify)
+    ver.set_defaults(fn=cmd_verify, format="json")
 
     pre = sub.add_parser("presets", help="list shipped algebra presets")
     pre.set_defaults(fn=cmd_presets)

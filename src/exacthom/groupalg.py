@@ -8,7 +8,7 @@ the permutations that are increasing on the first i and last n-i positions.
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 
 from .fields import QQ
 
@@ -316,19 +316,23 @@ def shuffle_annihilating_product(field, n):
 
 
 def certify_eulerian(field, n):
-    """Check idempotency, pairwise orthogonality and summing to the unit.
+    """Check idempotency, pairwise orthogonality and summing to the unit,
+    on the integer multiples E_i = n! e_n^(i): E_i E_i = n! E_i, E_i E_j = 0
+    and sum E_i = n! 1, equivalent since p > n makes n! invertible.
 
     Returns a list of (check name, ok) pairs, all exact.
     """
-    idems = eulerian_idempotents(field, n)
-    unit = GroupAlgebraElement.unit(field, n)
+    scale = field.of(factorial(n))
+    idems = [e.scale(scale) for e in eulerian_idempotents(field, n)]
+    zero = GroupAlgebraElement(field, n)
     results = []
-    total = GroupAlgebraElement(field, n)
+    total = zero
     for i, ei in enumerate(idems, start=1):
         total = total.add(ei)
         for j, ej in enumerate(idems, start=1):
-            prod = ei.mul(ej)
-            expected = ei if i == j else GroupAlgebraElement(field, n)
-            results.append((f"e{n}^({i}) * e{n}^({j})", prod == expected))
+            expected = ei.scale(scale) if i == j else zero
+            results.append((f"e{n}^({i}) * e{n}^({j})",
+                            ei.mul(ej) == expected))
+    unit = GroupAlgebraElement.unit(field, n).scale(scale)
     results.append((f"sum of e{n}^(i) = unit", total == unit))
     return results

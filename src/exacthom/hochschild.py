@@ -377,24 +377,29 @@ def normalized_harrison(hc, w, top, i=1):
     return NormalizedHarrison(hc, w, top, i)
 
 
+def harrison_weight(hc, w, max_n):
+    """Harrison homology dimensions of weight w in degrees 0..max_n,
+    computed through both pipelines (Hochschild-mod-shuffles and the e^(1)
+    ideal complex) and certified to agree."""
+    top = max_n + 1
+    dims_quot = harrison_quotient_slice(hc, w, top).chain.homology().dims()
+    dims_ideal = normalized_harrison(hc, w, top, i=1).i_chain.homology().dims()
+    for n in range(max_n + 1):
+        if dims_quot[n] != dims_ideal[n]:
+            raise CertificationError(
+                f"Harrison pipelines disagree at degree {n}, weight {w}: "
+                f"quotient {dims_quot[n]} vs e^(1) ideal {dims_ideal[n]}")
+    return dims_quot[:max_n + 1]
+
+
 def harrison_homology(alg, coeffs, max_n, max_w):
-    """Harrison homology dimensions per (degree, weight), computed through
-    both pipelines (Hochschild-mod-shuffles and the e^(1) ideal complex)
-    and certified to agree."""
+    """Harrison homology dimensions per (degree, weight), each weight
+    certified by harrison_weight."""
     hc = HochschildComplex(alg, coeffs)
     table = {}
     for w in range(max_w + 1):
-        top = max_n + 1
-        quot = harrison_quotient_slice(hc, w, top)
-        nh = normalized_harrison(hc, w, top, i=1)
-        dims_quot = quot.chain.homology().dims()
-        dims_ideal = nh.i_chain.homology().dims()
-        for n in range(max_n + 1):
-            if dims_quot[n] != dims_ideal[n]:
-                raise CertificationError(
-                    f"Harrison pipelines disagree at degree {n}, weight {w}: "
-                    f"quotient {dims_quot[n]} vs e^(1) ideal {dims_ideal[n]}")
-            table[(n, w)] = dims_quot[n]
+        for n, d in enumerate(harrison_weight(hc, w, max_n)):
+            table[(n, w)] = d
     return table
 
 

@@ -411,13 +411,15 @@ def reduced_symmetric_homology(alg, max_n, max_w, normalized=True):
         max_n, max_w)
 
 
+def hs0_law(sym, w):
+    """The degree-zero law at weight w of a full SymmetricComplex, as
+    (w, dim of reduced HS_0 plus 1 at w = 0, dim of the weight-w piece of
+    the algebra); the law holds when the last two agree."""
+    h0 = sym.slice(w, 1).homology().dim(0)
+    return (w, h0 + (1 if w == 0 else 0), sym.alg.dim_of_weight(w))
+
+
 def hs0_consistency(alg, max_w):
-    """The degree-zero law: dim of reduced HS_0 in weight w, plus 1 at
-    w = 0, equals the dimension of the weight-w piece of the algebra."""
-    out = []
-    for w in range(max_w + 1):
-        sym = SymmetricComplex(alg, "full")
-        h0 = sym.slice(w, 1).homology().dim(0)
-        expected = alg.dim_of_weight(w)
-        out.append((w, h0 + (1 if w == 0 else 0), expected))
-    return out
+    """The degree-zero law in every weight through max_w."""
+    sym = SymmetricComplex(alg, "full")
+    return [hs0_law(sym, w) for w in range(max_w + 1)]

@@ -73,6 +73,15 @@ def test_compute_basis_ceiling_guard(capsys):
     assert code == 2
 
 
+def test_compute_gamma_lists_only_its_checks(capsys):
+    code, out = run(capsys, "compute", "--preset", "trunc3",
+                    "--theory", "gamma", "--max-degree", "2",
+                    "--max-weight", "2")
+    assert code == 0
+    assert json.loads(out)["certifications"] == [
+        {"name": "boundary squares to zero", "status": "pass"}]
+
+
 def test_compute_field_override(capsys):
     code, out = run(capsys, "compute", "--preset", "dual-numbers",
                     "--field", "Fp:7", "--theory", "harrison",
@@ -146,7 +155,8 @@ def test_compute_comparison_rows(capsys):
 
 
 def test_jobs_parallel_matches_sequential(tmp_path):
-    for theory in ("hochschild", "gamma", "symmetric"):
+    for theory in ("hochschild", "harrison", "gamma", "symmetric",
+                   "comparison"):
         seq = tmp_path / f"{theory}-seq.json"
         par = tmp_path / f"{theory}-par.json"
         base = ["compute", "--preset", "dual-numbers", "--theory", theory,
@@ -222,6 +232,33 @@ def test_jobs_below_one_rejected(capsys):
     line = run_error(capsys, "compute", "--theory", "hochschild",
                      "--jobs", "0")
     assert "--jobs" in line
+
+
+def test_harrison_basis_ceiling_refused(capsys):
+    line = run_error(capsys, "compute", "--preset", "trunc3",
+                     "--theory", "harrison", "--max-degree", "3",
+                     "--max-weight", "3", "--max-basis", "10")
+    assert "--max-basis" in line
+
+
+def test_comparison_basis_ceiling_refused_before_building(capsys,
+                                                         monkeypatch):
+    from exacthom.symhom import ComparisonData
+
+    build = ComparisonData.__init__
+
+    def guarded(self, alg, w, top):
+        # trunc3's symmetric slices have at most one basis element below
+        # weight 2, so a ceiling of 1 refuses weight 2
+        if w >= 2:
+            raise AssertionError("ComparisonData built before the size guard")
+        build(self, alg, w, top)
+
+    monkeypatch.setattr(ComparisonData, "__init__", guarded)
+    line = run_error(capsys, "compute", "--preset", "trunc3",
+                     "--theory", "comparison", "--max-degree", "3",
+                     "--max-weight", "3", "--max-basis", "1")
+    assert "symmetric slice w=2" in line
 
 
 def test_verify_rejects_algebra_file(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exacthom import groupalg
 from exacthom.fields import GF, QQ
 from exacthom.groupalg import (GroupAlgebraElement, Permutation,
                                all_permutations, certify_eulerian,
@@ -132,6 +133,26 @@ def test_eulerian_certificates_rational(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_eulerian_certificates_prime_field(n):
     assert all(ok for _, ok in certify_eulerian(GF(7), n))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+def test_eulerian_certificates_catch_a_perturbed_idempotent(monkeypatch,
+                                                           field):
+    exact = groupalg.eulerian_idempotents
+
+    def perturbed(field, n):
+        idems = list(exact(field, n))
+        # e^(1) + (1/2) e^(2): still orthogonal to e^(3), no longer
+        # idempotent, orthogonal to e^(2) or summing to the unit
+        idems[0] = idems[0].add(idems[1].scale(field.of(1, 2)))
+        return idems
+
+    monkeypatch.setattr(groupalg, "eulerian_idempotents", perturbed)
+    results = dict(certify_eulerian(field, 3))
+    assert not results["e3^(1) * e3^(1)"]
+    assert not results["e3^(1) * e3^(2)"]
+    assert not results["sum of e3^(i) = unit"]
+    assert results["e3^(1) * e3^(3)"] and results["e3^(2) * e3^(2)"]
 
 
 def test_eulerian_small_characteristic_rejected():
