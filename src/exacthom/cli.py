@@ -172,7 +172,7 @@ def _harrison_weight(alg, args, w, timed):
     try:
         dims = timed(f"w={w}", lambda: harrison_weight(hc, w, N))
     except CertificationError as exc:
-        return [], [Check(name, False, [str(exc)])]
+        return [], [Check(name, False, [f"harrison w={w}: {exc}"])]
     return _rows("harrison", w, dims, N), [Check(name, True, [])]
 
 

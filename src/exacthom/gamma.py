@@ -15,6 +15,13 @@ be read as such.
 The full-algebra slices grow quickly (strings times basic tensors), so the
 pruning certificates can also be checked in a streaming fashion, one
 generator at a time, without materializing any matrix.
+
+Surjections are interned: there is one object per surjection, so equality
+is identity and hashing is by object, in strings, basis keys and caches
+alike.  What the faces and the pruning of a generator need from its string
+is computed once per string (the face plan) and once per (string, kept
+positions), never per generator; the caches are keyed by morphisms and
+strings only, so they stay bounded by the strings of a slice.
 """
 
 from functools import lru_cache
@@ -26,20 +33,42 @@ from .sparse import SparseMatrix, kernel_basis, rank
 
 
 class Surjection:
-    """A surjection {1..x} -> {1..y} stored by its image tuple."""
+    """A surjection {1..x} -> {1..y} stored by its image tuple.
 
-    __slots__ = ("cod", "images", "_hash", "_is_id")
+    Interned: Surjection(cod, images) returns the one object for that
+    surjection, so equality is identity and hashing is by object.  The
+    first construction of a surjection validates it, and an invalid one is
+    never interned.
+    """
 
-    def __init__(self, cod, images):
+    __slots__ = ("cod", "images", "dom", "fibers", "_is_id")
+    _interned = {}
+
+    def __new__(cls, cod, images):
+        images = tuple(images)
+        self = cls._interned.get((cod, images))
+        if self is not None:
+            return self
+        if any(not 1 <= v <= cod for v in images):
+            raise ValueError(f"image outside 1..{cod} in {images}")
+        if len(set(images)) != cod:
+            raise ValueError(f"{images} misses a point of 1..{cod}")
+        self = super().__new__(cls)
         self.cod = cod
-        self.images = tuple(images)
-        self._hash = hash((cod, self.images))
-        self._is_id = cod == len(self.images) and all(
-            v == i for i, v in enumerate(self.images, start=1))
+        self.images = images
+        self.dom = len(images)
+        self.fibers = tuple(
+            tuple(i for i, v in enumerate(images, start=1) if v == j)
+            for j in range(1, cod + 1))
+        self._is_id = cod == len(images) and all(
+            v == i for i, v in enumerate(images, start=1))
+        # setdefault keeps one object even if two threads build it at once
+        return cls._interned.setdefault((cod, images), self)
 
-    @property
-    def dom(self):
-        return len(self.images)
+    def __reduce__(self):
+        # pickle and copy rebuild through __new__, so they get the interned
+        # object back
+        return (Surjection, (self.cod, self.images))
 
     def __call__(self, i):
         return self.images[i - 1]
@@ -52,21 +81,6 @@ class Surjection:
         if other.cod != self.dom:
             raise ValueError("surjections not composable")
         return _compose(self, other)
-
-    def fiber(self, j):
-        return tuple(i for i, v in enumerate(self.images, start=1) if v == j)
-
-    @property
-    def fibers(self):
-        """The fibers over 1..cod, each in ascending order."""
-        return tuple(self.fiber(j) for j in range(1, self.cod + 1))
-
-    def __eq__(self, other):
-        return (isinstance(other, Surjection)
-                and self.cod == other.cod and self.images == other.images)
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return (self.cod, self.images) < (other.cod, other.images)
@@ -116,7 +130,6 @@ def induced_tensor_map(alg, f, slots):
     return alg.map_tensor(f, slots)
 
 
-@lru_cache(maxsize=None)
 def ith_component(string, i):
     """The part of (f_1, .., f_n) lying over element i of the domain of the
     last morphism: the restricted, order-preservingly re-indexed string of
@@ -132,8 +145,34 @@ def ith_component(string, i):
         raise ValueError(f"component index {i} out of range")
     preimage = (i,)
     for f in reversed(string[:-1]):
-        preimage = tuple(p for p in range(1, f.dom + 1) if f(p) in preimage)
-    return _prune_string(string[:-1], preimage), preimage
+        preimage = tuple(sorted(p for j in preimage for p in f.fibers[j - 1]))
+    return _prune_string(string[:-1], preimage)[0], preimage
+
+
+@lru_cache(maxsize=None)
+def _face_plan(string, normalized):
+    """Everything the faces of a degree-n generator need from its string:
+    for faces 0..n-1 the new string, or None when it leaves the complex
+    (normalized strings contain no identity), and for the last face the
+    (component string, preimage, other positions) of every component that
+    stays in the complex."""
+    def stays(s):
+        return not (normalized and any(f._is_id for f in s))
+
+    n = len(string)
+    faces = [string[1:] if stays(string[1:]) else None]
+    for i in range(1, n):
+        comp = _compose(string[i], string[i - 1])
+        faces.append(None if normalized and comp._is_id
+                     else string[:i - 1] + (comp,) + string[i + 1:])
+    components = []
+    for t in range(1, string[-1].dom + 1):
+        comp_string, preimage = ith_component(string, t)
+        if stays(comp_string):
+            others = tuple(p for p in range(1, string[0].dom + 1)
+                           if p not in preimage)
+            components.append((comp_string, preimage, others))
+    return tuple(faces), tuple(components)
 
 
 class GammaComplex(SliceComplex):
@@ -175,53 +214,62 @@ class GammaComplex(SliceComplex):
                 tuple((f.cod, f.images) for f in string),
                 slots, m)
 
-    def _is_basis_string(self, string):
-        return not self.normalized or all(not f._is_id for f in string)
-
     def face_terms(self, key, i):
         """The i-th face of a generator; in the normalized complex, strings
         containing an identity are dropped."""
         string, slots, m = key
-        n = len(string)
+        faces, components = _face_plan(string, self.normalized)
+        if i < len(string):
+            new_string = faces[i]
+            if new_string is None:
+                return []
+            if i == 0:
+                return [((new_string, new_slots, m), c) for new_slots, c
+                        in self.alg.map_tensor(string[0], slots)]
+            return [((new_string, slots, m), self.field.one)]
         out = []
-        if i == 0:
-            new_string = string[1:]
-            if self._is_basis_string(new_string):
-                for new_slots, c in self.alg.map_tensor(string[0], slots):
-                    out.append(((new_string, new_slots, m), c))
-        elif i < n:
-            comp = _compose(string[i], string[i - 1])
-            if not (self.normalized and comp._is_id):
-                new_string = string[:i - 1] + (comp,) + string[i + 1:]
-                out.append(((new_string, slots, m), self.field.one))
-        else:
-            for t in range(1, string[-1].dom + 1):
-                comp_string, preimage = ith_component(string, t)
-                if not self._is_basis_string(comp_string):
-                    continue
-                new_slots = tuple(slots[p - 1] for p in preimage)
-                rest = [v for p, v in enumerate(slots, start=1)
-                        if p not in preimage]
-                for m2, c in self.coeffs.act_all(rest, m):
-                    out.append(((comp_string, new_slots, m2), c))
+        act_all = self.coeffs.act_all
+        for comp_string, preimage, others in components:
+            new_slots = tuple([slots[p - 1] for p in preimage])
+            for m2, c in act_all([slots[p - 1] for p in others], m):
+                out.append(((comp_string, new_slots, m2), c))
         return out
 
 
 # -- pruning -----------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _restrict(f, kept):
+    """f restricted to the kept domain positions, domain and codomain
+    re-indexed order-preservingly, with the image of the kept positions."""
+    image = tuple(sorted({f(p) for p in kept}))
+    relabel = {v: t for t, v in enumerate(image, start=1)}
+    return Surjection(len(image), [relabel[f(p)] for p in kept]), image
+
+
+@lru_cache(maxsize=None)
 def _prune_string(string, kept):
     """Restrict a string to the kept domain positions, re-indexing every
-    domain and codomain order-preservingly."""
+    domain and codomain order-preservingly; returns the pruned string and
+    whether it contains an identity."""
     new_string = []
-    current = kept
     for f in string:
-        image = sorted({f(p) for p in current})
-        relabel = {v: t for t, v in enumerate(image, start=1)}
-        new_string.append(Surjection(len(image), tuple(relabel[f(p)]
-                                                       for p in current)))
-        current = image
-    return tuple(new_string)
+        g, kept = _restrict(f, kept)
+        new_string.append(g)
+    return tuple(new_string), any(g._is_id for g in new_string)
+
+
+def _prune(key, normalized):
+    string, slots, m = key
+    if 0 not in slots:
+        return None if normalized and any(f._is_id for f in string) else key
+    kept = tuple([p for p, v in enumerate(slots, start=1) if v])
+    if not kept:
+        return None
+    new_string, has_identity = _prune_string(string, kept)
+    if normalized and has_identity:
+        return None
+    return new_string, tuple([v for v in slots if v]), m
 
 
 def prune_generator(key):
@@ -229,23 +277,13 @@ def prune_generator(key):
     complex: restrict every morphism to the positions carrying ideal slots,
     re-index order-preservingly, and keep the ideal slots.  Returns the
     pruned (string, slots, module) or None when every slot is trivial."""
-    string, slots, m = key
-    kept = tuple(p for p, v in enumerate(slots, start=1) if v != 0)
-    if not kept:
-        return None
-    if len(kept) == len(slots):
-        return key
-    return (_prune_string(string, kept),
-            tuple(slots[p - 1] for p in kept), m)
+    return _prune(key, False)
 
 
 def prune_normalized(key):
     """Pruned class in the normalized ideal-variant complex: None when the
     tensor is all-trivial or the pruned string picks up an identity."""
-    pruned = prune_generator(key)
-    if pruned is None or any(f._is_id for f in pruned[0]):
-        return None
-    return pruned
+    return _prune(key, True)
 
 
 def prune_matrix(full, ideal, n, w):

@@ -169,6 +169,20 @@ def test_jobs_parallel_matches_sequential(tmp_path):
         assert a["certifications"] == b["certifications"], theory
 
 
+def test_jobs_gamma_trunc3_byte_identical(tmp_path):
+    # workers rebuild the interned surjections from pickles; the tables and
+    # certificates must not depend on which process built them
+    reports = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"jobs{jobs}.json"
+        assert main(["compute", "--preset", "trunc3", "--theory", "gamma",
+                     "--max-degree", "3", "--max-weight", "3",
+                     "--jobs", jobs, "--output", str(path)]) == 0
+        reports.append(json.loads(path.read_text()))
+    for key in ("tables", "certifications"):
+        assert json.dumps(reports[0][key]) == json.dumps(reports[1][key])
+
+
 def test_worker_count_is_capped():
     # requested jobs, weight slices and CPUs each bound the pool
     assert worker_count(1, 9, 8) == 1
@@ -350,3 +364,20 @@ def test_compute_reports_a_failing_check(capsys, broken_boundaries, theory,
     if theory == "comparison":
         # the failing weight gets no rows
         assert {r["w"] for r in report["tables"]} == {0, 1}
+
+
+def test_harrison_witness_names_every_failing_weight(capsys,
+                                                     broken_boundaries):
+    code, out = run(capsys, "compute", "--preset", "dual-numbers",
+                    "--theory", "harrison", "--max-degree", "2",
+                    "--max-weight", "3")
+    assert code == 1
+    report = json.loads(out)
+    [cert] = [c for c in report["certifications"]
+              if c["name"] == "quotient and eulerian pipelines agree"]
+    assert cert["status"] == "fail"
+    # a failing weight loses its rows; the merged witness names each one
+    failed = set(range(4)) - {r["w"] for r in report["tables"]}
+    assert failed
+    named = {w for w in range(4) if f"harrison w={w}: " in cert["witness"]}
+    assert named == failed

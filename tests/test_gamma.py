@@ -1,15 +1,20 @@
+import copy
+import pickle
 import random
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
 
 from exacthom.algebras import Coefficients, preset
 from exacthom.fields import GF, QQ
+from exacthom import gamma
 from exacthom.gamma import (GammaComplex, PruningData, Surjection,
                             gamma_homology, induced_tensor_map,
                             ith_component, prune_generator, prune_matrix,
                             prune_normalized, prune_split_certificates,
                             strings_to_point, surjections)
+from exacthom.symhom import FiberOrderedMap
 
 
 def stirling2(x, y):
@@ -259,3 +264,172 @@ def test_gamma_homology_prime_field_matches_rational():
     co_5 = Coefficients(alg5, "k")
     assert gamma_homology(preset("dual-numbers"), co_q, "I", 2, 2) \
         == gamma_homology(alg5, co_5, "I", 2, 2)
+
+
+# -- interning ---------------------------------------------------------------
+
+VALID = [(2, (1, 2)), (1, (1, 1)), (2, (1, 1, 2)), (1, (1,)),
+         (1, (1, 1, 1))]
+
+
+@pytest.mark.parametrize("cod,images", VALID)
+def test_surjection_is_interned(cod, images):
+    s = Surjection(cod, images)
+    assert Surjection(cod, list(images)) is s
+    assert s.cod == cod and s.images == images and s.dom == len(images)
+    assert s.is_identity() == (images == tuple(range(1, cod + 1)))
+
+
+@pytest.mark.parametrize("cod,images", [(2, (1, 3)), (1, (0, 1)),
+                                        (2, (1, 1)), (3, (1, 3, 1))])
+def test_invalid_surjection_rejected_and_not_interned(cod, images):
+    with pytest.raises(ValueError):
+        Surjection(cod, images)
+    assert (cod, images) not in Surjection._interned
+    with pytest.raises(ValueError):
+        Surjection(cod, images)
+
+
+@pytest.mark.parametrize("cod,images", VALID)
+def test_pickle_and_copy_return_the_interned_surjection(cod, images):
+    s = Surjection(cod, images)
+    assert pickle.loads(pickle.dumps(s)) is s
+    assert copy.copy(s) is s
+    assert copy.deepcopy(s) is s
+    key = ((s,), (1,) * s.dom, 0)
+    assert pickle.loads(pickle.dumps(key)) == key
+
+
+def test_fiber_ordered_map_underlying_is_interned():
+    fom = FiberOrderedMap(2, [(3, 1), (2,)])
+    assert fom.underlying() is Surjection(2, (1, 2, 1))
+
+
+# -- the face and prune plans against the definition --------------------------
+
+# Reference implementations that follow the definitions per generator: every
+# restriction, composite and component is recomputed, with no plan or cache.
+
+def _ref_prune_string(string, kept):
+    new_string = []
+    current = kept
+    for f in string:
+        image = sorted({f(p) for p in current})
+        relabel = {v: t for t, v in enumerate(image, start=1)}
+        new_string.append(Surjection(len(image), tuple(relabel[f(p)]
+                                                       for p in current)))
+        current = image
+    return tuple(new_string)
+
+
+def _ref_ith_component(string, i):
+    preimage = (i,)
+    for f in reversed(string[:-1]):
+        preimage = tuple(p for p in range(1, f.dom + 1) if f(p) in preimage)
+    return _ref_prune_string(string[:-1], preimage), preimage
+
+
+def _ref_prune_generator(key):
+    string, slots, m = key
+    kept = tuple(p for p, v in enumerate(slots, start=1) if v != 0)
+    if not kept:
+        return None
+    if len(kept) == len(slots):
+        return key
+    return (_ref_prune_string(string, kept),
+            tuple(slots[p - 1] for p in kept), m)
+
+
+def _ref_prune_normalized(key):
+    pruned = _ref_prune_generator(key)
+    if pruned is None or any(f.is_identity() for f in pruned[0]):
+        return None
+    return pruned
+
+
+def _ref_face_terms(gc, key, i):
+    def is_basis_string(string):
+        return not gc.normalized or all(not f.is_identity() for f in string)
+
+    string, slots, m = key
+    n = len(string)
+    out = []
+    if i == 0:
+        new_string = string[1:]
+        if is_basis_string(new_string):
+            for new_slots, c in gc.alg.map_tensor(string[0], slots):
+                out.append(((new_string, new_slots, m), c))
+    elif i < n:
+        comp = Surjection(string[i].cod, tuple(
+            string[i](v) for v in string[i - 1].images))
+        if not (gc.normalized and comp.is_identity()):
+            new_string = string[:i - 1] + (comp,) + string[i + 1:]
+            out.append(((new_string, slots, m), gc.field.one))
+    else:
+        for t in range(1, string[-1].dom + 1):
+            comp_string, preimage = _ref_ith_component(string, t)
+            if not is_basis_string(comp_string):
+                continue
+            new_slots = tuple(slots[p - 1] for p in preimage)
+            rest = [v for p, v in enumerate(slots, start=1)
+                    if p not in preimage]
+            for m2, c in gc.coeffs.act_all(rest, m):
+                out.append(((comp_string, new_slots, m2), c))
+    return out
+
+
+def _assert_key_matches_reference(gc, key):
+    assert prune_generator(key) == _ref_prune_generator(key), key
+    assert prune_normalized(key) == _ref_prune_normalized(key), key
+    for i in range(len(key[0]) + 1):
+        assert gc.face_terms(key, i) == _ref_face_terms(gc, key, i), (key, i)
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_plans_match_the_definition_on_every_small_string(normalized):
+    alg = preset("trunc3")
+    gc = GammaComplex(alg, Coefficients(alg, "A"), "A", normalized)
+    for x in range(1, 5):
+        subsets = [kept for r in range(1, x + 1)
+                   for kept in combinations(range(1, x + 1), r)]
+        for n in range(1, 4):
+            for string in strings_to_point(x, n, normalized):
+                for t in range(1, string[-1].dom + 1):
+                    assert ith_component(string, t) \
+                        == _ref_ith_component(string, t)
+                for kept in subsets:
+                    key = (string, tuple(1 if p in kept else 0
+                                         for p in range(1, x + 1)), 0)
+                    assert prune_generator(key) == _ref_prune_generator(key)
+                    assert prune_normalized(key) \
+                        == _ref_prune_normalized(key)
+                for slots in ((1,) * x, tuple(p % 3 for p in range(x))):
+                    for m in (0, 1):
+                        _assert_key_matches_reference(gc, (string, slots, m))
+                assert prune_generator((string, (0,) * x, 0)) is None
+                assert prune_normalized((string, (0,) * x, 0)) is None
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_plans_match_the_definition_on_trunc3_basis_keys(normalized):
+    alg = preset("trunc3")
+    for kind in ("k", "A"):
+        gc = GammaComplex(alg, Coefficients(alg, kind), "A", normalized)
+        for w in range(4):
+            for n in range(1, 4):
+                for key in gc.iter_basis(n, w):
+                    _assert_key_matches_reference(gc, key)
+
+
+def test_plan_caches_are_keyed_by_morphisms_and_strings():
+    for cache in (gamma._face_plan, gamma._restrict, gamma._prune_string):
+        cache.cache_clear()
+    alg = preset("trunc3")
+    res = prune_split_certificates(alg, Coefficients(alg, "k"), 3, 4)
+    assert res["chain_map"] and res["surjective"]
+    strings = sum(len(strings_to_point(x, n)) for x in range(1, 4)
+                  for n in range(5))
+    morphisms = sum(len(surjections(x, y)) for x in range(1, 4)
+                    for y in range(1, x + 1))
+    assert 0 < gamma._face_plan.cache_info().currsize <= strings
+    assert 0 < gamma._restrict.cache_info().currsize <= morphisms * 2 ** 3
