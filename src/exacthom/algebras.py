@@ -191,6 +191,19 @@ class GradedAlgebra:
             self._tensors[key] = out
         return self._tensors[key]
 
+    def tensor_count(self, x, w, unit=False):
+        """len(self.tensors(x, w, unit)) by a weight recursion that builds
+        no tensor: the counts of length-k tensors per weight, k = 0..x."""
+        if w < 0:
+            return 0
+        weights = [self.slot_weight(v)
+                   for v in range(0 if unit else 1, self.dim_ideal + 1)]
+        counts = [1] + [0] * w
+        for _ in range(x):
+            counts = [sum(counts[u - wt] for wt in weights if wt <= u)
+                      for u in range(w + 1)]
+        return counts[w]
+
     def fiber_product(self, slots, fibers):
         """The basic tensor whose j-th slot is the ordered product of the
         slots at the (1-based) positions in fibers[j]; an empty fiber gives

@@ -29,7 +29,9 @@ class SliceComplex:
     any order), degree(key), face_terms(key, i) (the i-th face as
     [(key, coeff)] terms, 0 <= i <= degree) and sort_key (the canonical
     basis order; None sorts the keys themselves).  Bases and boundary
-    matrices are cached per (n, w), so every matrix is reproducible.
+    matrices are cached per (n, w), so every matrix is reproducible.  The
+    theories also give count(n, w), dim(n, w) from closed-form counts, so
+    that a size guard can refuse a slice without enumerating it.
     """
 
     sort_key = None

@@ -87,14 +87,32 @@ def _config_echo(args, alg):
     }
 
 
-def _guard_basis(cx, w, top, ceiling, name):
-    """Refuse a weight whose slice through degree top has a basis over the
-    ceiling; only bases are built, so it runs before any boundary."""
-    dim = max(cx.dim(n, w) for n in range(top + 1))
-    if dim > ceiling:
-        raise ConfigError(
-            f"{name} slice w={w} has {dim} basis elements, over the ceiling "
-            f"{ceiling}; lower --max-degree/--max-weight or raise --max-basis")
+def _complexes(alg, args):
+    """(variant, name, complex) of every complex whose slices args.theory
+    computes from, or, for harrison and comparison, sizes up."""
+    co = Coefficients(alg, args.coefficients)
+    if args.theory == "gamma":
+        return [(v, f"gamma({v})", GammaComplex(alg, co, v))
+                for v in ("I", "A")]
+    if args.theory in ("hochschild", "harrison"):
+        return [(None, args.theory, HochschildComplex(alg, co))]
+    return [(None, "symmetric", SymmetricComplex(alg, "full"))]
+
+
+def _guard_basis(alg, args):
+    """Refuse the run when a weight's slice through degree max_degree + 1
+    has more basis elements than --max-basis.  The sizes come from
+    closed-form counts, so no basis is built and every weight is checked
+    before any is computed."""
+    complexes = _complexes(alg, args)
+    for w in range(args.max_weight + 1):
+        for _, name, cx in complexes:
+            dim = max(cx.count(n, w) for n in range(args.max_degree + 2))
+            if dim > args.max_basis:
+                raise ConfigError(
+                    f"{name} slice w={w} has {dim} basis elements, over the "
+                    f"ceiling {args.max_basis}; lower --max-degree/"
+                    f"--max-weight or raise --max-basis")
 
 
 def _timer(timings):
@@ -130,18 +148,8 @@ def _complex_weight(alg, args, w, timed):
     weight: the homology of each slice, whose d o d = 0 check is the
     "boundary squares to zero" certificate."""
     theory, N = args.theory, args.max_degree
-    co = Coefficients(alg, args.coefficients)
-    if theory == "gamma":
-        complexes = [(v, f"gamma({v})", GammaComplex(alg, co, v))
-                     for v in ("I", "A")]
-    elif theory == "hochschild":
-        complexes = [(None, theory, HochschildComplex(alg, co))]
-    else:
-        complexes = [(None, theory, SymmetricComplex(alg, "full"))]
-    for _, name, cx in complexes:
-        _guard_basis(cx, w, N + 1, args.max_basis, name)
     rows, broken = [], []
-    for variant, name, cx in complexes:
+    for variant, name, cx in _complexes(alg, args):
         label = f"{variant} w={w}" if variant else f"w={w}"
         try:
             dims = timed(label, lambda: cx.slice(w, N + 1).homology().dims())
@@ -167,7 +175,6 @@ def _harrison_weight(alg, args, w, timed):
     certified to agree."""
     N = args.max_degree
     hc = HochschildComplex(alg, Coefficients(alg, args.coefficients))
-    _guard_basis(hc, w, N + 1, args.max_basis, "harrison")
     name = "quotient and eulerian pipelines agree"
     try:
         dims = timed(f"w={w}", lambda: harrison_weight(hc, w, N))
@@ -181,8 +188,6 @@ def _comparison_weight(alg, args, w, timed):
     d o d = 0 check or a kernel span not closed under the boundary fails
     "comparison slices certified" and costs the weight its rows."""
     N = args.max_degree
-    _guard_basis(SymmetricComplex(alg, "full"), w, N + 1, args.max_basis,
-                 "symmetric")
     try:
         cd = timed(f"build w={w}", lambda: ComparisonData(alg, w, N + 1))
         checks = [Check(f"{label} (w={w})", flag) for label, flag in (
@@ -206,8 +211,7 @@ def _comparison_weight(alg, args, w, timed):
 
 def compute_weight(alg, args, w):
     """Table rows, Check certificates and timings of args.theory at weight
-    w.  The basis size guard runs before any boundary is built; a failed
-    check becomes a failing Check."""
+    w; a failed check becomes a failing Check."""
     timings = {}
     weight = {"harrison": _harrison_weight,
               "comparison": _comparison_weight}.get(args.theory,
@@ -263,6 +267,7 @@ def cmd_compute(args):
             f"harrison homology through degree {N} uses slices through "
             f"degree {N + 1} and needs a field characteristic above "
             f"{N + 1}; got {p}")
+    _guard_basis(alg, args)
     timings = {}
     work = partial(compute_weight, alg, args)
     weights = range(args.max_weight + 1)

@@ -13,12 +13,16 @@ truncation (faces never enlarge the initial domain) and every report is to
 be read as such.
 
 The full-algebra slices grow quickly (strings times basic tensors), so the
-pruning certificates can also be checked in a streaming fashion, one
-generator at a time, without materializing any matrix.
+pruning certificates are checked one generator at a time, without
+materializing any matrix.
 
-Surjections are interned: there is one object per surjection, so equality
-is identity and hashing is by object, in strings, basis keys and caches
-alike.  What the faces and the pruning of a generator need from its string
+FiniteMap is the interning core of the surjections here and of the
+fiber-ordered maps of symhom: there is one object per map, so equality is
+identity and hashing is by object, in strings, basis keys and caches
+alike.  One string recursion, map_strings, builds the strings of either
+category from its hom-sets, and string_count counts them from closed-form
+hom-set sizes, so slice dimensions are known without enumerating a basis.
+What the faces and the pruning of a generator need from its string
 is computed once per string (the face plan) and once per (string, kept
 positions), never per generator; the caches are keyed by morphisms and
 strings only, so they stay bounded by the strings of a slice.
@@ -26,55 +30,72 @@ strings only, so they stay bounded by the strings of a slice.
 
 from functools import lru_cache
 from itertools import product as iproduct
+from math import comb
 
-from .chains import (SliceComplex, basis_map_matrix, check_chain_map,
-                     span_slice)
-from .sparse import SparseMatrix, kernel_basis, rank
+from .chains import SliceComplex
 
 
-class Surjection:
-    """A surjection {1..x} -> {1..y} stored by its image tuple.
+class FiniteMap:
+    """The interning core of Surjection and FiberOrderedMap: a map
+    {1..x} -> {1..y} held by its image tuple and its fibers.
 
-    Interned: Surjection(cod, images) returns the one object for that
-    surjection, so equality is identity and hashing is by object.  The
-    first construction of a surjection validates it, and an invalid one is
-    never interned.
+    A class builds its maps as Class(cod, data) and returns the one object
+    for that (cod, data), so equality is identity and hashing is by object.
+    The first construction of a map validates it, and an invalid one is
+    never interned.  A subclass gives its own intern table, _freeze (data
+    as a hashable tuple), _parse ((images, fibers) from the frozen data,
+    raising ValueError when it is invalid) and _by (the attribute that
+    holds the data).
     """
 
-    __slots__ = ("cod", "images", "dom", "fibers", "_is_id")
-    _interned = {}
+    __slots__ = ("cod", "images", "fibers", "dom", "_is_id")
 
-    def __new__(cls, cod, images):
-        images = tuple(images)
-        self = cls._interned.get((cod, images))
+    def __new__(cls, cod, data):
+        data = cls._freeze(data)
+        self = cls._interned.get((cod, data))
         if self is not None:
             return self
-        if any(not 1 <= v <= cod for v in images):
-            raise ValueError(f"image outside 1..{cod} in {images}")
-        if len(set(images)) != cod:
-            raise ValueError(f"{images} misses a point of 1..{cod}")
         self = super().__new__(cls)
         self.cod = cod
-        self.images = images
-        self.dom = len(images)
-        self.fibers = tuple(
-            tuple(i for i, v in enumerate(images, start=1) if v == j)
-            for j in range(1, cod + 1))
-        self._is_id = cod == len(images) and all(
-            v == i for i, v in enumerate(images, start=1))
+        self.images, self.fibers = cls._parse(cod, data)
+        self.dom = len(self.images)
+        self._is_id = self.images == tuple(range(1, cod + 1))
         # setdefault keeps one object even if two threads build it at once
-        return cls._interned.setdefault((cod, images), self)
+        return cls._interned.setdefault((cod, data), self)
 
     def __reduce__(self):
         # pickle and copy rebuild through __new__, so they get the interned
         # object back
-        return (Surjection, (self.cod, self.images))
+        return (type(self), (self.cod, getattr(self, self._by)))
 
     def __call__(self, i):
         return self.images[i - 1]
 
     def is_identity(self):
         return self._is_id
+
+    def __repr__(self):
+        return (f"{type(self).__name__}({self.dom}->{self.cod}, "
+                f"{getattr(self, self._by)})")
+
+
+class Surjection(FiniteMap):
+    """A surjection {1..x} -> {1..y} stored by its image tuple, interned."""
+
+    __slots__ = ()
+    _interned = {}
+    _freeze = tuple
+    _by = "images"
+
+    @staticmethod
+    def _parse(cod, images):
+        if any(not 1 <= v <= cod for v in images):
+            raise ValueError(f"image outside 1..{cod} in {images}")
+        if len(set(images)) != cod:
+            raise ValueError(f"{images} misses a point of 1..{cod}")
+        return images, tuple(
+            tuple(i for i, v in enumerate(images, start=1) if v == j)
+            for j in range(1, cod + 1))
 
     def after(self, other):
         """Composite self o other."""
@@ -84,9 +105,6 @@ class Surjection:
 
     def __lt__(self, other):
         return (self.cod, self.images) < (other.cod, other.images)
-
-    def __repr__(self):
-        return f"Surjection({self.dom}->{self.cod}, {self.images})"
 
 
 @lru_cache(maxsize=None)
@@ -106,20 +124,44 @@ def surjections(x, y):
     return tuple(out)
 
 
+def surjection_count(x, y):
+    """len(surjections(x, y)) = y! S(x, y), by inclusion-exclusion."""
+    return sum((-1) ** j * comb(y, j) * (y - j) ** x for j in range(y + 1))
+
+
 @lru_cache(maxsize=None)
-def strings_to_point(x, n, normalized=True):
-    """Composable strings (f_1, .., f_n) from {1..x} with final codomain the
-    one-point set; identities excluded when normalized."""
+def map_strings(homs, x, n, to_point, normalized):
+    """Composable strings (f_1, .., f_n) starting at {1..x}, with f drawn
+    from homs(x, y), the hom-set {1..x} -> {1..y}: the final codomain is
+    the one-point set when to_point, and identities are excluded when
+    normalized.  Strings come in the order of the first map, then of the
+    rest."""
     if n == 0:
-        return ((),) if x == 1 else ()
-    out = []
-    for y in range(1, x + 1):
-        for f in surjections(x, y):
-            if normalized and f.is_identity():
-                continue
-            for rest in strings_to_point(y, n - 1, normalized):
-                out.append((f,) + rest)
-    return tuple(out)
+        return ((),) if x == 1 or not to_point else ()
+    return tuple((f,) + rest
+                 for y in range(1, x + 1) for f in homs(x, y)
+                 if not (normalized and f._is_id)
+                 for rest in map_strings(homs, y, n - 1, to_point,
+                                         normalized))
+
+
+@lru_cache(maxsize=None)
+def string_count(hom_count, x, n, to_point, normalized):
+    """len(map_strings(homs, x, n, to_point, normalized)) from the
+    hom-set sizes hom_count(x, y) alone: the same recursion on counts, with
+    the identity {1..x} -> {1..x} taken out when normalized."""
+    if n == 0:
+        return int(x == 1 or not to_point)
+    return sum((hom_count(x, y) - (normalized and x == y))
+               * string_count(hom_count, y, n - 1, to_point, normalized)
+               for y in range(1, x + 1))
+
+
+def strings_to_point(x, n, normalized=True):
+    """Composable strings (f_1, .., f_n) of surjections from {1..x} with
+    final codomain the one-point set; identities excluded when
+    normalized."""
+    return map_strings(surjections, x, n, True, normalized)
 
 
 def induced_tensor_map(alg, f, slots):
@@ -202,6 +244,15 @@ class GammaComplex(SliceComplex):
                     rest = w - self.coeffs.weight(m)
                     for slots in self.alg.tensors(x, rest, unit):
                         yield (string, slots, m)
+
+    def count(self, n, w):
+        """dim(n, w) from closed-form counts, without building the basis."""
+        unit = self.variant == "A"
+        return sum(
+            string_count(surjection_count, x, n, True, self.normalized)
+            * sum(self.alg.tensor_count(x, w - self.coeffs.weight(m), unit)
+                  for m in self.coeffs.basis())
+            for x in range(1, w + 1))
 
     @staticmethod
     def degree(key):
@@ -286,70 +337,19 @@ def prune_normalized(key):
     return _prune(key, True)
 
 
-def prune_matrix(full, ideal, n, w):
-    """Matrix of the pruning map from the full-variant slice to the
-    ideal-variant slice at (n, w)."""
-    pruner = prune_normalized if full.normalized else prune_generator
-    return basis_map_matrix(full, ideal, n, w, pruner)
-
-
-class PruningData:
-    """The pruning chain map with its certificates, per weight, built as
-    matrices; the kernel subcomplex is assembled on demand."""
-
-    def __init__(self, alg, coeffs, w, top, normalized=True):
-        self.full = GammaComplex(alg, coeffs, "A", normalized)
-        self.ideal = GammaComplex(alg, coeffs, "I", normalized)
-        self.w = w
-        self.top = top
-        self.full_chain = self.full.slice(w, top)
-        self.ideal_chain = self.ideal.slice(w, top)
-        self.prune = [prune_matrix(self.full, self.ideal, n, w)
-                      for n in range(top + 1)]
-        self.include = [basis_map_matrix(self.ideal, self.full, n, w,
-                                         lambda key: key)
-                        for n in range(top + 1)]
-        self._kernel = None
-
-    def kernel(self):
-        """(representative columns, ChainSlice) of ker(P) with the restricted
-        boundary; solving certifies that the boundary preserves the kernel."""
-        if self._kernel is None:
-            reps = [kernel_basis(p) for p in self.prune]
-            self._kernel = (reps, span_slice(self.full_chain.boundary, reps))
-        return self._kernel
-
-    def prune_is_chain_map(self):
-        return check_chain_map(self.prune, self.full_chain, self.ideal_chain)
-
-    def retraction_is_identity(self):
-        for n in range(self.top + 1):
-            comp = self.prune[n].mul(self.include[n])
-            if comp != SparseMatrix.identity(self.full.field, comp.ncols):
-                return False
-        return True
-
-    def splitting_dims_hold(self):
-        for n in range(self.top + 1):
-            rank_p = rank(self.prune[n])
-            if rank_p != self.ideal_chain.dims[n]:
-                return False
-            kernel_dim = self.full_chain.dims[n] - rank_p
-            if (self.full_chain.dims[n]
-                    != self.ideal_chain.dims[n] + kernel_dim):
-                return False
-        return True
-
-
 def prune_split_certificates(alg, coeffs, w, top, normalized=True):
-    """Streamed check of the pruning-splitting certificates at one weight,
-    one generator at a time (no matrices are materialized, so this scales
-    to slices far beyond what PruningData can hold).
+    """The pruning-splitting certificates at one weight, checked one
+    generator at a time; no matrix is built.
 
-    Checks, exactly: the retraction law "prune o include = id", pruning
-    commuting with the boundary on every generator, surjectivity of the
-    pruning map, and the dimension identity of the splitting.  Returns a
-    dict of booleans plus the per-degree (full, ideal) dimensions.
+    Checks, exactly: "retraction_identity", the law prune o include = id
+    on every ideal generator, and "chain_map", pruning commuting with the
+    boundary on every full generator.  "surjective" compares the pruned
+    images with the ideal basis; unit-free generators are their own images
+    and join them without a call to the pruner, so every ideal generator
+    is hit given "retraction_identity", and what the flag adds is that no
+    pruned image lies outside the ideal basis.  Returns the three booleans
+    plus the per-degree (full, ideal) dimensions, which are reported, not
+    checked.
     """
     full = GammaComplex(alg, coeffs, "A", normalized)
     ideal = GammaComplex(alg, coeffs, "I", normalized)

@@ -38,6 +38,11 @@ class HochschildComplex(SliceComplex):
                                           unit=True):
                 yield (m, slots)
 
+    def count(self, n, w):
+        """dim(n, w) from closed-form counts, without building the basis."""
+        return sum(self.alg.tensor_count(n, w - self.coeffs.weight(m), True)
+                   for m in self.coeffs.basis())
+
     @staticmethod
     def degree(key):
         return len(key[1])
@@ -254,10 +259,6 @@ class HarrisonQuotient:
         return sol.row_block(sreps.ncols, sol.nrows)
 
 
-def harrison_quotient_slice(hc, w, top):
-    return HarrisonQuotient(hc, w, top)
-
-
 def barr_map(hc, w, top):
     """The composite e^(1) C(A,M) -> C(A,M) -> C(A,M)/Sh as per-degree
     matrices, with the slices on both sides.
@@ -266,7 +267,7 @@ def barr_map(hc, w, top):
     isomorphism in every degree; the caller checks the rank identity.
     """
     e1_chain, e1_reps = idempotent_slice(hc, w, top, 1)
-    quot = harrison_quotient_slice(hc, w, top)
+    quot = HarrisonQuotient(hc, w, top)
     mats = [quot.project(n, e1_reps[n]) for n in range(top + 1)]
     return mats, e1_chain, quot
 
@@ -373,17 +374,13 @@ class NormalizedHarrison:
                 and check_chain_map(self.collapse, q, i))
 
 
-def normalized_harrison(hc, w, top, i=1):
-    return NormalizedHarrison(hc, w, top, i)
-
-
 def harrison_weight(hc, w, max_n):
     """Harrison homology dimensions of weight w in degrees 0..max_n,
     computed through both pipelines (Hochschild-mod-shuffles and the e^(1)
     ideal complex) and certified to agree."""
     top = max_n + 1
-    dims_quot = harrison_quotient_slice(hc, w, top).chain.homology().dims()
-    dims_ideal = normalized_harrison(hc, w, top, i=1).i_chain.homology().dims()
+    dims_quot = HarrisonQuotient(hc, w, top).chain.homology().dims()
+    dims_ideal = NormalizedHarrison(hc, w, top, 1).i_chain.homology().dims()
     for n in range(max_n + 1):
         if dims_quot[n] != dims_ideal[n]:
             raise CertificationError(

@@ -4,58 +4,58 @@ its epi subcategory, and the comparison map onto the surjection-string
 complex.
 
 A morphism is stored by its ordered fibers; the underlying set map is
-implied.  The pair normal form (order-preserving map, permutation) and the
-generator calculus are conversion and certification surfaces only.
+implied.  Morphisms are interned on gamma's FiniteMap core, like the
+surjections they forget to, and their strings come from gamma's
+map_strings.  The epimorphisms {1..x} -> {1..y} are the fiber orderings of
+the surjections.  The pair normal form (order-preserving map, permutation)
+and the generator calculus are conversion and certification surfaces
+only.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
+from math import comb, factorial
 
 from .algebras import Coefficients
 from .chains import (SliceComplex, basis_map_matrix, check_chain_map,
                      span_slice)
-from .gamma import GammaComplex, Surjection
+from .gamma import (FiniteMap, GammaComplex, Surjection, map_strings,
+                    string_count, surjections)
 from .groupalg import Permutation
 from .sparse import kernel_basis, rank
 
 
-class FiberOrderedMap:
-    """A map {1..x} -> {1..y} together with a total order on every fiber.
+class FiberOrderedMap(FiniteMap):
+    """A map {1..x} -> {1..y} together with a total order on every fiber,
+    stored by its ordered fibers and interned like Surjection.
 
     Epimorphisms are the maps with no empty fiber.  The identity is the
     identity map with its singleton fibers.
     """
 
-    __slots__ = ("cod", "fibers", "images", "_hash")
+    __slots__ = ()
+    _interned = {}
+    _by = "fibers"
 
-    def __init__(self, cod, fibers):
-        self.cod = cod
-        self.fibers = tuple(tuple(fb) for fb in fibers)
-        if len(self.fibers) != cod:
+    @staticmethod
+    def _freeze(fibers):
+        return tuple(map(tuple, fibers))
+
+    @staticmethod
+    def _parse(cod, fibers):
+        if len(fibers) != cod:
             raise ValueError("fiber count must equal the codomain size")
-        x = sum(len(fb) for fb in self.fibers)
+        x = sum(map(len, fibers))
         images = [0] * x
-        for j, fb in enumerate(self.fibers, start=1):
+        for j, fb in enumerate(fibers, start=1):
             for i in fb:
                 if not 1 <= i <= x or images[i - 1]:
                     raise ValueError("fibers do not partition the domain")
                 images[i - 1] = j
-        self.images = tuple(images)
-        self._hash = hash((cod, self.fibers))
-
-    @property
-    def dom(self):
-        return len(self.images)
-
-    def __call__(self, i):
-        return self.images[i - 1]
+        return tuple(images), fibers
 
     def is_epi(self):
         return all(self.fibers)
-
-    def is_identity(self):
-        return self.cod == self.dom and all(
-            v == i for i, v in enumerate(self.images, start=1))
 
     def after(self, other):
         """Composite self o other: the fiber over k concatenates, along
@@ -96,18 +96,8 @@ class FiberOrderedMap:
     def identity(cls, n):
         return cls(n, [(i,) for i in range(1, n + 1)])
 
-    def __eq__(self, other):
-        return (isinstance(other, FiberOrderedMap)
-                and self.cod == other.cod and self.fibers == other.fibers)
-
-    def __hash__(self):
-        return self._hash
-
     def __lt__(self, other):
         return (self.cod, self.fibers) < (other.cod, other.fibers)
-
-    def __repr__(self):
-        return f"FiberOrderedMap({self.dom}->{self.cod}, {self.fibers})"
 
 
 @lru_cache(maxsize=None)
@@ -196,28 +186,18 @@ def transposition_map(n, k):
 
 @lru_cache(maxsize=None)
 def epi_maps(x, y):
-    """All fiber-ordered epimorphisms {1..x} -> {1..y}, sorted; there are
-    x! C(x-1, y-1) of them."""
-    if x < y or y < 1:
-        raise ValueError(f"no epimorphisms {x} -> {y}")
-    out = []
-    for cuts in _compositions(x, y):
-        phi = OrderMap(y, [j for j, size in enumerate(cuts, start=1)
-                           for _ in range(size)])
-        for image in permutations(range(1, x + 1)):
-            out.append(FiberOrderedMap.from_pair(phi, Permutation(image)))
-    out.sort()
-    return tuple(out)
+    """All fiber-ordered epimorphisms {1..x} -> {1..y}, sorted: every
+    ordering of the fibers of every surjection; there are x! C(x-1, y-1)
+    of them."""
+    return tuple(sorted(
+        FiberOrderedMap(y, fibers) for f in surjections(x, y)
+        for fibers in product(*map(permutations, f.fibers))))
 
 
-def _compositions(x, y):
-    """Compositions of x into y positive parts."""
-    if y == 1:
-        yield (x,)
-        return
-    for first in range(1, x - y + 2):
-        for rest in _compositions(x - first, y - 1):
-            yield (first,) + rest
+def epi_count(x, y):
+    """len(epi_maps(x, y)) = x! C(x-1, y-1): a permutation of {1..x} cut
+    into y non-empty intervals."""
+    return factorial(x) * comb(x - 1, y - 1)
 
 
 # -- the symmetric bar construction ---------------------------------------------
@@ -248,23 +228,11 @@ def b_sym_apply(alg, f, slots, ideal_only=True):
 
 # -- strings of epimorphisms -----------------------------------------------------
 
-@lru_cache(maxsize=None)
 def epi_strings(x, n, to_point=False, normalized=True):
     """Composable strings (f_1, .., f_n) of epimorphisms starting at
     {1..x}; with to_point=True the final codomain is the one-point set,
     and with normalized=True identities are excluded."""
-    if n == 0:
-        if to_point and x != 1:
-            return ()
-        return ((),)
-    out = []
-    for y in range(1, x + 1):
-        for f in epi_maps(x, y):
-            if normalized and f.is_identity():
-                continue
-            for rest in epi_strings(y, n - 1, to_point, normalized):
-                out.append((f,) + rest)
-    return tuple(out)
+    return map_strings(epi_maps, x, n, to_point, normalized)
 
 
 class SymmetricComplex(SliceComplex):
@@ -291,6 +259,12 @@ class SymmetricComplex(SliceComplex):
             for string in epi_strings(x, n, to_point, self.normalized):
                 for slots in self.alg.tensors(x, w):
                     yield (string, slots)
+
+    def count(self, n, w):
+        """dim(n, w) from closed-form counts, without building the basis."""
+        to_point = self.variant == "quotient"
+        return sum(string_count(epi_count, x, n, to_point, self.normalized)
+                   * self.alg.tensor_count(x, w) for x in range(1, w + 1))
 
     @staticmethod
     def degree(key):

@@ -14,9 +14,9 @@ from .fields import QQ
 from .gamma import gamma_homology, prune_split_certificates
 from .groupalg import (certify_eulerian, shuffle_annihilating_product,
                        shuffle_permutations)
-from .hochschild import (HochschildComplex, aug_split_iso, barr_map,
-                         harrison_homology, hodge_commutes,
-                         idempotent_dims_complete, normalized_harrison)
+from .hochschild import (HochschildComplex, NormalizedHarrison,
+                         aug_split_iso, barr_map, harrison_homology,
+                         hodge_commutes, idempotent_dims_complete)
 from .sparse import rank
 from .symhom import ComparisonData, hs0_consistency
 
@@ -130,7 +130,7 @@ def suite_harrison(config):
         hc = HochschildComplex(alg, co)
         for w in range(max_w + 1):
             for i in idems:
-                nh = normalized_harrison(hc, w, max_n, i)
+                nh = NormalizedHarrison(hc, w, max_n, i)
                 label = f"{alg.name} M={co.kind} w={w} i={i}"
                 checks.append(Check(
                     f"composite identity {label}", nh.composite_is_identity()))

@@ -283,3 +283,39 @@ def test_rank_only_homology_matches_representatives(name):
         sl = cx.slice(w, top + 1)
         bases = HomologyBases(sl)
         assert sl.homology().dims() == [bases.dim(n) for n in range(top + 2)]
+
+
+def _every_variant(alg):
+    """Every complex on alg, in every variant."""
+    from exacthom.algebras import Coefficients
+    from exacthom.gamma import GammaComplex
+    from exacthom.hochschild import HochschildComplex
+    from exacthom.symhom import SymmetricComplex
+
+    for kind in ("k", "A"):
+        co = Coefficients(alg, kind)
+        yield HochschildComplex(alg, co)
+        for variant in ("I", "A"):
+            for normalized in (True, False):
+                yield GammaComplex(alg, co, variant, normalized)
+    for variant in ("full", "quotient"):
+        for normalized in (True, False):
+            yield SymmetricComplex(alg, variant, normalized)
+
+
+@pytest.mark.parametrize("name", ["dual-numbers", "trunc3"])
+def test_closed_form_counts_match_the_bases(name):
+    from exacthom.algebras import preset
+    from exacthom.cli import DEFAULT_BASIS_CEILING
+
+    for cx in _every_variant(preset(name)):
+        for n in range(5):
+            for w in range(5):
+                count = cx.count(n, w)
+                if count <= DEFAULT_BASIS_CEILING:
+                    assert count == cx.dim(n, w), (cx, n, w)
+                else:
+                    # only some top slices are past the default ceiling (up
+                    # to 4.3 million elements); they are what the guard
+                    # refuses to build
+                    assert (n, w) == (4, 4), (cx, n, w, count)

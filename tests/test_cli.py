@@ -381,3 +381,19 @@ def test_harrison_witness_names_every_failing_weight(capsys,
     assert failed
     named = {w for w in range(4) if f"harrison w={w}: " in cert["witness"]}
     assert named == failed
+
+
+def test_symmetric_basis_ceiling_refused_without_enumerating(capsys,
+                                                            monkeypatch):
+    from exacthom import symhom
+
+    def enumerate_basis(*args):
+        raise AssertionError("a basis was enumerated by the size guard")
+
+    monkeypatch.setattr(symhom, "epi_strings", enumerate_basis)
+    monkeypatch.setattr(symhom.SymmetricComplex, "iter_basis",
+                        enumerate_basis)
+    line = run_error(capsys, "compute", "--preset", "trunc4",
+                     "--theory", "symmetric", "--max-degree", "3",
+                     "--max-weight", "4", "--max-basis", "100000")
+    assert "symmetric slice w=4 has 3638359 basis elements" in line

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 from itertools import combinations
@@ -7,13 +8,17 @@ from math import comb, factorial
 import pytest
 
 from exacthom.algebras import Coefficients, preset
+from exacthom.chains import (ChainSlice, basis_map_matrix, check_chain_map,
+                             span_slice)
+from exacthom.cli import main
 from exacthom.fields import GF, QQ
 from exacthom import gamma
-from exacthom.gamma import (GammaComplex, PruningData, Surjection,
-                            gamma_homology, induced_tensor_map,
-                            ith_component, prune_generator, prune_matrix,
-                            prune_normalized, prune_split_certificates,
-                            strings_to_point, surjections)
+from exacthom.gamma import (GammaComplex, Surjection, gamma_homology,
+                            induced_tensor_map, ith_component,
+                            prune_generator, prune_normalized,
+                            prune_split_certificates, strings_to_point,
+                            surjections)
+from exacthom.sparse import SparseMatrix, kernel_basis, rank
 from exacthom.symhom import FiberOrderedMap
 
 
@@ -132,30 +137,52 @@ def test_prune_examples():
     assert prune_generator(((Surjection(1, (1, 1)),), (0, 0), 0)) is None
 
 
+# The matrix oracle of the streamed pruning check: the pruning map and the
+# inclusion of the ideal complex as matrices, from the production primitives.
+
+def _pruning_matrices(alg, co, w, top):
+    full = GammaComplex(alg, co, "A")
+    ideal = GammaComplex(alg, co, "I")
+    prune = [basis_map_matrix(full, ideal, n, w, prune_normalized)
+             for n in range(top + 1)]
+    include = [basis_map_matrix(ideal, full, n, w, lambda key: key)
+               for n in range(top + 1)]
+    return full, ideal, prune, include
+
+
+def _retraction_is_identity(prune, include):
+    return all(p.mul(i) == SparseMatrix.identity(p.field, p.nrows)
+               for p, i in zip(prune, include))
+
+
 def test_pruning_data_certificates():
     for name in ("dual-numbers", "trunc3"):
         alg = preset(name)
         for kind in ("k", "A"):
             co = Coefficients(alg, kind)
             for w in range(3):
-                pd = PruningData(alg, co, w, 3)
-                assert pd.prune_is_chain_map()
-                assert pd.retraction_is_identity()
-                assert pd.splitting_dims_hold()
-                reps, kchain = pd.kernel()
+                full, ideal, prune, include = _pruning_matrices(alg, co, w, 3)
+                full_chain, ideal_chain = full.slice(w, 3), ideal.slice(w, 3)
+                assert check_chain_map(prune, full_chain, ideal_chain)
+                assert _retraction_is_identity(prune, include)
+                reps = [kernel_basis(p) for p in prune]
+                kchain = span_slice(full_chain.boundary, reps)
                 for n in range(4):
-                    assert (pd.full_chain.dims[n]
-                            == pd.ideal_chain.dims[n] + kchain.dims[n])
+                    assert rank(prune[n]) == ideal_chain.dims[n]
+                    assert (full_chain.dims[n]
+                            == ideal_chain.dims[n] + kchain.dims[n])
 
 
 def test_pruning_homology_additivity():
     alg = preset("trunc3")
     co = Coefficients(alg, "k")
     for w in range(3):
-        pd = PruningData(alg, co, w, 4)
-        _, kchain = pd.kernel()
-        hf = pd.full_chain.homology().dims()
-        hi = pd.ideal_chain.homology().dims()
+        full, ideal, prune, _ = _pruning_matrices(alg, co, w, 4)
+        full_chain = full.slice(w, 4)
+        kchain = span_slice(full_chain.boundary,
+                            [kernel_basis(p) for p in prune])
+        hf = full_chain.homology().dims()
+        hi = ideal.slice(w, 4).homology().dims()
         hk = kchain.homology().dims()
         for n in range(4):
             assert hf[n] == hi[n] + hk[n], (w, n)
@@ -166,9 +193,66 @@ def test_streamed_certificates_match_matrix_path():
     co = Coefficients(alg, "k")
     res = prune_split_certificates(alg, co, 3, 3)
     assert res["retraction_identity"] and res["chain_map"] and res["surjective"]
-    pd = PruningData(alg, co, 3, 3)
-    dims = [(pd.full_chain.dims[n], pd.ideal_chain.dims[n]) for n in range(4)]
-    assert res["dims"] == dims
+    full, ideal, prune, include = _pruning_matrices(alg, co, 3, 3)
+    full_chain, ideal_chain = full.slice(3, 3), ideal.slice(3, 3)
+    assert check_chain_map(prune, full_chain, ideal_chain)
+    assert _retraction_is_identity(prune, include)
+    assert all(rank(p) == d for p, d in zip(prune, ideal_chain.dims))
+    assert res["dims"] == list(zip(full_chain.dims, ideal_chain.dims))
+
+
+@pytest.fixture
+def broken_full_face(monkeypatch):
+    """Double face 1 of the full-algebra variant only, so that pruning no
+    longer commutes with the boundary."""
+    face_terms = GammaComplex.face_terms
+
+    def doubled(self, key, i):
+        terms = face_terms(self, key, i)
+        if self.variant != "A" or i != 1:
+            return terms
+        return [(k, self.field.mul(2, c)) for k, c in terms]
+
+    monkeypatch.setattr(GammaComplex, "face_terms", doubled)
+
+
+def test_pruning_certificates_catch_a_broken_face(broken_full_face):
+    alg = preset("trunc3")
+    co = Coefficients(alg, "k")
+    assert not prune_split_certificates(alg, co, 2, 3)["chain_map"]
+    full, ideal, prune, _ = _pruning_matrices(alg, co, 2, 3)
+    # the doubled face breaks d o d = 0 too, so the slice skips that check
+    full_chain = ChainSlice(alg.field, [full.dim(n, 2) for n in range(4)],
+                            {n: full.boundary(n, 2) for n in range(1, 4)},
+                            check=False)
+    assert not check_chain_map(prune, full_chain, ideal.slice(2, 3))
+
+
+def test_verify_pruning_reports_a_broken_face(capsys, broken_full_face):
+    code = main(["verify", "--suite", "pruning", "--preset", "trunc3",
+                 "--max-degree", "3", "--max-weight", "2"])
+    assert code == 1
+    certs = json.loads(capsys.readouterr().out)["certifications"]
+    failed = [c["name"] for c in certs if c["status"] == "fail"]
+    assert "pruning chain_map trunc3 w=2" in failed
+
+
+def test_pruning_certificates_catch_a_broken_pruner(monkeypatch):
+    prune = gamma.prune_normalized
+
+    def broken(key):
+        slots = key[1]
+        if 0 not in slots and slots[:1] == (2,):
+            return None     # an ideal generator whose first slot is x^2
+        return prune(key)
+
+    monkeypatch.setattr(gamma, "prune_normalized", broken)
+    alg = preset("trunc3")
+    res = prune_split_certificates(alg, Coefficients(alg, "k"), 2, 3)
+    assert not res["retraction_identity"]
+    # unit-free generators count as hit without a call to the pruner, so
+    # surjectivity holds only given the retraction law
+    assert res["surjective"]
 
 
 def test_gamma_homology_dual_numbers():
@@ -205,11 +289,9 @@ def test_strings_cache_shapes():
 
 def test_prune_matrix_on_normalized_slices():
     alg = preset("trunc3")
-    co = Coefficients(alg, "k")
-    full = GammaComplex(alg, co, "A")
-    ideal = GammaComplex(alg, co, "I")
-    p2 = prune_matrix(full, ideal, 2, 2)
-    assert p2.shape == (ideal.dim(2, 2), full.dim(2, 2))
+    full, ideal, prune, _ = _pruning_matrices(alg, Coefficients(alg, "k"),
+                                              2, 2)
+    assert prune[2].shape == (ideal.dim(2, 2), full.dim(2, 2))
 
 
 def test_degree_one_boundary_exact_terms_with_algebra_coefficients():
@@ -268,31 +350,56 @@ def test_gamma_homology_prime_field_matches_rational():
 
 # -- interning ---------------------------------------------------------------
 
-VALID = [(2, (1, 2)), (1, (1, 1)), (2, (1, 1, 2)), (1, (1,)),
-         (1, (1, 1, 1))]
+# (class, cod, data, is the identity) for both classes built on the
+# interning core; the surjections keep the test ids they had before the
+# fiber-ordered maps joined them
+VALID = [
+    pytest.param(Surjection, 2, (1, 2), True, id="2-images0"),
+    pytest.param(Surjection, 1, (1, 1), False, id="1-images1"),
+    pytest.param(Surjection, 2, (1, 1, 2), False, id="2-images2"),
+    pytest.param(Surjection, 1, (1,), True, id="1-images3"),
+    pytest.param(Surjection, 1, (1, 1, 1), False, id="1-images4"),
+    pytest.param(FiberOrderedMap, 2, ((1,), (2,)), True, id="fom-identity"),
+    pytest.param(FiberOrderedMap, 1, ((2, 1),), False, id="fom-collapse"),
+    pytest.param(FiberOrderedMap, 2, ((3, 1), (2,)), False, id="fom-epi"),
+    # delta_face(2, 1), which is not an epimorphism
+    pytest.param(FiberOrderedMap, 3, ((), (1,), (2,)), False,
+                 id="fom-delta_face"),
+]
 
 
-@pytest.mark.parametrize("cod,images", VALID)
-def test_surjection_is_interned(cod, images):
-    s = Surjection(cod, images)
-    assert Surjection(cod, list(images)) is s
-    assert s.cod == cod and s.images == images and s.dom == len(images)
-    assert s.is_identity() == (images == tuple(range(1, cod + 1)))
+@pytest.mark.parametrize("cls,cod,data,is_id", VALID)
+def test_surjection_is_interned(cls, cod, data, is_id):
+    s = cls(cod, data)
+    assert cls(cod, [list(d) if isinstance(d, tuple) else d
+                     for d in data]) is s
+    assert s.cod == cod and getattr(s, cls._by) == data
+    assert s.dom == len(s.images) == sum(map(len, s.fibers))
+    assert s.is_identity() == is_id
+    assert s.images == tuple(s(i) for i in range(1, s.dom + 1))
+    assert cls._interned[(cod, data)] is s
 
 
-@pytest.mark.parametrize("cod,images", [(2, (1, 3)), (1, (0, 1)),
-                                        (2, (1, 1)), (3, (1, 3, 1))])
-def test_invalid_surjection_rejected_and_not_interned(cod, images):
+@pytest.mark.parametrize("cls,cod,data", [
+    pytest.param(Surjection, 2, (1, 3), id="2-images0"),
+    pytest.param(Surjection, 1, (0, 1), id="1-images1"),
+    pytest.param(Surjection, 2, (1, 1), id="2-images2"),
+    pytest.param(Surjection, 3, (1, 3, 1), id="3-images3"),
+    pytest.param(FiberOrderedMap, 2, ((1,), (1,)), id="fom-overlap"),
+    pytest.param(FiberOrderedMap, 2, ((1, 2),), id="fom-fiber-count"),
+    pytest.param(FiberOrderedMap, 1, ((1, 3),), id="fom-gap")])
+def test_invalid_surjection_rejected_and_not_interned(cls, cod, data):
     with pytest.raises(ValueError):
-        Surjection(cod, images)
-    assert (cod, images) not in Surjection._interned
+        cls(cod, data)
+    assert (cod, data) not in cls._interned
     with pytest.raises(ValueError):
-        Surjection(cod, images)
+        cls(cod, data)
 
 
-@pytest.mark.parametrize("cod,images", VALID)
-def test_pickle_and_copy_return_the_interned_surjection(cod, images):
-    s = Surjection(cod, images)
+@pytest.mark.parametrize("cls,cod,data,is_id", VALID)
+def test_pickle_and_copy_return_the_interned_surjection(cls, cod, data,
+                                                       is_id):
+    s = cls(cod, data)
     assert pickle.loads(pickle.dumps(s)) is s
     assert copy.copy(s) is s
     assert copy.deepcopy(s) is s

@@ -2,13 +2,13 @@ import pytest
 
 from exacthom.algebras import Coefficients, preset
 from exacthom.fields import GF, QQ
-from exacthom.hochschild import (HochschildComplex,
-                                 aug_split_iso, barr_map, degenerate_slice,
-                                 harrison_homology, harrison_quotient_slice,
+from exacthom.hochschild import (HarrisonQuotient, HochschildComplex,
+                                 NormalizedHarrison, aug_split_iso, barr_map,
+                                 degenerate_slice, harrison_homology,
                                  hochschild_homology, hodge_commutes,
                                  ideal_slice, idempotent_dims_complete,
-                                 idempotent_slice, normalized_harrison,
-                                 normalized_slice, shuffle_slice)
+                                 idempotent_slice, normalized_slice,
+                                 shuffle_slice)
 from exacthom.sparse import Echelon, SparseMatrix
 
 
@@ -57,7 +57,7 @@ def test_shuffle_slice_degree_two_antisymmetrizers(trunc3_A):
         col = mat.column(j)
         assert sorted(col.values()) in ([QQ.of(-1), QQ.one],)
     # closed under the boundary by construction; dims split with the quotient
-    quot = harrison_quotient_slice(trunc3_A, 2, 2)
+    quot = HarrisonQuotient(trunc3_A, 2, 2)
     for n in range(3):
         assert sl.dims[n] + quot.chain.dims[n] == trunc3_A.dim(n, 2)
 
@@ -103,14 +103,14 @@ def test_idempotent_slice_boundaries_solve(dual_k):
 def test_normalized_harrison_certificates(trunc3_A):
     for w in range(3):
         for i in (1, 2):
-            nh = normalized_harrison(trunc3_A, w, 3, i)
+            nh = NormalizedHarrison(trunc3_A, w, 3, i)
             assert nh.composite_is_identity()
             assert nh.kernel_dims_match_degenerate()
             assert nh.maps_are_chain_maps()
 
 
 def test_normalized_harrison_degree_one_identity(dual_k):
-    nh = normalized_harrison(dual_k, 1, 1, 1)
+    nh = NormalizedHarrison(dual_k, 1, 1, 1)
     # e^(1) acts as the identity in degree 1: all three maps are 1x1 units
     assert nh.inclusion[1] == SparseMatrix.identity(QQ, 1)
     assert nh.collapse[1].mul(nh.quotient[1]) == SparseMatrix.identity(QQ, 1)
@@ -193,6 +193,6 @@ def test_action_matrix_examples(trunc3_A):
 def test_shuffle_plus_quotient_dims_match_full(trunc3_A):
     for w in range(4):
         ssl, _ = shuffle_slice(trunc3_A, w, 4)
-        quot = harrison_quotient_slice(trunc3_A, w, 4)
+        quot = HarrisonQuotient(trunc3_A, w, 4)
         for n in range(5):
             assert ssl.dims[n] + quot.chain.dims[n] == trunc3_A.dim(n, w)

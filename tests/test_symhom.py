@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
@@ -91,6 +92,36 @@ def test_epi_counts():
     for x in range(1, 6):
         for y in range(1, x + 1):
             assert len(epi_maps(x, y)) == factorial(x) * comb(x - 1, y - 1)
+
+
+# Reference construction of the epimorphisms through the pair normal form:
+# a composition of x into y positive parts gives the order-preserving
+# collapse of intervals, composed after every permutation of {1..x}.
+
+def _ref_compositions(x, y):
+    if y == 1:
+        yield (x,)
+        return
+    for first in range(1, x - y + 2):
+        for rest in _ref_compositions(x - first, y - 1):
+            yield (first,) + rest
+
+
+def _ref_epi_maps(x, y):
+    out = []
+    for cuts in _ref_compositions(x, y):
+        phi = OrderMap(y, [j for j, size in enumerate(cuts, start=1)
+                           for _ in range(size)])
+        for image in permutations(range(1, x + 1)):
+            out.append(FiberOrderedMap.from_pair(phi, Permutation(image)))
+    out.sort()
+    return tuple(out)
+
+
+def test_epi_maps_match_the_pair_form_construction():
+    for x in range(1, 6):
+        for y in range(1, x + 1):
+            assert epi_maps(x, y) == _ref_epi_maps(x, y), (x, y)
 
 
 def test_epi_criterion_matches_pair_form():
