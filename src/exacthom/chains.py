@@ -55,20 +55,19 @@ class SliceComplex:
         return len(self.basis(n, w))
 
     def boundary_terms(self, key):
-        """All terms of the alternating-sum boundary of one basis element."""
-        field = self.field
-        add, mul, zero = field.add, field.mul, field.zero
-        out = {}
-        sign = field.one
+        """All terms of the alternating-sum boundary of one basis element:
+        the even faces are added and the odd faces subtracted as they
+        come, and each sum is put in the field's normal form once."""
+        acc = {}
+        get = acc.get
         for i in range(self.degree(key) + 1):
-            for tkey, c in self.face_terms(key, i):
-                s = add(out.get(tkey, zero), mul(sign, c))
-                if s == zero:
-                    out.pop(tkey, None)
-                else:
-                    out[tkey] = s
-            sign = field.neg(sign)
-        return out
+            if i % 2:
+                for tkey, c in self.face_terms(key, i):
+                    acc[tkey] = get(tkey, 0) - c
+            else:
+                for tkey, c in self.face_terms(key, i):
+                    acc[tkey] = get(tkey, 0) + c
+        return self.field.normal_terms(acc)
 
     def boundary(self, n, w):
         key = (n, w)

@@ -10,9 +10,17 @@ integers, and int arithmetic is many times cheaper.
 Every operation returns this normal form, so a float never appears
 (``1 / 3`` on ints would be one; ``inv`` and ``div`` go through the
 rational type instead).  A prime-field element is an int in ``0..p-1``.
+
+The hot loops (group algebra products, Sigma_n actions, boundary sums,
+matrix products) do not go through ``add`` and ``mul`` per term.  They
+read their inputs as integers over a common denominator (``scaled``),
+accumulate native sums, and form the normal form once per output entry
+(``normal_terms`` for a dict of sums over one denominator, ``of(num,
+den)`` for a single entry).
 """
 
 from fractions import Fraction
+from math import lcm
 
 _rat = Fraction  # the one rational type; perfbench records its name
 
@@ -36,6 +44,26 @@ class Rationals:
         if den == 1 and type(num) is int:
             return num
         return _q(_rat(num, den))
+
+    def scaled(self, values):
+        """(ints, d): a dict of rationals as integers over the lcm d of
+        their denominators, each value being ints[k] / d."""
+        d = 1
+        for v in values.values():
+            if type(v) is not int:
+                d = lcm(d, v.denominator)
+        if d == 1:
+            return values, 1
+        return {k: v.numerator * (d // v.denominator)
+                for k, v in values.items()}, d
+
+    def normal_terms(self, sums, den=1):
+        """The nonzero entries sum / den of a dict of native sums (ints,
+        or rationals when den is 1), in normal form."""
+        if den == 1:
+            return {k: s if type(s) is int else _q(s)
+                    for k, s in sums.items() if s}
+        return {k: _q(_rat(s, den)) for k, s in sums.items() if s}
 
     def parse(self, text):
         return _q(_rat(str(text)))
@@ -97,6 +125,16 @@ class PrimeField:
         if den != 1:
             a = a * self.inv(den % self.p) % self.p
         return a
+
+    def scaled(self, values):
+        """(values, 1): elements mod p are already integers."""
+        return values, 1
+
+    def normal_terms(self, sums, den=1):
+        """The nonzero entries sum / den of a dict of int sums, reduced."""
+        p = self.p
+        inv = 1 if den == 1 else self.inv(den % p)
+        return {k: v for k, s in sums.items() if (v := s * inv % p)}
 
     def parse(self, text):
         text = str(text)

@@ -342,55 +342,55 @@ def prune_split_certificates(alg, coeffs, w, top, normalized=True):
     generator at a time; no matrix is built.
 
     Checks, exactly: "retraction_identity", the law prune o include = id
-    on every ideal generator, and "chain_map", pruning commuting with the
-    boundary on every full generator.  "surjective" compares the pruned
-    images with the ideal basis; unit-free generators are their own images
-    and join them without a call to the pruner, so every ideal generator
-    is hit given "retraction_identity", and what the flag adds is that no
-    pruned image lies outside the ideal basis.  Returns the three booleans
-    plus the per-degree (full, ideal) dimensions, which are reported, not
-    checked.
+    on every ideal generator, "chain_map", pruning commuting with the
+    boundary on every full generator, and "surjective", the pruned images
+    of all full generators being exactly the ideal basis.  The unit-free
+    full generators must be exactly the ideal generators; their images
+    are the pruner's images of the ideal basis, so a pruner that loses an
+    ideal generator fails "surjective" as well as "retraction_identity".
+    Returns the three booleans plus the per-degree (full, ideal)
+    dimensions, which are reported, not checked.
     """
     full = GammaComplex(alg, coeffs, "A", normalized)
     ideal = GammaComplex(alg, coeffs, "I", normalized)
     field = alg.field
-    zero = field.zero
     pruner = prune_normalized if normalized else prune_generator
     out = {"retraction_identity": True, "chain_map": True,
            "surjective": True, "dims": []}
     for n in range(top + 1):
         ideal_keys = set()
-        ideal_dim = 0
-        for key in ideal.iter_basis(n, w):
-            ideal_dim += 1
-            ideal_keys.add(key)
-            if pruner(key) != key:
-                out["retraction_identity"] = False
         hit = set()
-        full_dim = 0
+        for key in ideal.iter_basis(n, w):
+            ideal_keys.add(key)
+            pk = pruner(key)
+            if pk != key:
+                out["retraction_identity"] = False
+            if pk is not None:
+                hit.add(pk)
+        full_dim = unit_free = 0
         rhs_cache = {}
         for g in full.iter_basis(n, w):
             full_dim += 1
             slots = g[1]
             if 0 not in slots:
-                # unit-free generators: pruning is the identity and the two
-                # complexes share the face code, so the identity is immediate
-                hit.add(g)
+                # unit-free generators are the ideal generators: their
+                # pruned images were taken above, and the two complexes
+                # share the face code, so the chain map law is immediate
+                unit_free += 1
+                if g not in ideal_keys:
+                    out["surjective"] = False
                 continue
             pg = pruner(g)
             if pg is not None:
                 hit.add(pg)
             if n >= 1:
                 lhs = {}
+                get = lhs.get
                 for tkey, c in full.boundary_terms(g).items():
                     pt = pruner(tkey)
-                    if pt is None:
-                        continue
-                    s = field.add(lhs.get(pt, zero), c)
-                    if s == zero:
-                        lhs.pop(pt, None)
-                    else:
-                        lhs[pt] = s
+                    if pt is not None:
+                        lhs[pt] = get(pt, 0) + c
+                lhs = field.normal_terms(lhs)
                 if pg is None:
                     rhs = {}
                 elif pg in rhs_cache:
@@ -399,9 +399,9 @@ def prune_split_certificates(alg, coeffs, w, top, normalized=True):
                     rhs = rhs_cache[pg] = ideal.boundary_terms(pg)
                 if lhs != rhs:
                     out["chain_map"] = False
-        if hit != ideal_keys:
+        if hit != ideal_keys or unit_free != len(ideal_keys):
             out["surjective"] = False
-        out["dims"].append((full_dim, ideal_dim))
+        out["dims"].append((full_dim, len(ideal_keys)))
     return out
 
 

@@ -6,7 +6,6 @@ with (sigma tau)(x) = sigma(tau(x)).  Shuffle elements are signed sums over
 the permutations that are increasing on the first i and last n-i positions.
 """
 
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -157,7 +156,10 @@ class GroupAlgebraElement:
             f, self.n, {p: f.mul(c, v) for p, v in self.coeffs.items()})
 
     def mul(self, other):
-        """Convolution product.
+        """Convolution product, fraction-free: the coefficients of each
+        factor are read as integers over a common denominator, the
+        products are summed as ints, and each coefficient of the result
+        is formed once.
 
         Large products in small symmetric groups go through the cached
         composition table, accumulating into an index-addressed vector;
@@ -165,29 +167,25 @@ class GroupAlgebraElement:
         """
         self._check(other)
         f = self.field
-        zero = f.zero
-        if self.n <= 6 and len(self.coeffs) * len(other.coeffs) >= 20000:
+        left, da = f.scaled(self.coeffs)
+        right, db = f.scaled(other.coeffs)
+        if self.n <= 6 and len(left) * len(right) >= 20000:
             perms, index, table = _composition_table(self.n)
-            acc = [zero] * len(perms)
-            right = [(index[tau], b) for tau, b in other.coeffs.items()]
-            for sigma, a in self.coeffs.items():
+            acc = [0] * len(perms)
+            right = [(index[tau], b) for tau, b in right.items()]
+            for sigma, a in left.items():
                 row = table[index[sigma]]
                 for j, b in right:
-                    k = row[j]
-                    acc[k] = f.add(acc[k], f.mul(a, b))
-            return GroupAlgebraElement(
-                f, self.n,
-                {perms[k]: v for k, v in enumerate(acc) if v != zero})
-        out = {}
-        for sigma, a in self.coeffs.items():
-            for tau, b in other.coeffs.items():
-                prod = sigma * tau
-                s = f.add(out.get(prod, zero), f.mul(a, b))
-                if s == zero:
-                    out.pop(prod, None)
-                else:
-                    out[prod] = s
-        return GroupAlgebraElement(f, self.n, out)
+                    acc[row[j]] += a * b
+            sums = dict(zip(perms, acc))
+        else:
+            sums = {}
+            get = sums.get
+            for sigma, a in left.items():
+                for tau, b in right.items():
+                    prod = sigma * tau
+                    sums[prod] = get(prod, 0) + a * b
+        return GroupAlgebraElement(f, self.n, f.normal_terms(sums, da * db))
 
     def is_zero(self):
         return not self.coeffs
@@ -251,23 +249,27 @@ _rational_idempotents = {}
 
 
 def _eulerian_over_q(n):
+    """The Eulerian idempotents by Lagrange interpolation in the total
+    shuffle: e_n^(i) = prod_{j != i} (sh - l_j) / (l_i - l_j).  The
+    factors are integer elements and polynomials in sh, so they are
+    multiplied in integers and the product is divided once."""
     if n not in _rational_idempotents:
         unit = GroupAlgebraElement.unit(QQ, n)
         if n == 1:
             _rational_idempotents[n] = [unit]
         else:
             sh = total_shuffle(QQ, n)
+            eigen = [_shuffle_eigenvalue(j) for j in range(1, n + 1)]
+            factors = [sh.sub(unit.scale(lj)) for lj in eigen]
             idems = []
-            for i in range(1, n + 1):
-                li = _shuffle_eigenvalue(i)
-                elem = unit
-                for j in range(1, n + 1):
-                    if j == i:
-                        continue
-                    lj = _shuffle_eigenvalue(j)
-                    factor = sh.sub(unit.scale(QQ.of(lj)))
-                    elem = elem.mul(factor).scale(QQ.of(1, li - lj))
-                idems.append(elem)
+            for i, li in enumerate(eigen):
+                num, den = unit, 1
+                for j, lj in enumerate(eigen):
+                    if j != i:
+                        num = num.mul(factors[j])
+                        den *= li - lj
+                idems.append(GroupAlgebraElement(
+                    QQ, n, QQ.normal_terms(num.coeffs, den)))
             _rational_idempotents[n] = idems
     return _rational_idempotents[n]
 
@@ -290,11 +292,9 @@ def eulerian_idempotents(field, n):
         return rational
     out = []
     for elem in rational:
-        coeffs = {}
-        for perm, c in elem.coeffs.items():
-            frac = Fraction(int(c.numerator), int(c.denominator))
-            coeffs[perm] = field.of_rational(frac.numerator, frac.denominator)
-        out.append(GroupAlgebraElement(field, n, coeffs))
+        out.append(GroupAlgebraElement(field, n, {
+            perm: field.of_rational(c.numerator, c.denominator)
+            for perm, c in elem.coeffs.items()}))
     return out
 
 

@@ -62,21 +62,28 @@ class HochschildComplex(SliceComplex):
     # -- operator actions -------------------------------------------------------
 
     def action_matrix(self, elem, n, w):
-        """The action of a group algebra element on the n slot positions."""
+        """The action of a group algebra element on the n slot positions.
+
+        The coefficients are read as integer numerators over their common
+        denominator (it divides n! for e_n^(i), and is 1 for shuffles and
+        mod p), summed per entry as ints, and each entry is formed once.
+        """
         if elem.n != n:
             raise ValueError("group algebra element size does not match degree")
         f = self.field
+        nums, den = f.scaled(elem.coeffs)
+        # sigma puts slot t at position sigma(t), so position k of the
+        # image reads slot sigma^-1(k)
+        moves = [([v - 1 for v in perm.inverse().image], c)
+                 for perm, c in nums.items()]
         idx = self.index(n, w)
-        entries = {}
+        sums = {}
+        get = sums.get
         for j, (m, slots) in enumerate(self.basis(n, w)):
-            for perm, c in elem.coeffs.items():
-                r = idx[(m, perm.permute_slots(slots))]
-                s = f.add(entries.get((r, j), f.zero), c)
-                if s == f.zero:
-                    entries.pop((r, j), None)
-                else:
-                    entries[(r, j)] = s
-        return SparseMatrix(f, len(idx), len(idx), entries)
+            for src, c in moves:
+                key = (idx[(m, tuple([slots[t] for t in src]))], j)
+                sums[key] = get(key, 0) + c
+        return SparseMatrix(f, len(idx), len(idx), f.normal_terms(sums, den))
 
     def idempotent_matrix(self, n, w, i):
         """Matrix of e_n^(i); degree 0 carries the whole module in the i=1

@@ -17,9 +17,13 @@ against monic pivot rows.
   extend one basis by another (put the preferred columns first).  Kernels
   and solves read it off, and form a rational only there: an entry over
   its row's lead.
+
+Products are fraction-free too: ``SparseMatrix.mul`` multiplies rows and
+columns scaled to integers and forms each nonzero entry of the product
+once, so a product that vanishes (``d∘d``, ``p∘i``) forms no rational.
 """
 
-from math import gcd, lcm
+from math import gcd
 
 
 class SparseMatrix:
@@ -88,12 +92,6 @@ class SparseMatrix:
             rows[i][j] = v
         return rows
 
-    def cols_as_dicts(self):
-        cols = [{} for _ in range(self.ncols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
-        return cols
-
     def column(self, j):
         return {i: v for (i, jj), v in self.entries.items() if jj == j}
 
@@ -128,37 +126,42 @@ class SparseMatrix:
         )
 
     def mul(self, other):
-        """Matrix product self @ other."""
+        """Matrix product self @ other, fraction-free.
+
+        Over Q each row of self and each column of other is scaled to
+        integers by the lcm of its denominators (d_i and e_j), the
+        products are summed as ints, and entry (i, j) is formed once, as
+        s / (d_i e_j); mod p the ints are summed and reduced once.  An
+        entry that cancels to zero forms no field element at all.
+        """
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         f = self.field
-        zero = f.zero
-        other_rows = other.rows_as_dicts()
-        acc = {}
-        for (i, k), a in self.entries.items():
-            for j, b in other_rows[k].items():
-                key = (i, j)
-                s = f.add(acc.get(key, zero), f.mul(a, b))
-                if s == zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        return SparseMatrix(f, self.nrows, other.ncols, acc)
-
-    def apply(self, col):
-        """Matrix-vector product on a column dict {row: value}."""
-        f = self.field
-        zero = f.zero
-        cols = self.cols_as_dicts()
-        acc = {}
-        for k, a in col.items():
-            for i, b in cols[k].items():
-                s = f.add(acc.get(i, zero), f.mul(a, b))
-                if s == zero:
-                    acc.pop(i, None)
-                else:
-                    acc[i] = s
-        return acc
+        cols = [{} for _ in range(other.ncols)]
+        for (k, j), b in other.entries.items():
+            cols[j][k] = b
+        right = [{} for _ in range(other.nrows)]
+        col_dens = []
+        for j, col in enumerate(cols):
+            col, e = f.scaled(col)
+            col_dens.append(e)
+            for k, b in col.items():
+                right[k][j] = b
+        of = f.of
+        out = {}
+        for i, row in enumerate(self.rows_as_dicts()):
+            row, d = f.scaled(row)
+            acc = {}
+            get = acc.get
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    acc[j] = get(j, 0) + a * b
+            for j, s in acc.items():
+                if s:
+                    v = of(s, d * col_dens[j])
+                    if v:
+                        out[(i, j)] = v
+        return SparseMatrix(f, self.nrows, other.ncols, out)
 
     def hstack(self, other):
         if self.nrows != other.nrows:
@@ -236,7 +239,7 @@ class Echelon:
             if not row:
                 continue
             if not p:
-                row = _primitive(row)
+                row = _primitive(field.scaled(row)[0])
             # pivot rows vanish at each other's pivot columns, so clearing
             # one of these columns leaves the others in place
             for c in [c for c in row if c < limit and c in rows]:
@@ -296,11 +299,12 @@ class Echelon:
 
 def rank(matrix):
     """Exact rank over the matrix's field, by forward elimination."""
-    p = matrix.field.characteristic
+    field = matrix.field
+    p = field.characteristic
     pivots = {}  # leading column -> pivot row
     for row in sorted((r for r in matrix.rows_as_dicts() if r), key=len):
         if not p:
-            row = _primitive(row)
+            row = _primitive(field.scaled(row)[0])
         while row:
             lead = min(row)
             piv = pivots.get(lead)
@@ -312,11 +316,7 @@ def rank(matrix):
 
 
 def _primitive(row):
-    """A rational row scaled to an integer row with content 1."""
-    den = lcm(*(v.denominator for v in row.values()))
-    if den != 1:
-        row = {j: v.numerator * (den // v.denominator)
-               for j, v in row.items()}
+    """A nonzero integer row divided by its content."""
     g = gcd(*row.values())
     if g != 1:
         row = {j: v // g for j, v in row.items()}
@@ -368,11 +368,7 @@ def _eliminate(row, piv, c, p):
             row[j] = s
         else:
             del row[j]
-    if row:
-        g = gcd(*row.values())
-        if g != 1:
-            row = {j: v // g for j, v in row.items()}
-    return row
+    return _primitive(row) if row else row
 
 
 def kernel_basis(matrix):

@@ -319,3 +319,56 @@ def test_closed_form_counts_match_the_bases(name):
                     # to 4.3 million elements); they are what the guard
                     # refuses to build
                     assert (n, w) == (4, 4), (cx, n, w, count)
+
+
+def fractional_trunc4(field=QQ):
+    """trunc4 with x*x = (2/3) y and x*y = (5/4) z, over QQ or reduced mod
+    a prime: genuine fractions in every face that multiplies."""
+    from exacthom.algebras import algebra_from_dict
+
+    alg = algebra_from_dict({
+        "name": "trunc4-fractional", "field": "Q",
+        "generators": [{"symbol": "x", "weight": 1},
+                       {"symbol": "y", "weight": 2},
+                       {"symbol": "z", "weight": 3}],
+        "products": [
+            {"left": "x", "right": "x", "result": {"y": "2/3"}},
+            {"left": "x", "right": "y", "result": {"z": "5/4"}},
+            {"left": "y", "right": "x", "result": {"z": "5/4"}}]}, field)
+    assert alg.validate() == []
+    return alg
+
+
+def boundary_terms_per_term(cx, key):
+    """Reference alternating sum: every face term multiplied by its sign
+    and added with field.add, one term at a time."""
+    field = cx.field
+    out = {}
+    sign = field.one
+    for i in range(cx.degree(key) + 1):
+        for tkey, c in cx.face_terms(key, i):
+            s = field.add(out.get(tkey, field.zero), field.mul(sign, c))
+            if s == field.zero:
+                out.pop(tkey, None)
+            else:
+                out[tkey] = s
+        sign = field.neg(sign)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+def test_boundary_terms_match_the_per_term_sum(field):
+    fractions = 0
+    for cx in _every_variant(fractional_trunc4(field)):
+        for n in range(1, 4):
+            for w in range(4):
+                for key in cx.basis(n, w):
+                    terms = cx.boundary_terms(key)
+                    assert terms == boundary_terms_per_term(cx, key)
+                    for v in terms.values():
+                        if field.characteristic:
+                            assert type(v) is int and 0 < v < field.p
+                        else:
+                            assert type(v) is int or v.denominator != 1
+                            fractions += type(v) is not int
+    assert fractions or field.characteristic

@@ -250,9 +250,29 @@ def test_pruning_certificates_catch_a_broken_pruner(monkeypatch):
     alg = preset("trunc3")
     res = prune_split_certificates(alg, Coefficients(alg, "k"), 2, 3)
     assert not res["retraction_identity"]
-    # unit-free generators count as hit without a call to the pruner, so
-    # surjectivity holds only given the retraction law
-    assert res["surjective"]
+    # the lost ideal generators are the pruner's images of nothing
+    assert not res["surjective"]
+
+
+def test_pruning_certificates_catch_a_foreign_unit_free_generator(
+        monkeypatch):
+    # the unit-free full generators stand for their own pruned images only
+    # if they are exactly the ideal generators
+    enumerate_basis = GammaComplex.iter_basis
+
+    def swapped(self, n, w):
+        keys = list(enumerate_basis(self, n, w))
+        if self.variant == "A" and n == 1:
+            i = next(i for i, k in enumerate(keys) if 0 not in k[1])
+            keys[i] = next(k for k in enumerate_basis(self, n, w + 1)
+                           if 0 not in k[1])
+        return iter(keys)
+
+    monkeypatch.setattr(GammaComplex, "iter_basis", swapped)
+    alg = preset("trunc3")
+    res = prune_split_certificates(alg, Coefficients(alg, "k"), 2, 3)
+    assert res["retraction_identity"] and res["chain_map"]
+    assert not res["surjective"]
 
 
 def test_gamma_homology_dual_numbers():

@@ -1,3 +1,8 @@
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -11,6 +16,8 @@ from exacthom.groupalg import (GroupAlgebraElement, Permutation,
                                eulerian_idempotent, eulerian_idempotents,
                                shuffle_annihilating_product, shuffle_element,
                                total_shuffle)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def perms(n):
@@ -172,3 +179,97 @@ def test_shuffle_acts_by_eigenvalue_on_idempotents():
     for i in range(1, 5):
         ei = eulerian_idempotent(QQ, 4, i)
         assert sh.mul(ei) == ei.scale(QQ.of(2**i - 2))
+
+
+# -- the per-term loops that the fraction-free products replaced ----------------
+
+def mul_per_term(x, y):
+    """Reference convolution product: one field.add and field.mul per term."""
+    f = x.field
+    out = {}
+    for sigma, a in x.coeffs.items():
+        for tau, b in y.coeffs.items():
+            prod = sigma * tau
+            s = f.add(out.get(prod, f.zero), f.mul(a, b))
+            if s == f.zero:
+                out.pop(prod, None)
+            else:
+                out[prod] = s
+    return GroupAlgebraElement(f, x.n, out)
+
+
+def eulerian_step_by_step(n):
+    """Reference interpolation: every factor multiplied per term and
+    divided by its eigenvalue difference at once."""
+    unit = GroupAlgebraElement.unit(QQ, n)
+    if n == 1:
+        return [unit]
+    sh = total_shuffle(QQ, n)
+    idems = []
+    for i in range(1, n + 1):
+        li = 2**i - 2
+        elem = unit
+        for j in range(1, n + 1):
+            if j != i:
+                lj = 2**j - 2
+                factor = sh.sub(unit.scale(QQ.of(lj)))
+                elem = mul_per_term(elem, factor).scale(QQ.of(1, li - lj))
+        idems.append(elem)
+    return idems
+
+
+def assert_normal_form(field, elem):
+    for c in elem.coeffs.values():
+        assert c != 0
+        if field.characteristic:
+            assert type(c) is int and 0 < c < field.characteristic
+        else:
+            assert type(c) is int or (type(c) is Fraction
+                                      and c.denominator != 1)
+
+
+def random_element(rng, field, n, size):
+    perms = rng.sample(all_permutations(n), size)
+    if field.characteristic:
+        values = [rng.randrange(field.characteristic) for _ in perms]
+    else:
+        values = [field.of(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 6]))
+                  for _ in perms]
+    return GroupAlgebraElement(field, n, dict(zip(perms, values)))
+
+
+# sizes on both sides of the composition-table threshold (20000 terms)
+@pytest.mark.parametrize("n,size", [(3, 4), (5, 60), (6, 150)])
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2**31 - 1)],
+                         ids=["QQ", "GF(7)", "GF(2^31-1)"])
+def test_mul_matches_the_per_term_product(field, n, size):
+    rng = random.Random(n * 1000 + size)
+    x = random_element(rng, field, n, size)
+    y = random_element(rng, field, n, size)
+    prod = x.mul(y)
+    assert prod == mul_per_term(x, y)
+    assert_normal_form(field, prod)
+    # a product that cancels to zero
+    assert x.mul(y.sub(y)).is_zero()
+    assert x.mul(y).sub(x.mul(y)).is_zero()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_eulerian_interpolation_matches_step_by_step(n):
+    idems = groupalg._eulerian_over_q(n)
+    assert idems == eulerian_step_by_step(n)
+    for e in idems:
+        assert_normal_form(QQ, e)
+
+
+def test_import_builds_no_group_algebra_tables():
+    # set-up time stays free of Sigma_n work: the idempotents and the
+    # composition tables are built on first use, never at import
+    code = ("import exacthom\n"
+            "from exacthom import groupalg\n"
+            "assert not groupalg._rational_idempotents\n"
+            "assert not groupalg._composition_tables\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]

@@ -2,6 +2,7 @@ import pytest
 
 from exacthom.algebras import Coefficients, preset
 from exacthom.fields import GF, QQ
+from exacthom.groupalg import eulerian_idempotents, total_shuffle
 from exacthom.hochschild import (HarrisonQuotient, HochschildComplex,
                                  NormalizedHarrison, aug_split_iso, barr_map,
                                  degenerate_slice, harrison_homology,
@@ -10,6 +11,7 @@ from exacthom.hochschild import (HarrisonQuotient, HochschildComplex,
                                  idempotent_slice, normalized_slice,
                                  shuffle_slice)
 from exacthom.sparse import Echelon, SparseMatrix
+from test_chains import fractional_trunc4
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +198,40 @@ def test_shuffle_plus_quotient_dims_match_full(trunc3_A):
         quot = HarrisonQuotient(trunc3_A, w, 4)
         for n in range(5):
             assert ssl.dims[n] + quot.chain.dims[n] == trunc3_A.dim(n, w)
+
+
+def action_matrix_per_term(hc, elem, n, w):
+    """Reference action: one field.add per (permutation, basis element)."""
+    f = hc.field
+    idx = hc.index(n, w)
+    entries = {}
+    for j, (m, slots) in enumerate(hc.basis(n, w)):
+        for perm, c in elem.coeffs.items():
+            r = idx[(m, perm.permute_slots(slots))]
+            s = f.add(entries.get((r, j), f.zero), c)
+            if s == f.zero:
+                entries.pop((r, j), None)
+            else:
+                entries[(r, j)] = s
+    return SparseMatrix(f, len(idx), len(idx), entries)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+@pytest.mark.parametrize("name", ["trunc3", "fractional trunc4"])
+def test_action_matrix_matches_the_per_term_sum(name, field):
+    alg = preset("trunc3", field) if name == "trunc3" \
+        else fractional_trunc4(field)
+    hc = HochschildComplex(alg, Coefficients(alg, "A"))
+    for n in range(1, 5):
+        elems = list(eulerian_idempotents(field, n))
+        if n >= 2:
+            elems.append(total_shuffle(field, n))
+        for w in range(n + 3):
+            for elem in elems:
+                mat = hc.action_matrix(elem, n, w)
+                assert mat == action_matrix_per_term(hc, elem, n, w)
+                for v in mat.entries.values():
+                    if field.characteristic:
+                        assert type(v) is int and 0 < v < field.p
+                    else:
+                        assert type(v) is int or v.denominator != 1

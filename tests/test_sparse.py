@@ -97,13 +97,6 @@ def test_matrix_algebra():
     assert a.select_columns([1]) == mat([[2], [4]])
 
 
-def test_apply_matches_mul():
-    a = mat([[1, 2, 0], [0, 1, 5]])
-    col = {0: QQ.of(1), 2: QQ.of(2)}
-    out = a.apply(col)
-    assert out == {0: QQ.of(1), 1: QQ.of(10)}
-
-
 def test_entries_bounds_checked():
     with pytest.raises(IndexError):
         SparseMatrix(QQ, 1, 1, {(1, 0): QQ.one})
@@ -200,6 +193,66 @@ def test_forward_rank_matches_echelon(field, kind):
     for _ in range(150):
         m = _structured_matrix(rng, field, kind)
         assert rank(m) == Echelon(m).rank, m.entries
+
+
+def _dense_product(field, a, b):
+    """Reference product: dense rows, one field.add and field.mul per term."""
+    rows = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            s = field.zero
+            for k in range(a.ncols):
+                s = field.add(s, field.mul(a.get(i, k), b.get(k, j)))
+            row.append(s)
+        rows.append(row)
+    return rows
+
+
+def _factor(rng, field, kind, nrows, ncols):
+    """A random sparse factor with some all-zero rows and columns."""
+    zero_rows = set(rng.sample(range(nrows), nrows // 3))
+    zero_cols = set(rng.sample(range(ncols), ncols // 3))
+    return SparseMatrix(field, nrows, ncols, {
+        (i, j): _entry(rng, field, kind)
+        for i in range(nrows) for j in range(ncols)
+        if i not in zero_rows and j not in zero_cols and rng.random() < 0.6})
+
+
+def _check_product(field, a, b):
+    prod = a.mul(b)
+    assert prod.shape == (a.nrows, b.ncols)
+    dense = _dense_product(field, a, b)
+    assert prod.entries == {(i, j): v for i, row in enumerate(dense)
+                            for j, v in enumerate(row) if v != field.zero}
+    for v in prod.entries.values():
+        if field.characteristic:
+            assert type(v) is int and 0 < v < field.p
+        else:
+            assert type(v) is int or v.denominator != 1, v
+    return prod
+
+
+@pytest.mark.parametrize("field,kind", [
+    (QQ, "fractions"), (QQ, "integers"), (QQ, "mixed"),
+    (GF(3), None), (GF(2**31 - 1), None)])
+def test_mul_matches_the_dense_product(field, kind):
+    rng = random.Random(f"mul:{field}:{kind}")
+    minus_one = field.neg(field.one)
+    for _ in range(60):
+        m, k, n = rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 7)
+        a = _factor(rng, field, kind, m, k)
+        b = _factor(rng, field, kind, k, n)
+        _check_product(field, a, b)
+        # [a | a] @ [b; -b] cancels to zero, [a | c] @ [b; -b] = (a - c) b
+        # cancels wherever a and c agree
+        c = SparseMatrix(field, m, k, {
+            key: v if rng.random() < 0.5 else _entry(rng, field, kind)
+            for key, v in a.entries.items()})
+        b_minus_b = b.transpose().hstack(b.scale(minus_one).transpose()) \
+            .transpose()
+        assert _check_product(field, a.hstack(a), b_minus_b).is_zero()
+        _check_product(field, a.hstack(c), b_minus_b)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(2**31 - 1)])
