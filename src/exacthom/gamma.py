@@ -22,10 +22,12 @@ identity and hashing is by object, in strings, basis keys and caches
 alike.  One string recursion, map_strings, builds the strings of either
 category from its hom-sets, and string_count counts them from closed-form
 hom-set sizes, so slice dimensions are known without enumerating a basis.
-What the faces and the pruning of a generator need from its string
-is computed once per string (the face plan) and once per (string, kept
-positions), never per generator; the caches are keyed by morphisms and
-strings only, so they stay bounded by the strings of a slice.
+What the faces of a generator need from its string is computed once per
+string (the face plan), and a restriction once per (surjection, kept
+positions); these caches are keyed by morphisms and strings only, so they
+stay bounded by the strings of a slice.  The pruning check prunes each
+distinct boundary term once, through a memo that lives for one degree of
+one check.
 """
 
 from functools import lru_cache
@@ -298,7 +300,6 @@ def _restrict(f, kept):
     return Surjection(len(image), [relabel[f(p)] for p in kept]), image
 
 
-@lru_cache(maxsize=None)
 def _prune_string(string, kept):
     """Restrict a string to the kept domain positions, re-indexing every
     domain and codomain order-preservingly; returns the pruned string and
@@ -337,6 +338,10 @@ def prune_normalized(key):
     return _prune(key, True)
 
 
+# a memo value that no pruner returns
+_UNSEEN = object()
+
+
 def prune_split_certificates(alg, coeffs, w, top, normalized=True):
     """The pruning-splitting certificates at one weight, checked one
     generator at a time; no matrix is built.
@@ -369,6 +374,9 @@ def prune_split_certificates(alg, coeffs, w, top, normalized=True):
                 hit.add(pk)
         full_dim = unit_free = 0
         rhs_cache = {}
+        # boundary terms recur across the generators of a degree: prune
+        # each distinct one once, and drop the memo with the degree
+        pruned = {}
         for g in full.iter_basis(n, w):
             full_dim += 1
             slots = g[1]
@@ -387,7 +395,9 @@ def prune_split_certificates(alg, coeffs, w, top, normalized=True):
                 lhs = {}
                 get = lhs.get
                 for tkey, c in full.boundary_terms(g).items():
-                    pt = pruner(tkey)
+                    pt = pruned.get(tkey, _UNSEEN)
+                    if pt is _UNSEEN:
+                        pt = pruned[tkey] = pruner(tkey)
                     if pt is not None:
                         lhs[pt] = get(pt, 0) + c
                 lhs = field.normal_terms(lhs)

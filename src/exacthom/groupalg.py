@@ -4,22 +4,46 @@ Conventions.  Permutations act on tensor slots on the left: sigma moves the
 content of slot i to slot sigma(i), so (sigma tau) . t = sigma . (tau . t)
 with (sigma tau)(x) = sigma(tau(x)).  Shuffle elements are signed sums over
 the permutations that are increasing on the first i and last n-i positions.
+
+Permutations are interned on gamma's FiniteMap core: one object per image
+tuple, validated as a bijection when first built, so group algebra
+elements key their coefficients by object.  Products are summed by image
+tuple, and each distinct result is interned once per product.
 """
 
 from itertools import combinations, permutations
 from math import comb, factorial
+from operator import itemgetter
 
 from .fields import QQ
+from .gamma import FiniteMap
 
 
-class Permutation:
-    """A permutation of {1..n}, stored by its image tuple."""
+class Permutation(FiniteMap):
+    """A permutation of {1..n}, the bijective map {1..n} -> {1..n} held by
+    its image tuple, interned like the surjections of gamma: one object per
+    image tuple, so equality is identity and hashing is by object."""
 
-    __slots__ = ("image", "_hash")
+    __slots__ = ()
+    _interned = {}
+    _freeze = tuple
+    _by = "images"
 
-    def __init__(self, image):
-        self.image = tuple(image)
-        self._hash = hash(self.image)
+    def __new__(cls, image):
+        image = tuple(image)
+        return super().__new__(cls, len(image), image)
+
+    def __reduce__(self):
+        return (type(self), (self.images,))
+
+    @staticmethod
+    def _parse(n, image):
+        fibers = [()] * n
+        for i, v in enumerate(image, start=1):
+            if not 1 <= v <= n or fibers[v - 1]:
+                raise ValueError(f"{image} is not a permutation of 1..{n}")
+            fibers[v - 1] = (i,)
+        return image, tuple(fibers)
 
     @classmethod
     def identity(cls, n):
@@ -35,26 +59,24 @@ class Permutation:
         return cls(image)
 
     @property
-    def n(self):
-        return len(self.image)
+    def image(self):
+        return self.images
 
-    def __call__(self, i):
-        return self.image[i - 1]
+    @property
+    def n(self):
+        return self.cod
 
     def __mul__(self, other):
         """Composition self o other: apply `other` first."""
         if self.n != other.n:
             raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(self.image[j - 1] for j in other.image)
+        return Permutation([self.images[j - 1] for j in other.images])
 
     def inverse(self):
-        inv = [0] * self.n
-        for i, j in enumerate(self.image, start=1):
-            inv[j - 1] = i
-        return Permutation(inv)
+        return Permutation([i for (i,) in self.fibers])
 
     def sign(self):
-        image = self.image
+        image = self.images
         n = self.n
         inv = 0
         for a in range(n):
@@ -63,28 +85,16 @@ class Permutation:
                     inv += 1
         return -1 if inv % 2 else 1
 
-    def is_identity(self):
-        return all(v == i for i, v in enumerate(self.image, start=1))
-
     def permute_slots(self, slots):
         """Left action on a tuple: the result holds slots[i-1] at position
         self(i)."""
         out = [None] * self.n
         for i, v in enumerate(slots):
-            out[self.image[i] - 1] = v
+            out[self.images[i] - 1] = v
         return tuple(out)
 
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.image == other.image
-
-    def __hash__(self):
-        return self._hash
-
     def __lt__(self, other):
-        return self.image < other.image
-
-    def __repr__(self):
-        return f"Permutation{self.image}"
+        return self.images < other.images
 
 
 def all_permutations(n):
@@ -95,13 +105,17 @@ _composition_tables = {}
 
 
 def _composition_table(n):
-    """Indexed multiplication table of Sigma_n, built once per n: the
-    permutation list in lexicographic order, the index lookup, and
-    table[i][j] = index of perms[i] * perms[j]."""
+    """Indexed multiplication table of Sigma_n, built once per n from image
+    tuples: the permutation list in lexicographic order, the index of each
+    image tuple, and table[i][j] = index of perms[i] * perms[j]."""
     if n not in _composition_tables:
         perms = all_permutations(n)
-        index = {p: i for i, p in enumerate(perms)}
-        table = [[index[a * b] for b in perms] for a in perms]
+        index = {p.images: i for i, p in enumerate(perms)}
+        # after[j](a.images) is the image of a * perms[j], a tuple (a bare
+        # int when n = 1); perms[0] is the identity
+        after = [itemgetter(*[v - 1 for v in p.images]) for p in perms]
+        by_image = {g(perms[0].images): j for j, g in enumerate(after)}
+        table = [[by_image[g(a.images)] for g in after] for a in perms]
         _composition_tables[n] = (perms, index, table)
     return _composition_tables[n]
 
@@ -133,7 +147,7 @@ class GroupAlgebraElement:
 
     def terms(self):
         """Support in a deterministic order."""
-        return sorted(self.coeffs.items(), key=lambda t: t[0].image)
+        return sorted(self.coeffs.items(), key=lambda t: t[0].images)
 
     def add(self, other):
         self._check(other)
@@ -172,19 +186,25 @@ class GroupAlgebraElement:
         if self.n <= 6 and len(left) * len(right) >= 20000:
             perms, index, table = _composition_table(self.n)
             acc = [0] * len(perms)
-            right = [(index[tau], b) for tau, b in right.items()]
+            right = [(index[tau.images], b) for tau, b in right.items()]
             for sigma, a in left.items():
-                row = table[index[sigma]]
+                row = table[index[sigma.images]]
                 for j, b in right:
                     acc[row[j]] += a * b
             sums = dict(zip(perms, acc))
         else:
+            # products are summed by image tuple, and each distinct one
+            # is interned once at the end
             sums = {}
             get = sums.get
+            right = [(tuple([v - 1 for v in tau.images]), b)
+                     for tau, b in right.items()]
             for sigma, a in left.items():
-                for tau, b in right.items():
-                    prod = sigma * tau
+                at = sigma.images.__getitem__
+                for tau, b in right:
+                    prod = tuple(map(at, tau))
                     sums[prod] = get(prod, 0) + a * b
+            sums = {Permutation(image): s for image, s in sums.items()}
         return GroupAlgebraElement(f, self.n, f.normal_terms(sums, da * db))
 
     def is_zero(self):
@@ -202,7 +222,7 @@ class GroupAlgebraElement:
             raise ValueError("group algebra elements live in different Sigma_n")
 
     def __repr__(self):
-        parts = [f"{c}*{p.image}" for p, c in self.terms()]
+        parts = [f"{c}*{p.images}" for p, c in self.terms()]
         return " + ".join(parts) if parts else "0"
 
 

@@ -129,7 +129,8 @@ class SparseMatrix:
         """Matrix product self @ other, fraction-free.
 
         Over Q each row of self and each column of other is scaled to
-        integers by the lcm of its denominators (d_i and e_j), the
+        integers by the lcm of its denominators (d_i and e_j; every e_j is
+        1 when other holds only ints, and then no column is scaled), the
         products are summed as ints, and entry (i, j) is formed once, as
         s / (d_i e_j); mod p the ints are summed and reduced once.  An
         entry that cancels to zero forms no field element at all.
@@ -137,16 +138,22 @@ class SparseMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         f = self.field
-        cols = [{} for _ in range(other.ncols)]
-        for (k, j), b in other.entries.items():
-            cols[j][k] = b
         right = [{} for _ in range(other.nrows)]
-        col_dens = []
-        for j, col in enumerate(cols):
-            col, e = f.scaled(col)
-            col_dens.append(e)
-            for k, b in col.items():
+        if all(type(b) is int for b in other.entries.values()):
+            # an integer factor (always so mod p) needs no column scaling
+            for (k, j), b in other.entries.items():
                 right[k][j] = b
+            col_dens = [1] * other.ncols
+        else:
+            cols = [{} for _ in range(other.ncols)]
+            for (k, j), b in other.entries.items():
+                cols[j][k] = b
+            col_dens = []
+            for j, col in enumerate(cols):
+                col, e = f.scaled(col)
+                col_dens.append(e)
+                for k, b in col.items():
+                    right[k][j] = b
         of = f.of
         out = {}
         for i, row in enumerate(self.rows_as_dicts()):

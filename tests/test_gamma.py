@@ -13,6 +13,7 @@ from exacthom.chains import (ChainSlice, basis_map_matrix, check_chain_map,
 from exacthom.cli import main
 from exacthom.fields import GF, QQ
 from exacthom import gamma
+from exacthom.groupalg import Permutation
 from exacthom.gamma import (GammaComplex, Surjection, gamma_homology,
                             induced_tensor_map, ith_component,
                             prune_generator, prune_normalized,
@@ -254,6 +255,32 @@ def test_pruning_certificates_catch_a_broken_pruner(monkeypatch):
     assert not res["surjective"]
 
 
+def test_pruning_check_prunes_each_boundary_term_once_per_degree(
+        monkeypatch):
+    prune = gamma.prune_normalized
+    calls = []
+
+    def counted(key):
+        calls.append(key)
+        return prune(key)
+
+    monkeypatch.setattr(gamma, "prune_normalized", counted)
+    alg = preset("trunc3")
+    co = Coefficients(alg, "k")
+    res = prune_split_certificates(alg, co, 3, 4)
+    assert res["retraction_identity"] and res["chain_map"]
+    assert res["surjective"]
+    # one call per ideal generator, per full generator carrying a unit,
+    # and per distinct boundary term of those generators in each degree
+    full = GammaComplex(alg, co, "A")
+    expected = 0
+    for n in range(5):
+        with_unit = [g for g in full.iter_basis(n, 3) if 0 in g[1]]
+        terms = {t for g in with_unit if n for t in full.boundary_terms(g)}
+        expected += res["dims"][n][1] + len(with_unit) + len(terms)
+    assert len(calls) == expected
+
+
 def test_pruning_certificates_catch_a_foreign_unit_free_generator(
         monkeypatch):
     # the unit-free full generators stand for their own pruned images only
@@ -370,9 +397,9 @@ def test_gamma_homology_prime_field_matches_rational():
 
 # -- interning ---------------------------------------------------------------
 
-# (class, cod, data, is the identity) for both classes built on the
+# (class, cod, data, is the identity) for the three classes built on the
 # interning core; the surjections keep the test ids they had before the
-# fiber-ordered maps joined them
+# other classes joined them
 VALID = [
     pytest.param(Surjection, 2, (1, 2), True, id="2-images0"),
     pytest.param(Surjection, 1, (1, 1), False, id="1-images1"),
@@ -385,14 +412,23 @@ VALID = [
     # delta_face(2, 1), which is not an epimorphism
     pytest.param(FiberOrderedMap, 3, ((), (1,), (2,)), False,
                  id="fom-delta_face"),
+    pytest.param(Permutation, 1, (1,), True, id="perm-one"),
+    pytest.param(Permutation, 3, (1, 2, 3), True, id="perm-identity"),
+    pytest.param(Permutation, 3, (2, 3, 1), False, id="perm-cycle"),
+    pytest.param(Permutation, 4, (1, 2, 4, 3), False, id="perm-swap"),
 ]
+
+
+def _build(cls, cod, data):
+    # a permutation is built from its image tuple alone: cod is its length
+    return cls(data) if cls is Permutation else cls(cod, data)
 
 
 @pytest.mark.parametrize("cls,cod,data,is_id", VALID)
 def test_surjection_is_interned(cls, cod, data, is_id):
-    s = cls(cod, data)
-    assert cls(cod, [list(d) if isinstance(d, tuple) else d
-                     for d in data]) is s
+    s = _build(cls, cod, data)
+    assert _build(cls, cod, [list(d) if isinstance(d, tuple) else d
+                             for d in data]) is s
     assert s.cod == cod and getattr(s, cls._by) == data
     assert s.dom == len(s.images) == sum(map(len, s.fibers))
     assert s.is_identity() == is_id
@@ -407,19 +443,22 @@ def test_surjection_is_interned(cls, cod, data, is_id):
     pytest.param(Surjection, 3, (1, 3, 1), id="3-images3"),
     pytest.param(FiberOrderedMap, 2, ((1,), (1,)), id="fom-overlap"),
     pytest.param(FiberOrderedMap, 2, ((1, 2),), id="fom-fiber-count"),
-    pytest.param(FiberOrderedMap, 1, ((1, 3),), id="fom-gap")])
+    pytest.param(FiberOrderedMap, 1, ((1, 3),), id="fom-gap"),
+    pytest.param(Permutation, 3, (1, 1, 2), id="perm-repeat"),
+    pytest.param(Permutation, 2, (0, 1), id="perm-zero"),
+    pytest.param(Permutation, 2, (1, 3), id="perm-outside")])
 def test_invalid_surjection_rejected_and_not_interned(cls, cod, data):
     with pytest.raises(ValueError):
-        cls(cod, data)
+        _build(cls, cod, data)
     assert (cod, data) not in cls._interned
     with pytest.raises(ValueError):
-        cls(cod, data)
+        _build(cls, cod, data)
 
 
 @pytest.mark.parametrize("cls,cod,data,is_id", VALID)
 def test_pickle_and_copy_return_the_interned_surjection(cls, cod, data,
                                                        is_id):
-    s = cls(cod, data)
+    s = _build(cls, cod, data)
     assert pickle.loads(pickle.dumps(s)) is s
     assert copy.copy(s) is s
     assert copy.deepcopy(s) is s
@@ -549,7 +588,10 @@ def test_plans_match_the_definition_on_trunc3_basis_keys(normalized):
 
 
 def test_plan_caches_are_keyed_by_morphisms_and_strings():
-    for cache in (gamma._face_plan, gamma._restrict, gamma._prune_string):
+    # pruned strings are not cached per process: the pruning check keeps
+    # its own memo of pruned terms for one degree
+    assert not hasattr(gamma._prune_string, "cache_info")
+    for cache in (gamma._face_plan, gamma._restrict):
         cache.cache_clear()
     alg = preset("trunc3")
     res = prune_split_certificates(alg, Coefficients(alg, "k"), 3, 4)

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -263,13 +264,25 @@ def test_eulerian_interpolation_matches_step_by_step(n):
 
 
 def test_import_builds_no_group_algebra_tables():
-    # set-up time stays free of Sigma_n work: the idempotents and the
-    # composition tables are built on first use, never at import
+    # set-up time stays free of Sigma_n work: the idempotents, the
+    # composition tables and the permutations themselves are built on
+    # first use, never at import
     code = ("import exacthom\n"
             "from exacthom import groupalg\n"
             "assert not groupalg._rational_idempotents\n"
-            "assert not groupalg._composition_tables\n")
+            "assert not groupalg._composition_tables\n"
+            "assert not groupalg.Permutation._interned\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-3000:]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_composition_table_matches_composition(n):
+    perms, index, table = groupalg._composition_table(n)
+    assert [p.images for p in perms] == list(permutations(range(1, n + 1)))
+    for i, a in enumerate(perms):
+        assert index[a.images] == i
+        for j, b in enumerate(perms):
+            assert perms[table[i][j]] is a * b
