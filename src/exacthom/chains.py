@@ -118,11 +118,10 @@ class ChainSlice:
     checked to vanish at construction.
     """
 
-    def __init__(self, field, dims, boundaries, labels=None, check=True):
+    def __init__(self, field, dims, boundaries, check=True):
         self.field = field
         self.dims = list(dims)
         self.boundaries = dict(boundaries)
-        self.labels = labels
         self.top = len(self.dims) - 1
         for n, mat in self.boundaries.items():
             if not 1 <= n <= self.top:
@@ -208,16 +207,32 @@ def _degree_homology(sl, n):
     return DegreeHomology(n, cyc.ncols, rank(bnd), reps).checked()
 
 
-def span_slice(boundary, reps):
-    """ChainSlice of the subcomplex spanned by the columns of reps[n] in
-    each degree n, where boundary(n) is the ambient boundary matrix: d_n
-    is expressed in the chosen bases, and solving certifies that the span
-    is closed under the boundary."""
+def coords(basis, vectors, modulo=None):
+    """Coordinates of the columns of vectors in the columns of basis,
+    modulo the span of the columns of modulo: solve [modulo | basis] x =
+    vectors and keep the basis rows.  The columns of basis must be
+    independent modulo that span; a column of vectors outside the joint
+    span raises ValueError."""
+    if modulo is None:
+        return solve_batch(basis, vectors)[0]
+    sol, _ = solve_batch(modulo.hstack(basis), vectors)
+    return sol.row_block(modulo.ncols, sol.nrows)
+
+
+def span_slice(boundary, reps, modulo=None):
+    """ChainSlice spanned by the columns of reps[n] in each degree n, where
+    boundary(n) is the ambient boundary matrix.  Without modulo this is the
+    subcomplex those columns span; with modulo it is the subquotient by the
+    subcomplex spanned by the columns of modulo[n].  d_n is expressed in
+    the chosen bases, d_n = coords(reps[n-1], boundary(n) reps[n],
+    modulo[n-1]), and solving certifies that the span is closed under the
+    boundary."""
     bounds = {}
     for n in range(1, len(reps)):
         image = boundary(n).mul(reps[n])
         try:
-            bounds[n], _ = solve_batch(reps[n - 1], image)
+            bounds[n] = coords(reps[n - 1], image,
+                               modulo[n - 1] if modulo else None)
         except ValueError as exc:
             raise CertificationError(
                 f"boundary leaves the subcomplex at degree {n}: {exc}"
@@ -247,10 +262,7 @@ class HomologyBases:
         """Homology coordinates of cycle columns: express each column as a
         combination of the chosen representatives plus a boundary, and
         return the representative coefficients (dim H_n x ncols)."""
-        reps = self.reps(n)
-        bnd = self.slice.boundary(n + 1)
-        sol, _ = solve_batch(reps.hstack(bnd), vectors)
-        return sol.row_block(0, reps.ncols)
+        return coords(self.reps(n), vectors, self.slice.boundary(n + 1))
 
 
 def check_chain_map(f, src, dst):

@@ -202,8 +202,3 @@ def field_from_name(name):
     if name.startswith("Fp:"):
         return GF(int(name[3:]))
     raise ValueError(f"unknown field {name!r} (expected 'Q' or 'Fp:<p>')")
-
-
-def rational_parts(a):
-    """Numerator and denominator of a rational field element."""
-    return a.numerator, a.denominator

@@ -166,14 +166,6 @@ def strings_to_point(x, n, normalized=True):
     return map_strings(surjections, x, n, True, normalized)
 
 
-def induced_tensor_map(alg, f, slots):
-    """Image of a basic tensor under a surjection: output slot j is the
-    product over the fiber of j.  Returns [(out_slots, coeff)] terms."""
-    if len(slots) != f.dom:
-        raise ValueError("tensor length does not match the surjection")
-    return alg.map_tensor(f, slots)
-
-
 def ith_component(string, i):
     """The part of (f_1, .., f_n) lying over element i of the domain of the
     last morphism: the restricted, order-preservingly re-indexed string of

@@ -8,11 +8,11 @@ add up to w.  Bases are ordered lexicographically so all matrices are
 reproducible.
 """
 
-from .chains import (CertificationError, ChainSlice, SliceComplex,
-                     check_chain_map, span_slice)
+from .chains import (CertificationError, SliceComplex, check_chain_map,
+                     coords, span_slice)
 from .groupalg import eulerian_idempotent, total_shuffle
 from .sparse import (SparseMatrix, extend_basis_columns, image_pivot_columns,
-                     rank, solve_batch)
+                     rank)
 
 
 class HochschildComplex(SliceComplex):
@@ -115,54 +115,39 @@ def is_ideal_only(key):
     return all(v != 0 for v in key[1])
 
 
-def _restrict_boundary(hc, n, w, rows, cols, require_closed=True):
-    """Submatrix of the full boundary on selected coordinates; complains if
-    a column leaks outside the selected rows."""
-    full = hc.boundary(n, w)
-    rowpos = {r: t for t, r in enumerate(rows)}
-    colset = {c: t for t, c in enumerate(cols)}
-    entries = {}
-    for (r, c), v in full.entries.items():
-        j = colset.get(c)
-        if j is None:
-            continue
-        i = rowpos.get(r)
-        if i is None:
-            if require_closed:
-                raise CertificationError(
-                    f"boundary leaves the subcomplex at degree {n}, weight {w}")
-            continue
-        entries[(i, j)] = v
-    return SparseMatrix(hc.field, len(rows), len(cols), entries)
+def _basis_columns(hc, w, top, keep):
+    """Per degree, the identity columns of the basis elements selected by
+    `keep`."""
+    reps = []
+    for n in range(top + 1):
+        ident = SparseMatrix.identity(hc.field, hc.dim(n, w))
+        reps.append(ident.select_columns(
+            [j for j, k in enumerate(hc.basis(n, w)) if keep(k)]))
+    return reps
 
 
-def structural_slice(hc, w, top, keep, require_closed=True):
-    """ChainSlice spanned by the basis elements selected by `keep`,
-    together with their positions in the full basis."""
-    indices = [[j for j, k in enumerate(hc.basis(n, w)) if keep(k)]
-               for n in range(top + 1)]
-    dims = [len(ix) for ix in indices]
-    bounds = {
-        n: _restrict_boundary(hc, n, w, indices[n - 1], indices[n],
-                              require_closed)
-        for n in range(1, top + 1)
-    }
-    return ChainSlice(hc.field, dims, bounds), indices
+def _span_of_keys(hc, w, top, keep, modulo=None):
+    """ChainSlice spanned by the basis elements selected by `keep`
+    (modulo those selected by `modulo`), with its representative columns
+    in full coordinates."""
+    reps = _basis_columns(hc, w, top, keep)
+    mod = modulo and _basis_columns(hc, w, top, modulo)
+    return span_slice(lambda n: hc.boundary(n, w), reps, mod), reps
 
 
 def degenerate_slice(hc, w, top):
-    return structural_slice(hc, w, top, is_degenerate)
+    return _span_of_keys(hc, w, top, is_degenerate)
 
 
 def ideal_slice(hc, w, top):
     """The complex C(I, M) sitting inside C(A, M) on unit-free tensors."""
-    return structural_slice(hc, w, top, is_ideal_only)
+    return _span_of_keys(hc, w, top, is_ideal_only)
 
 
 def normalized_slice(hc, w, top):
     """The normalized complex: quotient of the full complex by the
     degenerate part, in coordinates of the unit-free basis elements."""
-    return structural_slice(hc, w, top, is_ideal_only, require_closed=False)
+    return _span_of_keys(hc, w, top, is_ideal_only, modulo=is_degenerate)
 
 
 def aug_split_iso(hc, w, top):
@@ -229,41 +214,19 @@ def idempotent_dims_complete(hc, w, top):
 # -- the Harrison quotient -------------------------------------------------------
 
 class HarrisonQuotient:
-    """C(A, M) / im(sh), in coordinates given by a complement of the shuffle
-    image inside the standard basis."""
+    """C(A, M) / im(sh), in coordinates given by the standard basis
+    elements that complete the shuffle image to a basis."""
 
     def __init__(self, hc, w, top):
-        self.hc = hc
-        self.w = w
-        self.top = top
-        field = hc.field
-        self.shuffle_reps = []
-        self.class_indices = []   # positions of the chosen complement keys
-        self._solvers = []
+        self.shuffle_reps, self.reps = [], []
         for n in range(top + 1):
             sreps = _image_reps(hc.shuffle_matrix(n, w))
-            full_id = SparseMatrix.identity(field, hc.dim(n, w))
-            classes = extend_basis_columns(sreps, full_id)
+            full_id = SparseMatrix.identity(hc.field, hc.dim(n, w))
             self.shuffle_reps.append(sreps)
-            self.class_indices.append(classes)
-        dims = [len(c) for c in self.class_indices]
-        bounds = {}
-        for n in range(1, top + 1):
-            cols = hc.boundary(n, w).select_columns(
-                [c for c in self.class_indices[n]])
-            bounds[n] = self.project(n - 1, cols)
-        self.chain = ChainSlice(field, dims, bounds)
-
-    def project(self, n, vectors):
-        """Quotient coordinates of full-coordinate columns at degree n."""
-        sreps = self.shuffle_reps[n]
-        classes = self.class_indices[n]
-        field = self.hc.field
-        basis = sreps.hstack(SparseMatrix(
-            field, self.hc.dim(n, self.w), len(classes),
-            {(r, t): field.one for t, r in enumerate(classes)}))
-        sol, _ = solve_batch(basis, vectors)
-        return sol.row_block(sreps.ncols, sol.nrows)
+            self.reps.append(full_id.select_columns(
+                extend_basis_columns(sreps, full_id)))
+        self.chain = span_slice(lambda n: hc.boundary(n, w), self.reps,
+                                self.shuffle_reps)
 
 
 def barr_map(hc, w, top):
@@ -275,7 +238,8 @@ def barr_map(hc, w, top):
     """
     e1_chain, e1_reps = idempotent_slice(hc, w, top, 1)
     quot = HarrisonQuotient(hc, w, top)
-    mats = [quot.project(n, e1_reps[n]) for n in range(top + 1)]
+    mats = [coords(quot.reps[n], e1_reps[n], quot.shuffle_reps[n])
+            for n in range(top + 1)]
     return mats, e1_chain, quot
 
 
@@ -286,10 +250,11 @@ class NormalizedHarrison:
     comparison maps materialized as matrices.
 
     Per degree: columns of `c_reps`, `i_reps`, `d_reps` are bases (in full
-    slice coordinates) of e^(i)C(A,M), e^(i)C(I,M) and e^(i)D(A,M); the
-    maps inclusion/quotient/collapse are computed by solving against these
-    bases, and the composite collapse o quotient o inclusion is certified
-    to be the identity.
+    slice coordinates) of e^(i)C(A,M), e^(i)C(I,M) and e^(i)D(A,M), and
+    the columns of `q_reps` (those of c_reps extending d_reps) span the
+    quotient e^(i)C(A,M)/e^(i)D(A,M); the maps inclusion/quotient/collapse
+    are coordinates in these bases, and the composite collapse o quotient
+    o inclusion is certified to be the identity.
     """
 
     def __init__(self, hc, w, top, i=1):
@@ -297,10 +262,8 @@ class NormalizedHarrison:
         self.w = w
         self.top = top
         self.i = i
-        field = hc.field
-        self.c_reps, self.i_reps, self.d_reps = [], [], []
+        self.c_reps, self.i_reps, self.d_reps, self.q_reps = [], [], [], []
         self.inclusion, self.quotient, self.collapse = [], [], []
-        self.quot_sections = []
         for n in range(top + 1):
             pmat = hc.idempotent_matrix(n, w, i)
             keys = hc.basis(n, w)
@@ -318,43 +281,26 @@ class NormalizedHarrison:
                 raise CertificationError(
                     f"e^({i}) ideal and degenerate parts are not independent "
                     f"at degree {n}")
-            # inclusion of the ideal part, in e^(i)C coordinates
-            inc, _ = solve_batch(c_reps, i_reps)
-            # quotient by the degenerate part: classes of the columns of
-            # c_reps extending d_reps
-            ext = extend_basis_columns(d_reps, c_reps)
-            section = SparseMatrix(
-                field, c_reps.ncols, len(ext),
-                {(r, t): field.one for t, r in enumerate(ext)})
-            dc = d_reps.hstack(c_reps.select_columns(ext))
-            sol, _ = solve_batch(dc, c_reps)
-            quo = sol.row_block(d_reps.ncols, sol.nrows)
-            # collapse of the quotient onto the ideal part
-            idp = i_reps.hstack(d_reps)
-            sol, _ = solve_batch(idp, c_reps.select_columns(ext))
-            col = sol.row_block(0, i_reps.ncols)
+            # the quotient by the degenerate part is spanned by the columns
+            # of c_reps extending d_reps
+            q_reps = c_reps.select_columns(
+                extend_basis_columns(d_reps, c_reps))
             self.c_reps.append(c_reps)
             self.i_reps.append(i_reps)
             self.d_reps.append(d_reps)
-            self.inclusion.append(inc)
-            self.quotient.append(quo)
-            self.collapse.append(col)
-            self.quot_sections.append(section)
+            self.q_reps.append(q_reps)
+            self.inclusion.append(coords(c_reps, i_reps))
+            self.quotient.append(coords(q_reps, c_reps, d_reps))
+            # collapse of the quotient onto the ideal part
+            self.collapse.append(coords(i_reps, q_reps, d_reps))
+
         def boundary(n):
             return hc.boundary(n, w)
 
         self.c_chain = span_slice(boundary, self.c_reps)
         self.i_chain = span_slice(boundary, self.i_reps)
         self.d_chain = span_slice(boundary, self.d_reps)
-        self.quot_chain = self._quotient_chain()
-
-    def _quotient_chain(self):
-        dims = [q.nrows for q in self.quotient]
-        bounds = {}
-        for n in range(1, self.top + 1):
-            bounds[n] = self.quotient[n - 1].mul(
-                self.c_chain.boundary(n).mul(self.quot_sections[n]))
-        return ChainSlice(self.hc.field, dims, bounds)
+        self.quot_chain = span_slice(boundary, self.q_reps, self.d_reps)
 
     def composite_is_identity(self):
         """The collapse-quotient-inclusion composite on e^(i)C(I,M)."""

@@ -212,20 +212,6 @@ def b_sym_words(f, words):
         for fb in f.fibers)
 
 
-def b_sym_apply(alg, f, slots, ideal_only=True):
-    """The bar construction on basic tensors: output slot j is the ordered
-    product along the fiber of j.  Returns [(out_slots, coeff)] terms.
-
-    With ideal_only=True (the augmentation-ideal functor) an empty fiber is
-    rejected: it would need the unit, which the ideal does not contain.
-    """
-    if len(slots) != f.dom:
-        raise ValueError("tensor length does not match the morphism")
-    if ideal_only and not f.is_epi():
-        raise ValueError("the ideal bar construction needs an epimorphism")
-    return alg.map_tensor(f, slots)
-
-
 # -- strings of epimorphisms -----------------------------------------------------
 
 def epi_strings(x, n, to_point=False, normalized=True):

@@ -34,6 +34,16 @@ def _require_characteristic(field, n, suite):
             f"needs a field characteristic above {n}; got {p}")
 
 
+def _require_boundaries(max_n, suite):
+    """Chain-map, commutation and acyclicity checks compare boundaries,
+    which start at degree 1; below it they would pass having compared
+    nothing."""
+    if max_n < 1:
+        raise BoundsError(
+            f"suite {suite} compares boundaries and needs a maximum degree "
+            f"of at least 1; got {max_n}")
+
+
 class Check:
     __slots__ = ("name", "ok", "witness")
 
@@ -85,6 +95,7 @@ def _hochschild_setups(config):
 def suite_hodge(config):
     max_n = config.get("max_degree", 5)
     max_w = config.get("max_weight", 5)
+    _require_boundaries(max_n, "hodge")
     _require_characteristic(config.get("field", QQ), max_n, "hodge")
     checks = []
     for alg, co in _hochschild_setups(config):
@@ -104,6 +115,7 @@ def suite_hodge(config):
 def suite_augsplit(config):
     max_n = config.get("max_degree", 5)
     max_w = config.get("max_weight", 5)
+    _require_boundaries(max_n, "augsplit")
     checks = []
     for alg, co in _hochschild_setups(config):
         hc = HochschildComplex(alg, co)
@@ -123,6 +135,7 @@ def suite_harrison(config):
     max_n = config.get("max_degree", 4)
     max_w = config.get("max_weight", 4)
     idems = config.get("idempotents", (1, 2, 3))
+    _require_boundaries(max_n, "harrison")
     # harrison_homology builds slices one degree past max_n
     _require_characteristic(config.get("field", QQ), max_n + 1, "harrison")
     checks = []
@@ -188,6 +201,7 @@ def suite_pruning(config):
     max_w = config.get("max_weight", 4)
     presets_ = config.get("presets", ["dual-numbers", "trunc3"])
     field = config.get("field", QQ)
+    _require_boundaries(max_n, "pruning")
     checks = []
     for name in presets_:
         alg = preset(name, field)
@@ -238,6 +252,7 @@ def suite_comparison(config):
     max_w = config.get("max_weight", 3)
     presets_ = config.get("presets", ["dual-numbers", "trunc3"])
     field = config.get("field", QQ)
+    _require_boundaries(max_n, "comparison")
     checks = []
     for name in presets_:
         alg = preset(name, field)

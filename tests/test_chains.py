@@ -233,6 +233,14 @@ def test_span_slice_rejects_a_span_not_closed_under_the_boundary():
     reps = [SparseMatrix.zeros(QQ, 1, 0), mat([[1], [0]])]
     with pytest.raises(CertificationError, match="degree 1"):
         span_slice(lambda n: d1, reps)
+    # C_1 = <a>, C_0 = <c, e, f>, d(a) = c + f: the span of a modulo the
+    # span of e is not closed, modulo the span of f it is
+    d1 = mat([[1], [0], [1]])
+    reps = [mat([[1], [0], [0]]), mat([[1]])]
+    with pytest.raises(CertificationError, match="degree 1"):
+        span_slice(lambda n: d1, reps, [mat([[0], [1], [0]]), None])
+    sl = span_slice(lambda n: d1, reps, [mat([[0], [0], [1]]), None])
+    assert sl.boundary(1) == mat([[1]])
     # the error class is still reachable from the Hochschild module
     assert hochschild.CertificationError is CertificationError
 

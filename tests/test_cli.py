@@ -311,6 +311,16 @@ def test_verify_over_too_small_characteristic_rejected(capsys, suite):
     assert "characteristic" in line and suite in line
 
 
+@pytest.mark.parametrize("suite", ["hodge", "augsplit", "harrison",
+                                   "pruning", "comparison"])
+def test_verify_below_degree_one_rejected(capsys, suite):
+    # every check of these suites compares boundaries, which start at
+    # degree 1: at degree 0 they would pass having compared nothing
+    line = run_error(capsys, "verify", "--suite", suite, "--max-degree", "0",
+                     "--max-weight", "1", "--preset", "dual-numbers")
+    assert "degree" in line and suite in line
+
+
 def test_verify_with_nothing_to_check_rejected(capsys):
     line = run_error(capsys, "verify", "--suite", "eulerian", "--max-n", "0")
     assert "nothing to check" in line

@@ -11,7 +11,10 @@ Every elimination case hashes the exact entries of kernel bases, batched
 solves and homology representatives.  Those digests were recorded from
 the Fraction reduced row echelon form that preceded the fraction-free
 ``Echelon``, so any change of a pivot choice or of a rational value that
-a kernel or a solve returns shows up here.
+a kernel or a solve returns shows up here.  The subquotient case (the
+Harrison quotient, the normalized Harrison quotient with its maps, the
+normalized slice) was recorded from the hand-written restrictions and
+solves that preceded ``chains.coords``.
 
 Keys and coefficients are hashed in a canonical plain form (surjections
 and fiber-ordered maps as tuples, field elements through ``to_str``), so
@@ -25,7 +28,8 @@ import pytest
 from exacthom.algebras import Coefficients, algebra_from_dict, preset
 from exacthom.chains import HomologyBases
 from exacthom.gamma import GammaComplex, Surjection
-from exacthom.hochschild import HochschildComplex
+from exacthom.hochschild import (HarrisonQuotient, HochschildComplex,
+                                 NormalizedHarrison, normalized_slice)
 from exacthom.sparse import kernel_basis
 from exacthom.symhom import ComparisonData, FiberOrderedMap, SymmetricComplex
 
@@ -173,6 +177,29 @@ def representatives_digest(cx, max_n, max_w):
     return h.hexdigest()
 
 
+def subquotients_digest(hc, max_w, top):
+    """For every weight up to max_w: the boundaries of the Harrison
+    quotient by shuffles and of the normalized slice, and for i = 1, 2
+    the normalized Harrison quotient complex with its quotient and
+    collapse maps."""
+    h = hashlib.sha256()
+    for w in range(max_w + 1):
+        chains = [("harrison quotient", HarrisonQuotient(hc, w, top).chain),
+                  ("normalized", normalized_slice(hc, w, top)[0])]
+        for tag, sl in chains:
+            for n in range(1, top + 1):
+                _update_matrix(h, (tag, w, n), sl.boundary(n))
+        for i in (1, 2):
+            nh = NormalizedHarrison(hc, w, top, i)
+            for n in range(top + 1):
+                _update_matrix(h, ("quotient", i, w, n), nh.quotient[n])
+                _update_matrix(h, ("collapse", i, w, n), nh.collapse[n])
+                if n >= 1:
+                    _update_matrix(h, ("quotient chain", i, w, n),
+                                   nh.quot_chain.boundary(n))
+    return h.hexdigest()
+
+
 def _fractional_trunc4():
     # trunc4 with x*x = (2/3) y and x*y = (5/4) z: genuine fractions in
     # every boundary that multiplies
@@ -201,6 +228,8 @@ ELIMINATION_CASES = {
         lambda: _hochschild_reps(preset("trunc3")),
     "hochschild fractional trunc4 A representatives":
         lambda: _hochschild_reps(_fractional_trunc4()),
+    "hochschild trunc3 A subquotients":
+        lambda: subquotients_digest(_hochschild("trunc3", "A"), 4, 4),
 }
 
 ELIMINATION_EXPECTED = {
@@ -210,6 +239,8 @@ ELIMINATION_EXPECTED = {
         "d3d337e76210eedb86bd9e3b48f6e012aa8ceb27437ce217ee49db94ffe9c8f3",
     "hochschild trunc3 A representatives":
         "af4f70566adab056960b7a59c80a90747309cc38b61154b3dee872efb7eaa46a",
+    "hochschild trunc3 A subquotients":
+        "f3068820ca0a725ceb0003ef2a2f18fb7a3a91c47dd35c1ce6a4c985bea33a34",
 }
 
 

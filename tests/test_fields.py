@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from exacthom import fields
-from exacthom.fields import GF, QQ, field_from_name, rational_parts
+from exacthom.fields import GF, QQ, field_from_name
 
 
 def test_rational_arithmetic_exact():
@@ -16,8 +16,8 @@ def test_rational_arithmetic_exact():
 
 
 def test_rational_normal_form():
-    num, den = rational_parts(QQ.of(6, -4))
-    assert (num, den) == (-3, 2)
+    a = QQ.of(6, -4)
+    assert (a.numerator, a.denominator) == (-3, 2)
 
 
 def test_rational_parse():

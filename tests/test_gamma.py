@@ -15,7 +15,7 @@ from exacthom.fields import GF, QQ
 from exacthom import gamma
 from exacthom.groupalg import Permutation
 from exacthom.gamma import (GammaComplex, Surjection, gamma_homology,
-                            induced_tensor_map, ith_component,
+                            ith_component,
                             prune_generator, prune_normalized,
                             prune_split_certificates, strings_to_point,
                             surjections)
@@ -48,11 +48,11 @@ def test_surjection_guard():
 def test_induced_tensor_map_examples():
     A = preset("trunc3")
     ident = Surjection(2, (1, 2))
-    assert induced_tensor_map(A, ident, (1, 2)) == [(((1, 2)), QQ.one)]
+    assert A.map_tensor(ident, (1, 2)) == [(((1, 2)), QQ.one)]
     collapse = Surjection(1, (1, 1))
-    assert induced_tensor_map(A, collapse, (1, 1)) == [((2,), QQ.one)]
+    assert A.map_tensor(collapse, (1, 1)) == [((2,), QQ.one)]
     # x * x2 = 0 in trunc3: the term disappears
-    assert induced_tensor_map(A, collapse, (1, 2)) == []
+    assert A.map_tensor(collapse, (1, 2)) == []
 
 
 def test_induced_tensor_map_functorial():
@@ -65,10 +65,10 @@ def test_induced_tensor_map_functorial():
         f = rng.choice(surjections(x, y))
         g = rng.choice(surjections(y, z))
         slots = tuple(rng.randint(0, 3) for _ in range(x))
-        direct = dict(induced_tensor_map(A, g.after(f), slots))
+        direct = dict(A.map_tensor(g.after(f), slots))
         staged = {}
-        for mid, c1 in induced_tensor_map(A, f, slots):
-            for out, c2 in induced_tensor_map(A, g, mid):
+        for mid, c1 in A.map_tensor(f, slots):
+            for out, c2 in A.map_tensor(g, mid):
                 staged[out] = QQ.add(staged.get(out, QQ.zero),
                                      QQ.mul(c1, c2))
         staged = {k: v for k, v in staged.items() if v != QQ.zero}

@@ -8,9 +8,12 @@ from exacthom.hochschild import (HarrisonQuotient, HochschildComplex,
                                  degenerate_slice, harrison_homology,
                                  hochschild_homology, hodge_commutes,
                                  ideal_slice, idempotent_dims_complete,
-                                 idempotent_slice, normalized_slice,
+                                 idempotent_slice, is_degenerate,
+                                 is_ideal_only, normalized_slice,
                                  shuffle_slice)
-from exacthom.sparse import Echelon, SparseMatrix
+from exacthom.chains import HomologyBases
+from exacthom.sparse import (Echelon, SparseMatrix, extend_basis_columns,
+                             image_pivot_columns, kernel_basis, solve_batch)
 from test_chains import fractional_trunc4
 
 
@@ -235,3 +238,125 @@ def test_action_matrix_matches_the_per_term_sum(name, field):
                         assert type(v) is int and 0 < v < field.p
                     else:
                         assert type(v) is int or v.denominator != 1
+
+
+# -- reference subquotients: the hand-written restrictions and solves that
+# preceded chains.coords and the modulo argument of chains.span_slice
+
+def restricted_boundary_reference(hc, n, w, keep):
+    """The full boundary on the basis elements selected by keep, its rows
+    outside them dropped."""
+    rows = [j for j, k in enumerate(hc.basis(n - 1, w)) if keep(k)]
+    cols = [j for j, k in enumerate(hc.basis(n, w)) if keep(k)]
+    rowpos = {r: t for t, r in enumerate(rows)}
+    colpos = {c: t for t, c in enumerate(cols)}
+    entries = {}
+    for (r, c), v in hc.boundary(n, w).entries.items():
+        if c in colpos and r in rowpos:
+            entries[(rowpos[r], colpos[c])] = v
+    return SparseMatrix(hc.field, len(rows), len(cols), entries)
+
+
+def lower_block(a, b, vectors):
+    """Solve [a | b] x = vectors and keep the rows of b."""
+    sol, _ = solve_batch(a.hstack(b), vectors)
+    return sol.row_block(a.ncols, sol.nrows)
+
+
+def upper_block(a, b, vectors):
+    """Solve [a | b] x = vectors and keep the rows of a."""
+    sol, _ = solve_batch(a.hstack(b), vectors)
+    return sol.row_block(0, a.ncols)
+
+
+def image_reps(mat):
+    return mat.select_columns(image_pivot_columns(mat))
+
+
+def harrison_quotient_reference(hc, w, top):
+    """Boundaries of C(A, M)/Sh and its projection, which solves against
+    [shuffle reps | complement identity columns] on every call."""
+    field = hc.field
+    sreps, classes = [], []
+    for n in range(top + 1):
+        sr = image_reps(hc.shuffle_matrix(n, w))
+        full_id = SparseMatrix.identity(field, hc.dim(n, w))
+        sreps.append(sr)
+        classes.append(extend_basis_columns(sr, full_id))
+
+    def project(n, vectors):
+        ident = SparseMatrix(field, hc.dim(n, w), len(classes[n]),
+                             {(r, t): field.one
+                              for t, r in enumerate(classes[n])})
+        return lower_block(sreps[n], ident, vectors)
+
+    bounds = {n: project(n - 1,
+                         hc.boundary(n, w).select_columns(classes[n]))
+              for n in range(1, top + 1)}
+    return bounds, project
+
+
+def normalized_harrison_reference(hc, w, top, i):
+    """quotient, collapse and the quotient boundaries
+    quotient[n-1] . d_n . section, with each map solved by hand."""
+    field = hc.field
+    quotient, collapse, sections = [], [], []
+    for n in range(top + 1):
+        pmat = hc.idempotent_matrix(n, w, i)
+        keys = hc.basis(n, w)
+        c_reps = image_reps(pmat)
+        i_reps = image_reps(pmat.select_columns(
+            [j for j, k in enumerate(keys) if is_ideal_only(k)]))
+        d_reps = image_reps(pmat.select_columns(
+            [j for j, k in enumerate(keys) if is_degenerate(k)]))
+        ext = extend_basis_columns(d_reps, c_reps)
+        sections.append(SparseMatrix(
+            field, c_reps.ncols, len(ext),
+            {(r, t): field.one for t, r in enumerate(ext)}))
+        quotient.append(lower_block(d_reps, c_reps.select_columns(ext),
+                                    c_reps))
+        collapse.append(upper_block(i_reps, d_reps,
+                                    c_reps.select_columns(ext)))
+    c_chain = idempotent_slice(hc, w, top, i)[0]
+    bounds = {n: quotient[n - 1].mul(c_chain.boundary(n).mul(sections[n]))
+              for n in range(1, top + 1)}
+    return quotient, collapse, bounds
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+@pytest.mark.parametrize("kind", ["k", "A"])
+@pytest.mark.parametrize("name", ["dual-numbers", "trunc3"])
+def test_subquotients_match_the_hand_written_reference(name, kind, field):
+    alg = preset(name, field)
+    hc = HochschildComplex(alg, Coefficients(alg, kind))
+    top = 4
+    for w in range(5):
+        for slicer, keep in ((degenerate_slice, is_degenerate),
+                             (ideal_slice, is_ideal_only),
+                             (normalized_slice, is_ideal_only)):
+            sl = slicer(hc, w, top)[0]
+            for n in range(1, top + 1):
+                assert sl.boundary(n) == \
+                    restricted_boundary_reference(hc, n, w, keep)
+        chain = HarrisonQuotient(hc, w, top).chain
+        bounds, project = harrison_quotient_reference(hc, w, top)
+        for n, mat in bounds.items():
+            assert chain.boundary(n) == mat
+        mats, _, _ = barr_map(hc, w, top)
+        e1_reps = idempotent_slice(hc, w, top, 1)[1]
+        for n, mat in enumerate(mats):
+            assert mat == project(n, e1_reps[n])
+        for i in (1, 2):
+            nh = NormalizedHarrison(hc, w, top, i)
+            quotient, collapse, bounds = \
+                normalized_harrison_reference(hc, w, top, i)
+            assert nh.quotient == quotient
+            assert nh.collapse == collapse
+            for n, mat in bounds.items():
+                assert nh.quot_chain.boundary(n) == mat
+        sl = hc.slice(w, top)
+        bases = HomologyBases(sl)
+        for n in range(1, top):
+            cycles = kernel_basis(sl.boundary(n))
+            assert bases.coords(n, cycles) == upper_block(
+                bases.reps(n), sl.boundary(n + 1), cycles)

@@ -12,7 +12,7 @@ from exacthom.fields import GF, QQ
 from exacthom.gamma import GammaComplex
 from exacthom.groupalg import Permutation
 from exacthom.symhom import (ComparisonData, FiberOrderedMap, OrderMap,
-                             SymmetricComplex, b_sym_apply, b_sym_words,
+                             SymmetricComplex, b_sym_words,
                              delta_degeneracy, delta_face, epi_maps,
                              epi_strings, hs0_consistency, phi_matrix,
                              reduced_symmetric_homology, transposition_map)
@@ -211,16 +211,10 @@ def test_bar_words_functorial():
 def test_bar_apply_identity_and_products():
     B = preset("trunc3")
     ident = FiberOrderedMap.identity(2)
-    assert b_sym_apply(B, ident, (1, 2)) == [((1, 2), QQ.one)]
+    assert B.map_tensor(ident, (1, 2)) == [((1, 2), QQ.one)]
     collapse = FiberOrderedMap(1, [(2, 1)])
     # yx evaluated in a commutative algebra equals xy
-    assert b_sym_apply(B, collapse, (1, 1)) == [((2,), QQ.one)]
-
-
-def test_bar_apply_rejects_non_epi():
-    B = preset("trunc3")
-    with pytest.raises(ValueError):
-        b_sym_apply(B, delta_face(1, 1), (1,))
+    assert B.map_tensor(collapse, (1, 1)) == [((2,), QQ.one)]
 
 
 # -- complexes -------------------------------------------------------------------
