@@ -115,15 +115,19 @@ def is_ideal_only(key):
     return all(v != 0 for v in key[1])
 
 
+def _every_key(key):
+    return True
+
+
+def _key_columns(hc, n, w, keep):
+    """Indices of the basis elements of (n, w) selected by `keep`."""
+    return [j for j, k in enumerate(hc.basis(n, w)) if keep(k)]
+
+
 def _basis_columns(hc, w, top, keep):
-    """Per degree, the identity columns of the basis elements selected by
-    `keep`."""
-    reps = []
-    for n in range(top + 1):
-        ident = SparseMatrix.identity(hc.field, hc.dim(n, w))
-        reps.append(ident.select_columns(
-            [j for j, k in enumerate(hc.basis(n, w)) if keep(k)]))
-    return reps
+    """Per degree, the identity columns of the keys `keep` selects."""
+    return [SparseMatrix.identity(hc.field, hc.dim(n, w)).select_columns(
+        _key_columns(hc, n, w, keep)) for n in range(top + 1)]
 
 
 def _span_of_keys(hc, w, top, keep, modulo=None):
@@ -151,16 +155,15 @@ def normalized_slice(hc, w, top):
 
 
 def aug_split_iso(hc, w, top):
-    """Mutually inverse identity matrices between the normalized slice and
-    the ideal-only slice, certified to intertwine the two boundaries."""
+    """The normalized and the ideal-only slices, certified to have the same
+    boundaries: the identity is a chain isomorphism between them."""
     norm, _ = normalized_slice(hc, w, top)
     ideal, _ = ideal_slice(hc, w, top)
     for n in range(1, top + 1):
         if norm.boundary(n) != ideal.boundary(n):
             raise CertificationError(
                 f"normalized and ideal-only boundaries differ at degree {n}")
-    fwd = [SparseMatrix.identity(hc.field, d) for d in norm.dims]
-    return fwd, fwd, norm, ideal
+    return norm, ideal
 
 
 # -- image subcomplexes (shuffle, Eulerian) -------------------------------------
@@ -170,21 +173,33 @@ def _image_reps(mat):
     return mat.select_columns(image_pivot_columns(mat))
 
 
-def _image_slice(hc, w, top, matrix_of):
-    """ChainSlice of the image of a per-degree projector/operator family,
-    with representative columns in full coordinates."""
-    reps = [_image_reps(matrix_of(n)) for n in range(top + 1)]
+def shuffle_slice(hc, w, top):
+    """The shuffle subcomplex: image of the total shuffle operators."""
+    reps = [_image_reps(hc.shuffle_matrix(n, w)) for n in range(top + 1)]
     return span_slice(lambda n: hc.boundary(n, w), reps), reps
 
 
-def shuffle_slice(hc, w, top):
-    """The shuffle subcomplex: image of the total shuffle operators."""
-    return _image_slice(hc, w, top, lambda n: hc.shuffle_matrix(n, w))
+def _eulerian_pieces(hc, w, top, i, keeps):
+    """For each predicate in keeps, the ChainSlice and representative
+    columns (in full coordinates) of the image of e^(i) on the basis
+    elements it selects: e^(i)C(A,M) on all of them, e^(i)C(I,M) on the
+    unit-free ones and e^(i)D(A,M) on the degenerate ones.  Each degree's
+    e^(i) matrix is computed once for all the pieces."""
+    reps = [[] for _ in keeps]
+    for n in range(top + 1):
+        pmat = hc.idempotent_matrix(n, w, i)
+        for piece, keep in zip(reps, keeps):
+            piece.append(_image_reps(
+                pmat.select_columns(_key_columns(hc, n, w, keep))))
+    return [(span_slice(lambda n: hc.boundary(n, w), piece), piece)
+            for piece in reps]
 
 
-def idempotent_slice(hc, w, top, i):
-    """The i-th Eulerian summand e^(i) C(A, M)."""
-    return _image_slice(hc, w, top, lambda n: hc.idempotent_matrix(n, w, i))
+def idempotent_slice(hc, w, top, i, keep=_every_key):
+    """The i-th Eulerian summand e^(i) C(A, M), or with keep=is_ideal_only
+    (is_degenerate) its piece e^(i) C(I, M) (e^(i) D(A, M))."""
+    [piece] = _eulerian_pieces(hc, w, top, i, [keep])
+    return piece
 
 
 def hodge_commutes(hc, w, top, i):
@@ -204,8 +219,7 @@ def idempotent_dims_complete(hc, w, top):
     for n in range(top + 1):
         total = 0
         for i in range(1, max(n, 1) + 1):
-            piv = image_pivot_columns(hc.idempotent_matrix(n, w, i))
-            total += len(piv)
+            total += rank(hc.idempotent_matrix(n, w, i))
         if total != hc.dim(n, w):
             return False
     return True
@@ -250,57 +264,40 @@ class NormalizedHarrison:
     comparison maps materialized as matrices.
 
     Per degree: columns of `c_reps`, `i_reps`, `d_reps` are bases (in full
-    slice coordinates) of e^(i)C(A,M), e^(i)C(I,M) and e^(i)D(A,M), and
-    the columns of `q_reps` (those of c_reps extending d_reps) span the
-    quotient e^(i)C(A,M)/e^(i)D(A,M); the maps inclusion/quotient/collapse
-    are coordinates in these bases, and the composite collapse o quotient
-    o inclusion is certified to be the identity.
+    slice coordinates) of e^(i)C(A,M), e^(i)C(I,M) and e^(i)D(A,M); every
+    basis element is unit-free or degenerate, so the last two span the
+    first, and independently once i + d = c is checked.  The columns of
+    `q_reps` (those of c_reps extending d_reps) span the quotient
+    e^(i)C(A,M)/e^(i)D(A,M); the maps inclusion/quotient/collapse are
+    coordinates in these bases, and the composite collapse o quotient o
+    inclusion is certified to be the identity.
     """
 
     def __init__(self, hc, w, top, i=1):
         self.hc = hc
-        self.w = w
         self.top = top
-        self.i = i
-        self.c_reps, self.i_reps, self.d_reps, self.q_reps = [], [], [], []
-        self.inclusion, self.quotient, self.collapse = [], [], []
-        for n in range(top + 1):
-            pmat = hc.idempotent_matrix(n, w, i)
-            keys = hc.basis(n, w)
-            ideal_cols = [j for j, k in enumerate(keys) if is_ideal_only(k)]
-            degen_cols = [j for j, k in enumerate(keys) if is_degenerate(k)]
-            c_reps = _image_reps(pmat)
-            i_reps = _image_reps(pmat.select_columns(ideal_cols))
-            d_reps = _image_reps(pmat.select_columns(degen_cols))
+        ((self.c_chain, self.c_reps), (self.i_chain, self.i_reps),
+         (self.d_chain, self.d_reps)) = _eulerian_pieces(
+            hc, w, top, i, [_every_key, is_ideal_only, is_degenerate])
+        self.q_reps, self.inclusion, self.quotient, self.collapse = \
+            [], [], [], []
+        for n, (c_reps, i_reps, d_reps) in enumerate(
+                zip(self.c_reps, self.i_reps, self.d_reps)):
             if i_reps.ncols + d_reps.ncols != c_reps.ncols:
                 raise CertificationError(
                     f"e^({i}) splitting dimension mismatch at degree {n}: "
                     f"{i_reps.ncols} + {d_reps.ncols} != {c_reps.ncols}")
-            id_pair = i_reps.hstack(d_reps)
-            if rank(id_pair) != c_reps.ncols:
-                raise CertificationError(
-                    f"e^({i}) ideal and degenerate parts are not independent "
-                    f"at degree {n}")
             # the quotient by the degenerate part is spanned by the columns
             # of c_reps extending d_reps
             q_reps = c_reps.select_columns(
                 extend_basis_columns(d_reps, c_reps))
-            self.c_reps.append(c_reps)
-            self.i_reps.append(i_reps)
-            self.d_reps.append(d_reps)
             self.q_reps.append(q_reps)
             self.inclusion.append(coords(c_reps, i_reps))
             self.quotient.append(coords(q_reps, c_reps, d_reps))
             # collapse of the quotient onto the ideal part
             self.collapse.append(coords(i_reps, q_reps, d_reps))
-
-        def boundary(n):
-            return hc.boundary(n, w)
-
-        self.c_chain = span_slice(boundary, self.c_reps)
-        self.i_chain = span_slice(boundary, self.i_reps)
-        self.d_chain = span_slice(boundary, self.d_reps)
-        self.quot_chain = span_slice(boundary, self.q_reps, self.d_reps)
+        self.quot_chain = span_slice(lambda n: hc.boundary(n, w),
+                                     self.q_reps, self.d_reps)
 
     def composite_is_identity(self):
         """The collapse-quotient-inclusion composite on e^(i)C(I,M)."""
@@ -330,10 +327,11 @@ class NormalizedHarrison:
 def harrison_weight(hc, w, max_n):
     """Harrison homology dimensions of weight w in degrees 0..max_n,
     computed through both pipelines (Hochschild-mod-shuffles and the e^(1)
-    ideal complex) and certified to agree."""
+    ideal complex e^(1) C(I, M)) and certified to agree."""
     top = max_n + 1
     dims_quot = HarrisonQuotient(hc, w, top).chain.homology().dims()
-    dims_ideal = NormalizedHarrison(hc, w, top, 1).i_chain.homology().dims()
+    ideal, _ = idempotent_slice(hc, w, top, 1, is_ideal_only)
+    dims_ideal = ideal.homology().dims()
     for n in range(max_n + 1):
         if dims_quot[n] != dims_ideal[n]:
             raise CertificationError(

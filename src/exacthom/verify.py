@@ -9,14 +9,15 @@ import time
 from math import comb
 
 from .algebras import Coefficients, preset
-from .chains import long_exact_sequence_nodes
+from .chains import CertificationError, long_exact_sequence_nodes
 from .fields import QQ
 from .gamma import gamma_homology, prune_split_certificates
 from .groupalg import (certify_eulerian, shuffle_annihilating_product,
                        shuffle_permutations)
 from .hochschild import (HochschildComplex, NormalizedHarrison,
                          aug_split_iso, barr_map, harrison_homology,
-                         hodge_commutes, idempotent_dims_complete)
+                         harrison_weight, hodge_commutes,
+                         idempotent_dims_complete)
 from .sparse import rank
 from .symhom import ComparisonData, hs0_consistency
 
@@ -57,6 +58,16 @@ class Check:
         if not self.ok and self.witness is not None:
             out["witness"] = str(self.witness)
         return out
+
+
+def _checked(name, certify, *args):
+    """Check `name` with the (ok, witness) that certify(*args) returns; a
+    certificate that raises on the way (d o d != 0, a boundary leaving its
+    subcomplex) fails the check with its message as the witness."""
+    try:
+        return Check(name, *certify(*args))
+    except CertificationError as exc:
+        return Check(name, False, exc)
 
 
 def suite_eulerian(config):
@@ -136,15 +147,20 @@ def suite_harrison(config):
     max_w = config.get("max_weight", 4)
     idems = config.get("idempotents", (1, 2, 3))
     _require_boundaries(max_n, "harrison")
-    # harrison_homology builds slices one degree past max_n
+    # harrison_weight builds slices one degree past max_n
     _require_characteristic(config.get("field", QQ), max_n + 1, "harrison")
     checks = []
     for alg, co in _hochschild_setups(config):
         hc = HochschildComplex(alg, co)
         for w in range(max_w + 1):
             for i in idems:
-                nh = NormalizedHarrison(hc, w, max_n, i)
                 label = f"{alg.name} M={co.kind} w={w} i={i}"
+                try:
+                    nh = NormalizedHarrison(hc, w, max_n, i)
+                except CertificationError as exc:
+                    checks.append(Check(
+                        f"normalized harrison certified {label}", False, exc))
+                    continue
                 checks.append(Check(
                     f"composite identity {label}", nh.composite_is_identity()))
                 checks.append(Check(
@@ -163,14 +179,26 @@ def suite_harrison(config):
                     f"degenerate summand acyclic {label}",
                     all(d == 0 for d in ddims[:-1]), ddims))
         try:
-            harrison_homology(alg, co, max_n, max_w)
+            for w in range(max_w + 1):
+                harrison_weight(hc, w, max_n)
             ok, witness = True, None
-        except Exception as exc:
+        except CertificationError as exc:
             ok, witness = False, exc
         checks.append(Check(
             f"harrison pipelines agree {alg.name} M={co.kind} "
             f"n<={max_n} w<={max_w}", ok, witness))
     return checks
+
+
+def _barr_iso(hc, w, max_n):
+    """(ok, witness) of the Barr isomorphism e^(1) C -> C/Sh at weight w."""
+    mats, e1_chain, quot = barr_map(hc, w, max_n)
+    for n in range(max_n + 1):
+        if e1_chain.dims[n] != quot.chain.dims[n]:
+            return False, f"dim mismatch at degree {n}"
+        if rank(mats[n]) != e1_chain.dims[n]:
+            return False, f"rank drop at degree {n}"
+    return True, None
 
 
 def suite_barr(config):
@@ -181,18 +209,8 @@ def suite_barr(config):
     for alg, co in _hochschild_setups(config):
         hc = HochschildComplex(alg, co)
         for w in range(max_w + 1):
-            mats, e1_chain, quot = barr_map(hc, w, max_n)
-            ok = True
-            witness = None
-            for n in range(max_n + 1):
-                if e1_chain.dims[n] != quot.chain.dims[n]:
-                    ok, witness = False, f"dim mismatch at degree {n}"
-                    break
-                if rank(mats[n]) != e1_chain.dims[n]:
-                    ok, witness = False, f"rank drop at degree {n}"
-                    break
-            checks.append(Check(
-                f"barr iso {alg.name} M={co.kind} w={w}", ok, witness))
+            checks.append(_checked(f"barr iso {alg.name} M={co.kind} w={w}",
+                                   _barr_iso, hc, w, max_n))
     return checks
 
 
@@ -214,36 +232,46 @@ def suite_pruning(config):
     return checks
 
 
+def _gamma_variants_agree(field, max_n, max_w):
+    """(ok, witness) of the ideal and full gamma variants of dual-numbers
+    having the same dimensions."""
+    alg = preset("dual-numbers", field)
+    co = Coefficients(alg, "k")
+    gi = gamma_homology(alg, co, "I", max_n, max_w)
+    ga = gamma_homology(alg, co, "A", max_n, max_w)
+    diff = {k: (gi[k], ga[k]) for k in gi if gi[k] != ga[k]}
+    return not diff, diff or None
+
+
+def _gamma_shifts_harrison(name, field, shift_n, max_w):
+    """(ok, witness) of HGamma_{n-1} = Harr_n, via the ideal variant (exact
+    in every weight; the full variant agrees for weight-1-generated
+    presets)."""
+    alg = preset(name, field)
+    co = Coefficients(alg, "k")
+    gi = gamma_homology(alg, co, "I", shift_n - 1, max_w)
+    harr = harrison_homology(alg, co, shift_n, max_w)
+    bad = {}
+    for n in range(1, shift_n + 1):
+        for w in range(max_w + 1):
+            if gi[(n - 1, w)] != harr[(n, w)]:
+                bad[(n, w)] = (gi[(n - 1, w)], harr[(n, w)])
+    return not bad, bad or None
+
+
 def suite_gamma_iso(config):
     max_n = config.get("max_degree", 3)
     max_w = config.get("max_weight", 3)
     shift_n = config.get("shift_degree", 4)
     field = config.get("field", QQ)
     _require_characteristic(field, shift_n + 1, "gamma-iso")
-    checks = []
-    alg = preset("dual-numbers", field)
-    co = Coefficients(alg, "k")
-    gi = gamma_homology(alg, co, "I", max_n, max_w)
-    ga = gamma_homology(alg, co, "A", max_n, max_w)
-    diff = {k: (gi[k], ga[k]) for k in gi if gi[k] != ga[k]}
-    checks.append(Check(
+    checks = [_checked(
         f"gamma ideal vs full dims dual-numbers n<={max_n} w<={max_w}",
-        not diff, diff or None))
-    # degree shift against Harrison, via the ideal variant (exact in every
-    # weight; the full variant agrees for weight-1-generated presets)
+        _gamma_variants_agree, field, max_n, max_w)]
     for name in config.get("presets", ["dual-numbers", "trunc3"]):
-        alg = preset(name, field)
-        co = Coefficients(alg, "k")
-        gi = gamma_homology(alg, co, "I", shift_n - 1, max_w)
-        harr = harrison_homology(alg, co, shift_n, max_w)
-        bad = {}
-        for n in range(1, shift_n + 1):
-            for w in range(max_w + 1):
-                if gi[(n - 1, w)] != harr[(n, w)]:
-                    bad[(n, w)] = (gi[(n - 1, w)], harr[(n, w)])
-        checks.append(Check(
+        checks.append(_checked(
             f"degree shift vs harrison {name} n<={shift_n} w<={max_w}",
-            not bad, bad or None))
+            _gamma_shifts_harrison, name, field, shift_n, max_w))
     return checks
 
 
@@ -257,7 +285,12 @@ def suite_comparison(config):
     for name in presets_:
         alg = preset(name, field)
         for w in range(max_w + 1):
-            cd = ComparisonData(alg, w, max_n)
+            try:
+                cd = ComparisonData(alg, w, max_n)
+            except CertificationError as exc:
+                checks.append(Check(
+                    f"comparison slices certified {name} w={w}", False, exc))
+                continue
             checks.append(Check(
                 f"quotient map chain map {name} w={w}", cd.q_is_chain_map()))
             checks.append(Check(
@@ -273,6 +306,15 @@ def suite_comparison(config):
     return checks
 
 
+def _les_exact(alg, w, max_n):
+    """(ok, witness) of the comparison's long exact sequence at weight w
+    being exact through degree max_n."""
+    cd = ComparisonData(alg, w, max_n + 1)
+    nodes = long_exact_sequence_nodes(*cd.ses(), max_n)
+    bad = [(node, rin, kout) for node, rin, kout in nodes if rin != kout]
+    return not bad, bad or None
+
+
 def suite_les(config):
     max_n = config.get("max_degree", 3)
     max_w = config.get("max_weight", 3)
@@ -282,15 +324,9 @@ def suite_les(config):
     for name in presets_:
         alg = preset(name, field)
         for w in range(max_w + 1):
-            cd = ComparisonData(alg, w, max_n + 1)
-            inc, proj, sub, total, quot = cd.ses()
-            nodes = long_exact_sequence_nodes(inc, proj, sub, total, quot,
-                                              max_n)
-            bad = [(node, rin, kout) for node, rin, kout in nodes
-                   if rin != kout]
-            checks.append(Check(
+            checks.append(_checked(
                 f"long exact sequence {name} w={w} (degrees <= {max_n})",
-                not bad, bad or None))
+                _les_exact, alg, w, max_n))
     return checks
 
 

@@ -326,6 +326,20 @@ def test_verify_with_nothing_to_check_rejected(capsys):
     assert "nothing to check" in line
 
 
+def _double_first_face(monkeypatch, cls):
+    """Double face 1 of cls, so that d o d != 0 in the slices that use
+    that face twice."""
+    face_terms = cls.face_terms
+
+    def doubled(self, key, i):
+        terms = face_terms(self, key, i)
+        if i != 1:
+            return terms
+        return [(k, self.field.mul(2, c)) for k, c in terms]
+
+    monkeypatch.setattr(cls, "face_terms", doubled)
+
+
 @pytest.fixture
 def broken_boundaries(monkeypatch):
     """Double the first face of every Hochschild and every symmetric
@@ -333,16 +347,16 @@ def broken_boundaries(monkeypatch):
     from exacthom.hochschild import HochschildComplex
     from exacthom.symhom import SymmetricComplex
 
-    def doubling(face_terms):
-        def doubled(self, key, i):
-            terms = face_terms(self, key, i)
-            if i != 1:
-                return terms
-            return [(k, self.field.mul(2, c)) for k, c in terms]
-        return doubled
-
     for cls in (HochschildComplex, SymmetricComplex):
-        monkeypatch.setattr(cls, "face_terms", doubling(cls.face_terms))
+        _double_first_face(monkeypatch, cls)
+
+
+@pytest.fixture
+def broken_gamma_faces(monkeypatch):
+    """Double the first face of every gamma boundary."""
+    from exacthom.gamma import GammaComplex
+
+    _double_first_face(monkeypatch, GammaComplex)
 
 
 # the comparison at weights 0 and 1 passes its four certifications each;
@@ -391,6 +405,25 @@ def test_harrison_witness_names_every_failing_weight(capsys,
     assert failed
     named = {w for w in range(4) if f"harrison w={w}: " in cert["witness"]}
     assert named == failed
+
+
+@pytest.mark.parametrize("suite,broken", [
+    ("les", "broken_boundaries"), ("comparison", "broken_boundaries"),
+    ("harrison", "broken_boundaries"), ("barr", "broken_boundaries"),
+    ("gamma-iso", "broken_gamma_faces")])
+def test_verify_reports_a_failing_certificate(capsys, request, suite,
+                                              broken):
+    # a certificate that raises (d o d != 0, a boundary leaving its
+    # subcomplex) fails its check with the message as the witness
+    request.getfixturevalue(broken)
+    code, out = run(capsys, "verify", "--suite", suite, "--preset",
+                    "dual-numbers", "--max-degree", "3", "--max-weight", "2")
+    assert code == 1
+    failed = [c for c in json.loads(out)["certifications"]
+              if c["status"] == "fail"]
+    assert failed
+    assert any("not a chain complex" in c["witness"]
+               or "leaves the subcomplex" in c["witness"] for c in failed)
 
 
 def test_symmetric_basis_ceiling_refused_without_enumerating(capsys,

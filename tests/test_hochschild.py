@@ -1,17 +1,21 @@
+import json
+
 import pytest
 
+from exacthom import hochschild
 from exacthom.algebras import Coefficients, preset
+from exacthom.chains import CertificationError, HomologyBases
+from exacthom.cli import main
 from exacthom.fields import GF, QQ
 from exacthom.groupalg import eulerian_idempotents, total_shuffle
 from exacthom.hochschild import (HarrisonQuotient, HochschildComplex,
                                  NormalizedHarrison, aug_split_iso, barr_map,
                                  degenerate_slice, harrison_homology,
-                                 hochschild_homology, hodge_commutes,
-                                 ideal_slice, idempotent_dims_complete,
-                                 idempotent_slice, is_degenerate,
-                                 is_ideal_only, normalized_slice,
-                                 shuffle_slice)
-from exacthom.chains import HomologyBases
+                                 harrison_weight, hochschild_homology,
+                                 hodge_commutes, ideal_slice,
+                                 idempotent_dims_complete, idempotent_slice,
+                                 is_degenerate, is_ideal_only,
+                                 normalized_slice, shuffle_slice)
 from exacthom.sparse import (Echelon, SparseMatrix, extend_basis_columns,
                              image_pivot_columns, kernel_basis, solve_batch)
 from test_chains import fractional_trunc4
@@ -81,10 +85,11 @@ def test_hodge_commutation(dual_k, trunc3_A):
 
 
 def test_aug_split_identity_matrices(dual_k):
-    fwd, inv, norm, ideal = aug_split_iso(dual_k, 2, 4)
+    # the identity matrices are inverse chain isomorphisms: both slices
+    # have the same dimensions and the same boundaries
+    norm, ideal = aug_split_iso(dual_k, 2, 4)
     assert norm.dims == ideal.dims
-    for n, mat in enumerate(fwd):
-        assert mat == SparseMatrix.identity(QQ, norm.dims[n])
+    assert norm.boundaries == ideal.boundaries
 
 
 def test_normalized_equals_ideal_boundaries(trunc3_A):
@@ -166,11 +171,81 @@ def test_barr_rank_full(dual_k):
             assert Echelon(mats[n]).rank == e1_chain.dims[n]
 
 
-def test_quotient_pipeline_certification_error_detectable():
+def test_quotient_pipeline_certification_error_detectable(monkeypatch,
+                                                          capsys):
     # harrison_homology certifies the two pipelines against each other; on
     # valid input it must simply succeed
     alg = preset("square-zero-xy")
     harrison_homology(alg, Coefficients(alg, "k"), 2, 2)
+    # e^(2) in place of e^(1) makes the e^(1) ideal pipeline wrong (in
+    # degree 1, where e^(2) vanishes); the quotient pipeline is untouched
+    idempotent_matrix = HochschildComplex.idempotent_matrix
+    monkeypatch.setattr(
+        HochschildComplex, "idempotent_matrix",
+        lambda self, n, w, i: idempotent_matrix(self, n, w,
+                                                2 if i == 1 else i))
+    alg = preset("dual-numbers")
+    hc = HochschildComplex(alg, Coefficients(alg, "k"))
+    with pytest.raises(CertificationError,
+                       match="Harrison pipelines disagree"):
+        harrison_weight(hc, 1, 2)
+    code = main(["compute", "--preset", "dual-numbers", "--theory",
+                 "harrison", "--max-degree", "2", "--max-weight", "2"])
+    assert code == 1
+    [cert] = json.loads(capsys.readouterr().out)["certifications"]
+    assert cert["name"] == "quotient and eulerian pipelines agree"
+    assert cert["status"] == "fail"
+    assert "Harrison pipelines disagree" in cert["witness"]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+@pytest.mark.parametrize("kind", ["k", "A"])
+def test_harrison_weight_slice_is_the_normalized_ideal_chain(monkeypatch,
+                                                             kind, field):
+    # the e^(1) C(I, M) slice that harrison_weight builds is the i_chain of
+    # the full normalized Harrison splitting, boundary for boundary
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(idempotent_slice(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(hochschild, "idempotent_slice", recorded)
+    alg = preset("trunc3", field)
+    hc = HochschildComplex(alg, Coefficients(alg, kind))
+    max_n = 3
+    for w in range(5):
+        built.clear()
+        harrison_weight(hc, w, max_n)
+        [(chain, reps)] = built
+        nh = NormalizedHarrison(hc, w, max_n + 1, 1)
+        assert reps == nh.i_reps
+        assert chain.dims == nh.i_chain.dims
+        for n in range(1, max_n + 2):
+            assert chain.boundary(n) == nh.i_chain.boundary(n)
+
+
+def test_action_matrix_calls_do_not_grow(monkeypatch):
+    # the e^(i) pieces share one e^(i) matrix per degree, and
+    # harrison_homology needs one shuffle and one e^(1) matrix per degree
+    # and weight
+    calls = []
+    action_matrix = HochschildComplex.action_matrix
+
+    def counted(self, elem, n, w):
+        calls.append((n, w))
+        return action_matrix(self, elem, n, w)
+
+    monkeypatch.setattr(HochschildComplex, "action_matrix", counted)
+    alg = preset("trunc3")
+    co = Coefficients(alg, "A")
+    for i, most in ((1, 4), (2, 3)):
+        calls.clear()
+        NormalizedHarrison(HochschildComplex(alg, co), 3, 4, i)
+        assert len(calls) <= most
+    calls.clear()
+    harrison_homology(alg, co, 3, 3)
+    assert len(calls) <= 28
 
 
 def test_action_matrix_examples(trunc3_A):
@@ -297,9 +372,11 @@ def harrison_quotient_reference(hc, w, top):
 
 
 def normalized_harrison_reference(hc, w, top, i):
-    """quotient, collapse and the quotient boundaries
-    quotient[n-1] . d_n . section, with each map solved by hand."""
+    """The c, i and d representatives, quotient, collapse and the quotient
+    boundaries quotient[n-1] . d_n . section, with each map solved by
+    hand."""
     field = hc.field
+    reps = {"c": [], "i": [], "d": []}
     quotient, collapse, sections = [], [], []
     for n in range(top + 1):
         pmat = hc.idempotent_matrix(n, w, i)
@@ -309,6 +386,8 @@ def normalized_harrison_reference(hc, w, top, i):
             [j for j, k in enumerate(keys) if is_ideal_only(k)]))
         d_reps = image_reps(pmat.select_columns(
             [j for j, k in enumerate(keys) if is_degenerate(k)]))
+        for tag, mat in (("c", c_reps), ("i", i_reps), ("d", d_reps)):
+            reps[tag].append(mat)
         ext = extend_basis_columns(d_reps, c_reps)
         sections.append(SparseMatrix(
             field, c_reps.ncols, len(ext),
@@ -320,7 +399,7 @@ def normalized_harrison_reference(hc, w, top, i):
     c_chain = idempotent_slice(hc, w, top, i)[0]
     bounds = {n: quotient[n - 1].mul(c_chain.boundary(n).mul(sections[n]))
               for n in range(1, top + 1)}
-    return quotient, collapse, bounds
+    return reps, quotient, collapse, bounds
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
@@ -348,8 +427,11 @@ def test_subquotients_match_the_hand_written_reference(name, kind, field):
             assert mat == project(n, e1_reps[n])
         for i in (1, 2):
             nh = NormalizedHarrison(hc, w, top, i)
-            quotient, collapse, bounds = \
+            reps, quotient, collapse, bounds = \
                 normalized_harrison_reference(hc, w, top, i)
+            assert nh.c_reps == reps["c"]
+            assert nh.i_reps == reps["i"]
+            assert nh.d_reps == reps["d"]
             assert nh.quotient == quotient
             assert nh.collapse == collapse
             for n, mat in bounds.items():
