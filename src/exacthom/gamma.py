@@ -25,9 +25,11 @@ hom-set sizes, so slice dimensions are known without enumerating a basis.
 What the faces of a generator need from its string is computed once per
 string (the face plan), and a restriction once per (surjection, kept
 positions); these caches are keyed by morphisms and strings only, so they
-stay bounded by the strings of a slice.  The pruning check prunes each
-distinct boundary term once, through a memo that lives for one degree of
-one check.
+stay bounded by the strings of a slice.  The last face's components are
+the fibers of one composite, f_{n-1} o .. o f_1.  The pruning check streams
+the faces of each full generator into one pruned alternating sum, without
+building that generator's boundary, and prunes each distinct face term
+once, through a memo that lives for one degree of one check.
 """
 
 from functools import lru_cache
@@ -166,25 +168,6 @@ def strings_to_point(x, n, normalized=True):
     return map_strings(surjections, x, n, True, normalized)
 
 
-def ith_component(string, i):
-    """The part of (f_1, .., f_n) lying over element i of the domain of the
-    last morphism: the restricted, order-preservingly re-indexed string of
-    f_1 .. f_{n-1}, plus the ordered preimage of i in the initial domain.
-
-    For a length-1 string the component is the empty string at the
-    one-point set and the preimage is {i}.
-    """
-    n = len(string)
-    if n == 0:
-        raise ValueError("empty string has no components")
-    if not 1 <= i <= string[-1].dom:
-        raise ValueError(f"component index {i} out of range")
-    preimage = (i,)
-    for f in reversed(string[:-1]):
-        preimage = tuple(sorted(p for j in preimage for p in f.fibers[j - 1]))
-    return _prune_string(string[:-1], preimage)[0], preimage
-
-
 @lru_cache(maxsize=None)
 def _face_plan(string, normalized):
     """Everything the faces of a degree-n generator need from its string:
@@ -192,21 +175,24 @@ def _face_plan(string, normalized):
     (normalized strings contain no identity), and for the last face the
     (component string, preimage, other positions) of every component that
     stays in the complex."""
-    def stays(s):
-        return not (normalized and any(f._is_id for f in s))
-
     n = len(string)
-    faces = [string[1:] if stays(string[1:]) else None]
+    faces = [None if normalized and any(f._is_id for f in string[1:])
+             else string[1:]]
     for i in range(1, n):
         comp = _compose(string[i], string[i - 1])
         faces.append(None if normalized and comp._is_id
                      else string[:i - 1] + (comp,) + string[i + 1:])
+    # the components' preimages are the fibers, each sorted, of
+    # f_{n-1} o .. o f_1 (of the identity when n = 1)
+    x = string[0].dom
+    through = Surjection(x, range(1, x + 1))
+    for f in string[:-1]:
+        through = _compose(f, through)
     components = []
-    for t in range(1, string[-1].dom + 1):
-        comp_string, preimage = ith_component(string, t)
-        if stays(comp_string):
-            others = tuple(p for p in range(1, string[0].dom + 1)
-                           if p not in preimage)
+    for preimage in through.fibers:
+        comp_string, has_identity = _prune_string(string[:-1], preimage)
+        if not (normalized and has_identity):
+            others = tuple(p for p in range(1, x + 1) if p not in preimage)
             components.append((comp_string, preimage, others))
     return tuple(faces), tuple(components)
 
@@ -384,14 +370,17 @@ def prune_split_certificates(alg, coeffs, w, top, normalized=True):
             if pg is not None:
                 hit.add(pg)
             if n >= 1:
+                # stream the faces of g into one pruned alternating sum
                 lhs = {}
                 get = lhs.get
-                for tkey, c in full.boundary_terms(g).items():
-                    pt = pruned.get(tkey, _UNSEEN)
-                    if pt is _UNSEEN:
-                        pt = pruned[tkey] = pruner(tkey)
-                    if pt is not None:
-                        lhs[pt] = get(pt, 0) + c
+                for i in range(n + 1):
+                    odd = i % 2
+                    for tkey, c in full.face_terms(g, i):
+                        pt = pruned.get(tkey, _UNSEEN)
+                        if pt is _UNSEEN:
+                            pt = pruned[tkey] = pruner(tkey)
+                        if pt is not None:
+                            lhs[pt] = get(pt, 0) - c if odd else get(pt, 0) + c
                 lhs = field.normal_terms(lhs)
                 if pg is None:
                     rhs = {}

@@ -11,7 +11,7 @@ from math import comb
 from .algebras import Coefficients, preset
 from .chains import CertificationError, long_exact_sequence_nodes
 from .fields import QQ
-from .gamma import gamma_homology, prune_split_certificates
+from .gamma import GammaComplex, prune_split_certificates
 from .groupalg import (certify_eulerian, shuffle_annihilating_product,
                        shuffle_permutations)
 from .hochschild import (HochschildComplex, NormalizedHarrison,
@@ -232,25 +232,22 @@ def suite_pruning(config):
     return checks
 
 
-def _gamma_variants_agree(field, max_n, max_w):
-    """(ok, witness) of the ideal and full gamma variants of dual-numbers
-    having the same dimensions."""
-    alg = preset("dual-numbers", field)
-    co = Coefficients(alg, "k")
-    gi = gamma_homology(alg, co, "I", max_n, max_w)
-    ga = gamma_homology(alg, co, "A", max_n, max_w)
+def _gamma_variants_agree(ideal, max_n, max_w):
+    """(ok, witness) of the ideal and full gamma variants of the algebra
+    of the ideal-variant complex `ideal` having the same dimensions."""
+    gi = ideal.homology_table(max_n, max_w)
+    ga = GammaComplex(ideal.alg, ideal.coeffs, "A").homology_table(
+        max_n, max_w)
     diff = {k: (gi[k], ga[k]) for k in gi if gi[k] != ga[k]}
     return not diff, diff or None
 
 
-def _gamma_shifts_harrison(name, field, shift_n, max_w):
+def _gamma_shifts_harrison(ideal, shift_n, max_w):
     """(ok, witness) of HGamma_{n-1} = Harr_n, via the ideal variant (exact
     in every weight; the full variant agrees for weight-1-generated
     presets)."""
-    alg = preset(name, field)
-    co = Coefficients(alg, "k")
-    gi = gamma_homology(alg, co, "I", shift_n - 1, max_w)
-    harr = harrison_homology(alg, co, shift_n, max_w)
+    gi = ideal.homology_table(shift_n - 1, max_w)
+    harr = harrison_homology(ideal.alg, ideal.coeffs, shift_n, max_w)
     bad = {}
     for n in range(1, shift_n + 1):
         for w in range(max_w + 1):
@@ -265,13 +262,21 @@ def suite_gamma_iso(config):
     shift_n = config.get("shift_degree", 4)
     field = config.get("field", QQ)
     _require_characteristic(field, shift_n + 1, "gamma-iso")
+    names = config.get("presets", ["dual-numbers", "trunc3"])
+    # one ideal-variant complex per preset: both checks read its cached
+    # bases and boundaries
+    ideal = {}
+    for name in ("dual-numbers", *names):
+        if name not in ideal:
+            co = Coefficients(preset(name, field), "k")
+            ideal[name] = GammaComplex(co.algebra, co, "I")
     checks = [_checked(
         f"gamma ideal vs full dims dual-numbers n<={max_n} w<={max_w}",
-        _gamma_variants_agree, field, max_n, max_w)]
-    for name in config.get("presets", ["dual-numbers", "trunc3"]):
+        _gamma_variants_agree, ideal["dual-numbers"], max_n, max_w)]
+    for name in names:
         checks.append(_checked(
             f"degree shift vs harrison {name} n<={shift_n} w<={max_w}",
-            _gamma_shifts_harrison, name, field, shift_n, max_w))
+            _gamma_shifts_harrison, ideal[name], shift_n, max_w))
     return checks
 
 

@@ -15,12 +15,12 @@ from exacthom.fields import GF, QQ
 from exacthom import gamma
 from exacthom.groupalg import Permutation
 from exacthom.gamma import (GammaComplex, Surjection, gamma_homology,
-                            ith_component,
                             prune_generator, prune_normalized,
                             prune_split_certificates, strings_to_point,
                             surjections)
 from exacthom.sparse import SparseMatrix, kernel_basis, rank
 from exacthom.symhom import FiberOrderedMap
+from exacthom.verify import run_suite
 
 
 def stirling2(x, y):
@@ -76,18 +76,20 @@ def test_induced_tensor_map_functorial():
 
 
 def test_ith_component_examples():
+    # the last face's components of a string are read off its face plan
     f1 = Surjection(2, (1, 1, 2))
     f2 = Surjection(1, (1, 1))
-    comp, pre = ith_component((f1, f2), 1)
+    (comp, pre, _), (comp2, pre2, _) = gamma._face_plan((f1, f2), False)[1]
     assert pre == (1, 2)
     assert comp == (Surjection(1, (1, 1)),)
-    comp, pre = ith_component((f1, f2), 2)
-    assert pre == (3,)
-    assert comp == (Surjection(1, (1,)),)
+    assert pre2 == (3,)
+    assert comp2 == (Surjection(1, (1,)),)
+    # normalized, the second component's string is an identity and drops
+    assert gamma._face_plan((f1, f2), True)[1] == ((comp, pre, (3,)),)
 
 
 def test_ith_component_length_one_string():
-    comp, pre = ith_component((Surjection(1, (1, 1, 1)),), 2)
+    comp, pre, _ = gamma._face_plan((Surjection(1, (1, 1, 1)),), True)[1][1]
     assert comp == () and pre == (2,)
 
 
@@ -141,10 +143,11 @@ def test_prune_examples():
 # The matrix oracle of the streamed pruning check: the pruning map and the
 # inclusion of the ideal complex as matrices, from the production primitives.
 
-def _pruning_matrices(alg, co, w, top):
-    full = GammaComplex(alg, co, "A")
-    ideal = GammaComplex(alg, co, "I")
-    prune = [basis_map_matrix(full, ideal, n, w, prune_normalized)
+def _pruning_matrices(alg, co, w, top, normalized=True):
+    full = GammaComplex(alg, co, "A", normalized)
+    ideal = GammaComplex(alg, co, "I", normalized)
+    pruner = prune_normalized if normalized else prune_generator
+    prune = [basis_map_matrix(full, ideal, n, w, pruner)
              for n in range(top + 1)]
     include = [basis_map_matrix(ideal, full, n, w, lambda key: key)
                for n in range(top + 1)]
@@ -190,52 +193,103 @@ def test_pruning_homology_additivity():
 
 
 def test_streamed_certificates_match_matrix_path():
+    # both presets, both coefficient modules, normalized or not, w <= 3
+    for name in ("dual-numbers", "trunc3"):
+        alg = preset(name)
+        for kind in ("k", "A"):
+            co = Coefficients(alg, kind)
+            for normalized in (True, False):
+                for w in range(4):
+                    case = (name, kind, normalized, w)
+                    res = prune_split_certificates(alg, co, w, 3, normalized)
+                    full, ideal, prune, include = _pruning_matrices(
+                        alg, co, w, 3, normalized)
+                    full_chain = full.slice(w, 3)
+                    ideal_chain = ideal.slice(w, 3)
+                    assert check_chain_map(prune, full_chain,
+                                           ideal_chain), case
+                    assert _retraction_is_identity(prune, include), case
+                    assert all(rank(p) == d for p, d in zip(
+                        prune, ideal_chain.dims)), case
+                    assert res["retraction_identity"], case
+                    assert res["chain_map"] and res["surjective"], case
+                    assert res["dims"] == list(zip(full_chain.dims,
+                                                   ideal_chain.dims)), case
+
+
+def test_pruning_check_streams_the_full_faces(monkeypatch):
+    # the check sums the faces of each full generator itself: the
+    # full-algebra variant's summed boundary is never built
+    boundary_terms = GammaComplex.boundary_terms
+
+    def guarded(self, key):
+        if self.variant == "A":
+            raise AssertionError("summed boundary of a full generator")
+        return boundary_terms(self, key)
+
+    monkeypatch.setattr(GammaComplex, "boundary_terms", guarded)
     alg = preset("trunc3")
-    co = Coefficients(alg, "k")
-    res = prune_split_certificates(alg, co, 3, 3)
-    assert res["retraction_identity"] and res["chain_map"] and res["surjective"]
-    full, ideal, prune, include = _pruning_matrices(alg, co, 3, 3)
-    full_chain, ideal_chain = full.slice(3, 3), ideal.slice(3, 3)
-    assert check_chain_map(prune, full_chain, ideal_chain)
-    assert _retraction_is_identity(prune, include)
-    assert all(rank(p) == d for p, d in zip(prune, ideal_chain.dims))
-    assert res["dims"] == list(zip(full_chain.dims, ideal_chain.dims))
+    for kind in ("k", "A"):
+        for normalized in (True, False):
+            res = prune_split_certificates(alg, Coefficients(alg, kind), 3,
+                                           3, normalized)
+            assert res["chain_map"] and res["surjective"]
 
 
-@pytest.fixture
-def broken_full_face(monkeypatch):
-    """Double face 1 of the full-algebra variant only, so that pruning no
-    longer commutes with the boundary."""
+# Each fault doubles the faces i of degree-n generators of the full-algebra
+# variant for which broken(i, n) holds.  It is checked on the smallest
+# (preset, weight, top degree) where both the streamed check and the matrix
+# oracle see it.  No slice of dual-numbers with w <= 3 and top <= 4 will do:
+# there a doubled first or inner face shows only to the oracle, through the
+# unit-free generators, and a doubled last face shows to neither.
+BROKEN_FACES = {   # name: (broken, preset, w, top)
+    "first": (lambda i, n: i == 0, "trunc3", 2, 1),
+    "inner": (lambda i, n: i == 1 < n, "trunc3", 3, 2),
+    "last": (lambda i, n: i == n, "trunc3", 2, 1),
+}
+
+
+@pytest.fixture(params=list(BROKEN_FACES))
+def broken_full_face(request, monkeypatch):
+    """Double one face of the full-algebra variant only, so that pruning
+    no longer commutes with the boundary; gives the (preset, weight, top
+    degree) to check."""
+    broken, name, w, top = BROKEN_FACES[request.param]
     face_terms = GammaComplex.face_terms
 
     def doubled(self, key, i):
         terms = face_terms(self, key, i)
-        if self.variant != "A" or i != 1:
+        if self.variant != "A" or not broken(i, len(key[0])):
             return terms
         return [(k, self.field.mul(2, c)) for k, c in terms]
 
     monkeypatch.setattr(GammaComplex, "face_terms", doubled)
+    return name, w, top
 
 
 def test_pruning_certificates_catch_a_broken_face(broken_full_face):
-    alg = preset("trunc3")
+    name, w, top = broken_full_face
+    alg = preset(name)
     co = Coefficients(alg, "k")
-    assert not prune_split_certificates(alg, co, 2, 3)["chain_map"]
-    full, ideal, prune, _ = _pruning_matrices(alg, co, 2, 3)
+    assert not prune_split_certificates(alg, co, w, top)["chain_map"]
+    full, ideal, prune, _ = _pruning_matrices(alg, co, w, top)
     # the doubled face breaks d o d = 0 too, so the slice skips that check
-    full_chain = ChainSlice(alg.field, [full.dim(n, 2) for n in range(4)],
-                            {n: full.boundary(n, 2) for n in range(1, 4)},
+    full_chain = ChainSlice(alg.field,
+                            [full.dim(n, w) for n in range(top + 1)],
+                            {n: full.boundary(n, w)
+                             for n in range(1, top + 1)},
                             check=False)
-    assert not check_chain_map(prune, full_chain, ideal.slice(2, 3))
+    assert not check_chain_map(prune, full_chain, ideal.slice(w, top))
 
 
 def test_verify_pruning_reports_a_broken_face(capsys, broken_full_face):
-    code = main(["verify", "--suite", "pruning", "--preset", "trunc3",
-                 "--max-degree", "3", "--max-weight", "2"])
+    name, w, top = broken_full_face
+    code = main(["verify", "--suite", "pruning", "--preset", name,
+                 "--max-degree", str(top), "--max-weight", str(w)])
     assert code == 1
     certs = json.loads(capsys.readouterr().out)["certifications"]
     failed = [c["name"] for c in certs if c["status"] == "fail"]
-    assert "pruning chain_map trunc3 w=2" in failed
+    assert f"pruning chain_map {name} w={w}" in failed
 
 
 def test_pruning_certificates_catch_a_broken_pruner(monkeypatch):
@@ -300,6 +354,22 @@ def test_pruning_certificates_catch_a_foreign_unit_free_generator(
     res = prune_split_certificates(alg, Coefficients(alg, "k"), 2, 3)
     assert res["retraction_identity"] and res["chain_map"]
     assert not res["surjective"]
+
+
+def test_gamma_iso_suite_assembles_each_boundary_slice_once(monkeypatch):
+    boundary = GammaComplex.boundary
+    assembled = []
+
+    def counted(self, n, w):
+        if (n, w) not in self._boundary:
+            assembled.append((self.alg.name, self.variant, n, w))
+        return boundary(self, n, w)
+
+    monkeypatch.setattr(GammaComplex, "boundary", counted)
+    checks, _ = run_suite("gamma-iso")
+    assert all(c.ok for c in checks)
+    assert ("dual-numbers", "I", 4, 3) in assembled
+    assert len(assembled) == len(set(assembled))
 
 
 def test_gamma_homology_dual_numbers():
@@ -489,10 +559,29 @@ def _ref_prune_string(string, kept):
 
 
 def _ref_ith_component(string, i):
+    """The part of (f_1, .., f_n) lying over element i of the domain of the
+    last morphism: the restricted, order-preservingly re-indexed string of
+    f_1 .. f_{n-1}, plus the ordered preimage of i in the initial domain.
+    For a length-1 string the component is the empty string at the
+    one-point set and the preimage is {i}."""
     preimage = (i,)
     for f in reversed(string[:-1]):
         preimage = tuple(p for p in range(1, f.dom + 1) if f(p) in preimage)
     return _ref_prune_string(string[:-1], preimage), preimage
+
+
+def _ref_components(string, normalized):
+    """(component string, preimage, other positions) of every component
+    of the last face that stays in the complex."""
+    out = []
+    for t in range(1, string[-1].dom + 1):
+        comp_string, preimage = _ref_ith_component(string, t)
+        if normalized and any(f.is_identity() for f in comp_string):
+            continue
+        others = tuple(p for p in range(1, string[0].dom + 1)
+                       if p not in preimage)
+        out.append((comp_string, preimage, others))
+    return tuple(out)
 
 
 def _ref_prune_generator(key):
@@ -532,13 +621,10 @@ def _ref_face_terms(gc, key, i):
             new_string = string[:i - 1] + (comp,) + string[i + 1:]
             out.append(((new_string, slots, m), gc.field.one))
     else:
-        for t in range(1, string[-1].dom + 1):
-            comp_string, preimage = _ref_ith_component(string, t)
-            if not is_basis_string(comp_string):
-                continue
+        for comp_string, preimage, others in _ref_components(
+                string, gc.normalized):
             new_slots = tuple(slots[p - 1] for p in preimage)
-            rest = [v for p, v in enumerate(slots, start=1)
-                    if p not in preimage]
+            rest = [slots[p - 1] for p in others]
             for m2, c in gc.coeffs.act_all(rest, m):
                 out.append(((comp_string, new_slots, m2), c))
     return out
@@ -560,9 +646,8 @@ def test_plans_match_the_definition_on_every_small_string(normalized):
                    for kept in combinations(range(1, x + 1), r)]
         for n in range(1, 4):
             for string in strings_to_point(x, n, normalized):
-                for t in range(1, string[-1].dom + 1):
-                    assert ith_component(string, t) \
-                        == _ref_ith_component(string, t)
+                assert gamma._face_plan(string, normalized)[1] \
+                    == _ref_components(string, normalized), string
                 for kept in subsets:
                     key = (string, tuple(1 if p in kept else 0
                                          for p in range(1, x + 1)), 0)
