@@ -24,35 +24,6 @@ class AlgebraElement:
     scalar: object
     ideal: tuple  # coefficient of b_i at position i-1
 
-    def __add__(self, other):
-        f = self.algebra.field
-        return AlgebraElement(
-            self.algebra,
-            f.add(self.scalar, other.scalar),
-            tuple(f.add(a, b) for a, b in zip(self.ideal, other.ideal)),
-        )
-
-    def __mul__(self, other):
-        return self.algebra.multiply(self, other)
-
-    def scale(self, c):
-        f = self.algebra.field
-        return AlgebraElement(
-            self.algebra, f.mul(c, self.scalar),
-            tuple(f.mul(c, v) for v in self.ideal))
-
-    def decompose(self):
-        """The unique (ideal part, scalar) splitting."""
-        zero = self.algebra.field.zero
-        return (AlgebraElement(self.algebra, zero, self.ideal), self.scalar)
-
-    def augmentation(self):
-        return self.scalar
-
-    def is_zero(self):
-        zero = self.algebra.field.zero
-        return self.scalar == zero and all(v == zero for v in self.ideal)
-
     def __repr__(self):
         names = self.algebra.generators
         parts = []
@@ -101,23 +72,12 @@ class GradedAlgebra:
         z = self.field.zero
         return AlgebraElement(self, z, (z,) * self.dim_ideal)
 
-    def unit(self, c=None):
-        z = self.field.zero
-        return AlgebraElement(
-            self, self.field.one if c is None else c, (z,) * self.dim_ideal)
-
     def gen(self, i):
         """The i-th ideal generator, 1-based."""
         z = self.field.zero
         vec = [z] * self.dim_ideal
         vec[i - 1] = self.field.one
         return AlgebraElement(self, z, tuple(vec))
-
-    def element(self, scalar, coeffs=None):
-        vec = [self.field.zero] * self.dim_ideal
-        for i, c in (coeffs or {}).items():
-            vec[i - 1] = c
-        return AlgebraElement(self, scalar, tuple(vec))
 
     def basis_product(self, i, j):
         """b_i * b_j from the structure table (zero if unspecified)."""
@@ -322,62 +282,6 @@ class Coefficients:
 
     def __repr__(self):
         return f"Coefficients({self.kind})"
-
-
-# -- the functor on finite based sets ----------------------------------------
-
-@dataclass(frozen=True)
-class BasedMap:
-    """A based map [p] -> [q] of finite based sets {0, 1, .., n}."""
-
-    p: int
-    q: int
-    images: tuple  # images of 1..p, values in 0..q
-
-    def __post_init__(self):
-        if len(self.images) != self.p:
-            raise ValueError("image tuple length mismatch")
-        if any(not 0 <= v <= self.q for v in self.images):
-            raise ValueError("image out of range")
-
-    def __call__(self, i):
-        return 0 if i == 0 else self.images[i - 1]
-
-    def compose(self, other):
-        """self o other."""
-        if other.q != self.p:
-            raise ValueError("based maps not composable")
-        return BasedMap(other.p, self.q, tuple(self(v) for v in other.images))
-
-    @classmethod
-    def identity(cls, p):
-        return cls(p, p, tuple(range(1, p + 1)))
-
-
-def loday_apply(alg, coeffs, f, slots, module_idx):
-    """Image of a basic tensor under the functor of a based map.
-
-    Output slot j collects the product over the preimage of j; the
-    basepoint fiber multiplies into the module slot.  Empty products are
-    the unit.  Returns [((out_slots, out_module), coeff)] terms.
-    """
-    if len(slots) != f.p:
-        raise ValueError("tensor length does not match the based map")
-    field = alg.field
-    fibers = [[] for _ in range(f.q + 1)]
-    for i in range(1, f.p + 1):
-        fibers[f(i)].append(i)
-    mods = coeffs.act_all([slots[i - 1] for i in fibers[0]], module_idx)
-    out = {}
-    for out_slots, c in alg.fiber_product(slots, fibers[1:]):
-        for m, cm in mods:
-            key = (out_slots, m)
-            s = field.add(out.get(key, field.zero), field.mul(c, cm))
-            if s == field.zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return sorted(out.items())
 
 
 # -- presets and the description-file format ---------------------------------

@@ -7,8 +7,6 @@ meaningful when the caller built one degree more than it reports (the
 theory-level drivers do exactly that).
 """
 
-from dataclasses import dataclass, field as dc_field
-
 from .sparse import (SparseMatrix, extend_basis_columns, kernel_basis, rank,
                      solve_batch)
 
@@ -91,7 +89,7 @@ class SliceComplex:
         from its slice through degree max_n + 1."""
         table = {}
         for w in range(max_w + 1):
-            dims = self.slice(w, max_n + 1).homology().dims()
+            dims = self.slice(w, max_n + 1).homology()
             for n in range(max_n + 1):
                 table[(n, w)] = dims[n]
         return table
@@ -115,14 +113,17 @@ class ChainSlice:
 
     boundaries[n] is the map from degree n to degree n-1, of shape
     dims[n-1] x dims[n].  The composite of consecutive boundaries is
-    checked to vanish at construction.
+    checked to vanish at construction.  The rank of each boundary is
+    eliminated once and kept, for the homology dimensions and the
+    homology representatives alike.
     """
 
-    def __init__(self, field, dims, boundaries, check=True):
+    def __init__(self, field, dims, boundaries):
         self.field = field
         self.dims = list(dims)
         self.boundaries = dict(boundaries)
         self.top = len(self.dims) - 1
+        self._ranks = {}
         for n, mat in self.boundaries.items():
             if not 1 <= n <= self.top:
                 raise ValueError(f"boundary degree {n} out of range")
@@ -131,12 +132,11 @@ class ChainSlice:
                     f"boundary {n} has shape {mat.shape}, "
                     f"expected {(self.dims[n - 1], self.dims[n])}"
                 )
-        if check:
-            for n in range(2, self.top + 1):
-                prod = self.boundary(n - 1).mul(self.boundary(n))
-                if not prod.is_zero():
-                    raise NotAComplexError(
-                        f"d_{n-1} o d_{n} != 0: not a chain complex")
+        for n in range(2, self.top + 1):
+            prod = self.boundary(n - 1).mul(self.boundary(n))
+            if not prod.is_zero():
+                raise NotAComplexError(
+                    f"d_{n-1} o d_{n} != 0: not a chain complex")
 
     def boundary(self, n):
         mat = self.boundaries.get(n)
@@ -146,50 +146,28 @@ class ChainSlice:
             mat = SparseMatrix.zeros(self.field, lo, hi)
         return mat
 
+    def boundary_rank(self, n):
+        """rk d_n, eliminated on the first call only (d_0 and d_{top+1}
+        are empty matrices of rank 0)."""
+        if n not in self._ranks:
+            self._ranks[n] = rank(self.boundary(n))
+        return self._ranks[n]
+
     def homology(self):
-        return HomologyReport.of(self)
+        """Homology dimensions of degrees 0..N, rank-only: dim H_n =
+        dims[n] - rk d_n - rk d_{n+1} (representatives come from
+        HomologyBases)."""
+        return [_homology_dim(self, n, self.dims[n] - self.boundary_rank(n))
+                for n in range(self.top + 1)]
 
 
-@dataclass
-class DegreeHomology:
-    degree: int
-    cycle_dim: int
-    boundary_rank: int
-    representatives: SparseMatrix | None = None
-
-    @property
-    def dim(self):
-        return self.cycle_dim - self.boundary_rank
-
-    def checked(self):
-        if self.dim < 0:
-            raise AssertionError("negative homology dimension: broken complex")
-        return self
-
-
-@dataclass
-class HomologyReport:
-    slice: ChainSlice
-    degrees: dict = dc_field(default_factory=dict)
-
-    @classmethod
-    def of(cls, sl):
-        """Homology of every degree of sl, rank-only: dim H_n = dims[n] -
-        rk d_n - rk d_{n+1}, with each boundary eliminated once
-        (representatives come from HomologyBases)."""
-        report = cls(sl)
-        # d_0 and d_{top+1} are empty matrices of rank 0
-        ranks = [rank(sl.boundary(n)) for n in range(sl.top + 2)]
-        for n in range(sl.top + 1):
-            report.degrees[n] = DegreeHomology(
-                n, sl.dims[n] - ranks[n], ranks[n + 1]).checked()
-        return report
-
-    def dim(self, n):
-        return self.degrees[n].dim
-
-    def dims(self):
-        return [self.degrees[n].dim for n in range(self.slice.top + 1)]
+def _homology_dim(sl, n, cycle_dim):
+    """dim H_n from the dimension of the degree-n cycles; a negative one
+    means the boundaries do not form a complex."""
+    dim = cycle_dim - sl.boundary_rank(n + 1)
+    if dim < 0:
+        raise AssertionError("negative homology dimension: broken complex")
+    return dim
 
 
 def _cycles(sl, n):
@@ -199,12 +177,11 @@ def _cycles(sl, n):
 
 
 def _degree_homology(sl, n):
-    """Homology of degree n with representatives: kernel columns extending
-    a spanning set of the boundary space."""
+    """(dim H_n, representatives): kernel columns extending a spanning set
+    of the boundary space."""
     cyc = _cycles(sl, n)
-    bnd = sl.boundary(n + 1)
-    reps = cyc.select_columns(extend_basis_columns(bnd, cyc))
-    return DegreeHomology(n, cyc.ncols, rank(bnd), reps).checked()
+    reps = cyc.select_columns(extend_basis_columns(sl.boundary(n + 1), cyc))
+    return _homology_dim(sl, n, cyc.ncols), reps
 
 
 def coords(basis, vectors, modulo=None):
@@ -253,10 +230,10 @@ class HomologyBases:
         return self._deg[n]
 
     def dim(self, n):
-        return self._data(n).dim
+        return self._data(n)[0]
 
     def reps(self, n):
-        return self._data(n).representatives
+        return self._data(n)[1]
 
     def coords(self, n, vectors):
         """Homology coordinates of cycle columns: express each column as a

@@ -152,7 +152,7 @@ def _complex_weight(alg, args, w, timed):
     for variant, name, cx in _complexes(alg, args):
         label = f"{variant} w={w}" if variant else f"w={w}"
         try:
-            dims = timed(label, lambda: cx.slice(w, N + 1).homology().dims())
+            dims = timed(label, lambda: cx.slice(w, N + 1).homology())
         except NotAComplexError as exc:
             broken.append(f"{name} w={w}: {exc}")
             continue
@@ -205,7 +205,7 @@ def _comparison_weight(alg, args, w, timed):
     rows = []
     for src, chain in (("kernel", sub), ("symmetric", total),
                        ("gamma", quot)):
-        rows += _rows(f"comparison/{src}", w, chain.homology().dims(), N)
+        rows += _rows(f"comparison/{src}", w, chain.homology(), N)
     return rows, checks
 
 

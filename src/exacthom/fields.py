@@ -8,7 +8,7 @@ A rational is a plain ``int`` whenever it is integral and a ``Fraction``
 only when it is a genuine fraction: boundary entries and most pivots are
 integers, and int arithmetic is many times cheaper.
 Every operation returns this normal form, so a float never appears
-(``1 / 3`` on ints would be one; ``inv`` and ``div`` go through the
+(``1 / 3`` on ints would be one; ``of(num, den)`` divides through the
 rational type instead).  A prime-field element is an int in ``0..p-1``.
 
 The hot loops (group algebra products, Sigma_n actions, boundary sums,
@@ -72,26 +72,12 @@ class Rationals:
         c = a + b
         return c if type(c) is int else _q(c)
 
-    def sub(self, a, b):
-        c = a - b
-        return c if type(c) is int else _q(c)
-
     def mul(self, a, b):
         c = a * b
         return c if type(c) is int else _q(c)
 
     def neg(self, a):
         return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return _q(_rat(1) / a)
-
-    def div(self, a, b):
-        return _q(_rat(a) / b)
-
-    of_rational = of
 
     def to_str(self, a):
         return str(a)
@@ -121,6 +107,7 @@ class PrimeField:
         self.one = 1 % p
 
     def of(self, num, den=1):
+        """num / den mod p; raises ZeroDivisionError when p divides den."""
         a = num % self.p
         if den != 1:
             a = a * self.inv(den % self.p) % self.p
@@ -146,9 +133,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -159,16 +143,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
-    def of_rational(self, num, den=1):
-        # reduction of an exact rational; fails if p divides the denominator
-        num, den = int(num), int(den)
-        if den % self.p == 0:
-            raise ZeroDivisionError(f"denominator {den} not invertible mod {self.p}")
-        return num * self.inv(den % self.p) % self.p
 
     def to_str(self, a):
         return str(a)

@@ -326,8 +326,11 @@ def prune_split_certificates(alg, coeffs, w, top, normalized=True):
 
     Checks, exactly: "retraction_identity", the law prune o include = id
     on every ideal generator, "chain_map", pruning commuting with the
-    boundary on every full generator, and "surjective", the pruned images
-    of all full generators being exactly the ideal basis.  The unit-free
+    boundary on every full generator that carries a unit slot, and
+    "surjective", the pruned images of all full generators being exactly
+    the ideal basis.  The unit-free full generators are not compared for
+    "chain_map": they are the ideal generators, and the two variants share
+    face_terms, so for them the law follows from "retraction_identity".  The unit-free
     full generators must be exactly the ideal generators; their images
     are the pruner's images of the ideal basis, so a pruner that loses an
     ideal generator fails "surjective" as well as "retraction_identity".

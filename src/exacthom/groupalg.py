@@ -49,15 +49,6 @@ class Permutation(FiniteMap):
     def identity(cls, n):
         return cls(range(1, n + 1))
 
-    @classmethod
-    def transposition(cls, n, i):
-        """The adjacent transposition swapping i and i+1."""
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"transposition index {i} out of range for n={n}")
-        image = list(range(1, n + 1))
-        image[i - 1], image[i] = image[i], image[i - 1]
-        return cls(image)
-
     @property
     def image(self):
         return self.images
@@ -84,14 +75,6 @@ class Permutation(FiniteMap):
                 if image[a] > image[b]:
                     inv += 1
         return -1 if inv % 2 else 1
-
-    def permute_slots(self, slots):
-        """Left action on a tuple: the result holds slots[i-1] at position
-        self(i)."""
-        out = [None] * self.n
-        for i, v in enumerate(slots):
-            out[self.images[i] - 1] = v
-        return tuple(out)
 
     def __lt__(self, other):
         return self.images < other.images
@@ -140,10 +123,6 @@ class GroupAlgebraElement:
     @classmethod
     def unit(cls, field, n):
         return cls(field, n, {Permutation.identity(n): field.one})
-
-    @classmethod
-    def of(cls, field, perm, coeff=None):
-        return cls(field, perm.n, {perm: field.one if coeff is None else coeff})
 
     def terms(self):
         """Support in a deterministic order."""
@@ -313,7 +292,7 @@ def eulerian_idempotents(field, n):
     out = []
     for elem in rational:
         out.append(GroupAlgebraElement(field, n, {
-            perm: field.of_rational(c.numerator, c.denominator)
+            perm: field.of(c.numerator, c.denominator)
             for perm, c in elem.coeffs.items()}))
     return out
 

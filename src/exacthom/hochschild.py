@@ -329,9 +329,9 @@ def harrison_weight(hc, w, max_n):
     computed through both pipelines (Hochschild-mod-shuffles and the e^(1)
     ideal complex e^(1) C(I, M)) and certified to agree."""
     top = max_n + 1
-    dims_quot = HarrisonQuotient(hc, w, top).chain.homology().dims()
+    dims_quot = HarrisonQuotient(hc, w, top).chain.homology()
     ideal, _ = idempotent_slice(hc, w, top, 1, is_ideal_only)
-    dims_ideal = ideal.homology().dims()
+    dims_ideal = ideal.homology()
     for n in range(max_n + 1):
         if dims_quot[n] != dims_ideal[n]:
             raise CertificationError(

@@ -56,18 +56,6 @@ class SparseMatrix:
         return cls(field, n, n, {(i, i): one for i in range(n)})
 
     @classmethod
-    def from_rows(cls, field, rows, ncols=None):
-        """Build from a dense list of row lists (entries coerced via field.of)."""
-        nrows = len(rows)
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        ents = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                ents[(i, j)] = field.of(v)
-        return cls(field, nrows, ncols, ents)
-
-    @classmethod
     def from_columns(cls, field, nrows, cols):
         """Build from a list of column dicts {row: value}."""
         ents = {}
@@ -75,9 +63,6 @@ class SparseMatrix:
             for i, v in col.items():
                 ents[(i, j)] = v
         return cls(field, nrows, len(cols), ents)
-
-    def get(self, i, j):
-        return self.entries.get((i, j), self.field.zero)
 
     @property
     def nnz(self):
@@ -91,39 +76,6 @@ class SparseMatrix:
         for (i, j), v in self.entries.items():
             rows[i][j] = v
         return rows
-
-    def column(self, j):
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
-    def transpose(self):
-        return SparseMatrix(
-            self.field, self.ncols, self.nrows,
-            {(j, i): v for (i, j), v in self.entries.items()},
-        )
-
-    def add(self, other):
-        self._check_shape(other)
-        f = self.field
-        ents = dict(self.entries)
-        for k, v in other.entries.items():
-            s = f.add(ents.get(k, f.zero), v)
-            if s == f.zero:
-                ents.pop(k, None)
-            else:
-                ents[k] = s
-        return SparseMatrix(f, self.nrows, self.ncols, ents)
-
-    def sub(self, other):
-        return self.add(other.scale(self.field.neg(self.field.one)))
-
-    def scale(self, c):
-        f = self.field
-        if c == f.zero:
-            return SparseMatrix(f, self.nrows, self.ncols)
-        return SparseMatrix(
-            f, self.nrows, self.ncols,
-            {k: f.mul(c, v) for k, v in self.entries.items()},
-        )
 
     def mul(self, other):
         """Matrix product self @ other, fraction-free.
@@ -199,10 +151,6 @@ class SparseMatrix:
     @property
     def shape(self):
         return (self.nrows, self.ncols)
-
-    def _check_shape(self, other):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
     def __eq__(self, other):
         return (

@@ -7,9 +7,7 @@ A morphism is stored by its ordered fibers; the underlying set map is
 implied.  Morphisms are interned on gamma's FiniteMap core, like the
 surjections they forget to, and their strings come from gamma's
 map_strings.  The epimorphisms {1..x} -> {1..y} are the fiber orderings of
-the surjections.  The pair normal form (order-preserving map, permutation)
-and the generator calculus are conversion and certification surfaces
-only.
+the surjections.
 """
 
 from functools import lru_cache
@@ -21,7 +19,6 @@ from .chains import (SliceComplex, basis_map_matrix, check_chain_map,
                      span_slice)
 from .gamma import (FiniteMap, GammaComplex, Surjection, map_strings,
                     string_count, surjections)
-from .groupalg import Permutation
 from .sparse import kernel_basis, rank
 
 
@@ -70,28 +67,6 @@ class FiberOrderedMap(FiniteMap):
             raise ValueError("underlying surjection needs an epimorphism")
         return Surjection(self.cod, self.images)
 
-    def pair_form(self):
-        """The (order-preserving map, permutation) normal form: the map
-        equals collapse-of-intervals composed after the permutation."""
-        seq = [i for fb in self.fibers for i in fb]
-        g_image = [0] * len(seq)
-        for t, i in enumerate(seq, start=1):
-            g_image[i - 1] = t
-        phi = []
-        for j, fb in enumerate(self.fibers, start=1):
-            phi.extend([j] * len(fb))
-        return OrderMap(self.cod, phi), Permutation(g_image)
-
-    @classmethod
-    def from_pair(cls, phi, g):
-        if phi.dom != g.n:
-            raise ValueError("pair sizes do not match")
-        ginv = g.inverse()
-        fibers = [[] for _ in range(phi.cod)]
-        for t in range(1, phi.dom + 1):
-            fibers[phi(t) - 1].append(ginv(t))
-        return cls(phi.cod, fibers)
-
     @classmethod
     def identity(cls, n):
         return cls(n, [(i,) for i in range(1, n + 1)])
@@ -111,79 +86,6 @@ def _compose_fom(g, f):
     return FiberOrderedMap(g.cod, fibers)
 
 
-class OrderMap:
-    """A weakly order-preserving map {1..x} -> {1..y}."""
-
-    __slots__ = ("cod", "images")
-
-    def __init__(self, cod, images):
-        self.cod = cod
-        self.images = tuple(images)
-        if any(not 1 <= v <= cod for v in self.images):
-            raise ValueError("image out of range")
-        if any(a > b for a, b in zip(self.images, self.images[1:])):
-            raise ValueError("not order-preserving")
-
-    @property
-    def dom(self):
-        return len(self.images)
-
-    def __call__(self, i):
-        return self.images[i - 1]
-
-    def is_epi(self):
-        return set(self.images) == set(range(1, self.cod + 1))
-
-    def __eq__(self, other):
-        return (isinstance(other, OrderMap)
-                and self.cod == other.cod and self.images == other.images)
-
-    def __hash__(self):
-        return hash(("order", self.cod, self.images))
-
-    def __repr__(self):
-        return f"OrderMap({self.dom}->{self.cod}, {self.images})"
-
-
-# -- generators of the category ------------------------------------------------
-
-def delta_face(n, i):
-    """The order-preserving injection {1..n} -> {1..n+1} missing i."""
-    if not 1 <= i <= n + 1:
-        raise ValueError("face index out of range")
-    fibers = []
-    for j in range(1, n + 2):
-        if j < i:
-            fibers.append((j,))
-        elif j == i:
-            fibers.append(())
-        else:
-            fibers.append((j - 1,))
-    return FiberOrderedMap(n + 1, fibers)
-
-
-def delta_degeneracy(n, j):
-    """The order-preserving surjection {1..n+1} -> {1..n} hitting j twice,
-    with the ascending fiber order."""
-    if not 1 <= j <= n:
-        raise ValueError("degeneracy index out of range")
-    fibers = []
-    for k in range(1, n + 1):
-        if k < j:
-            fibers.append((k,))
-        elif k == j:
-            fibers.append((j, j + 1))
-        else:
-            fibers.append((k + 1,))
-    return FiberOrderedMap(n, fibers)
-
-
-def transposition_map(n, k):
-    """The adjacent transposition as a morphism with singleton fibers."""
-    theta = Permutation.transposition(n, k)
-    return FiberOrderedMap(n, [(theta(j),) for j in range(1, n + 1)])
-
-
 @lru_cache(maxsize=None)
 def epi_maps(x, y):
     """All fiber-ordered epimorphisms {1..x} -> {1..y}, sorted: every
@@ -198,18 +100,6 @@ def epi_count(x, y):
     """len(epi_maps(x, y)) = x! C(x-1, y-1): a permutation of {1..x} cut
     into y non-empty intervals."""
     return factorial(x) * comb(x - 1, y - 1)
-
-
-# -- the symmetric bar construction ---------------------------------------------
-
-def b_sym_words(f, words):
-    """The bar construction on formal words: output slot j concatenates the
-    input words along the fiber order of j (empty fiber = empty word)."""
-    if len(words) != f.dom:
-        raise ValueError("word count does not match the domain")
-    return tuple(
-        tuple(sym for i in fb for sym in words[i - 1])
-        for fb in f.fibers)
 
 
 # -- strings of epimorphisms -----------------------------------------------------
@@ -375,7 +265,7 @@ def hs0_law(sym, w):
     """The degree-zero law at weight w of a full SymmetricComplex, as
     (w, dim of reduced HS_0 plus 1 at w = 0, dim of the weight-w piece of
     the algebra); the law holds when the last two agree."""
-    h0 = sym.slice(w, 1).homology().dim(0)
+    h0 = sym.slice(w, 1).homology()[0]
     return (w, h0 + (1 if w == 0 else 0), sym.alg.dim_of_weight(w))
 
 

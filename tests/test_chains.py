@@ -9,26 +9,23 @@ from exacthom.chains import (CertificationError, ChainSlice, HomologyBases,
                              long_exact_sequence_nodes, span_slice)
 from exacthom.fields import GF, QQ
 from exacthom.sparse import SparseMatrix, kernel_basis
-
-
-def mat(rows, field=QQ):
-    return SparseMatrix.from_rows(field, rows)
+from reference import mat
 
 
 def test_homology_of_identity_map():
     sl = ChainSlice(QQ, [1, 1], {1: SparseMatrix.identity(QQ, 1)})
-    assert sl.homology().dims() == [0, 0]
+    assert sl.homology() == [0, 0]
 
 
 def test_homology_of_zero_map():
     sl = ChainSlice(QQ, [1, 1], {1: SparseMatrix.zeros(QQ, 1, 1)})
-    assert sl.homology().dims() == [1, 1]
+    assert sl.homology() == [1, 1]
 
 
 def test_homology_exact_three_term():
     sl = ChainSlice(QQ, [1, 2, 1],
                     {1: mat([[1, 0]]), 2: mat([[0], [1]])})
-    assert sl.homology().dims() == [0, 0, 0]
+    assert sl.homology() == [0, 0, 0]
 
 
 def test_chain_slice_rejects_non_complex():
@@ -72,11 +69,11 @@ def test_induced_map_independent_of_representatives():
     sl = ChainSlice(QQ, [1, 3, 1], {1: d1, 2: d2})
     hb = HomologyBases(sl)
     f = [SparseMatrix.identity(QQ, 1),
-         SparseMatrix.identity(QQ, 3).scale(QQ.of(2)),
-         SparseMatrix.identity(QQ, 1).scale(QQ.of(2))]
+         mat([[2, 0, 0], [0, 2, 0], [0, 0, 2]]), mat([[2]])]
     base = induced_map_on_homology(f, sl, sl, 1)
-    # perturb the chosen representatives by boundaries; classes are unchanged
-    perturbed = hb.reps(1).add(d2.mul(mat([[3, -1]])))
+    # perturb the chosen representatives by boundaries, [reps | d2] times
+    # [1 0; 0 1; 3 -1]; classes are unchanged
+    perturbed = hb.reps(1).hstack(d2).mul(mat([[1, 0], [0, 1], [3, -1]]))
     assert hb.coords(1, f[1].mul(perturbed)) == base
 
 
@@ -88,7 +85,7 @@ def test_connecting_homomorphism_iso_example():
     proj = [SparseMatrix.zeros(QQ, 0, 1), SparseMatrix.identity(QQ, 1)]
     delta = connecting_homomorphism(inc, proj, sub, total, quot, 1)
     assert delta.shape == (1, 1)
-    assert delta.get(0, 0) != QQ.zero
+    assert delta.nnz == 1
 
 
 def test_connecting_zero_when_lifts_are_cycles():
@@ -149,16 +146,16 @@ def _twisted_ses(rng, field, dims_sub, dims_quot):
                                   for i in range(dims_quot[n])}))
     for n in range(1, top + 1):
         # twist h = d_sub h' - h' d_quot satisfies d_sub h + h d_quot = 0
-        h = sub.boundary(n).mul(hprime[n]).sub(
-            hprime[n - 1].mul(quot.boundary(n)))
         ents = {}
         for (i, j), v in sub.boundary(n).entries.items():
             ents[(i, j)] = v
-        for (i, j), v in h.entries.items():
-            key = (i, dims_sub[n] + j)
-            s = field.add(ents.get(key, field.zero), v)
-            if s != field.zero:
-                ents[key] = s
+        for sign, part in ((field.one, sub.boundary(n).mul(hprime[n])),
+                           (field.neg(field.one),
+                            hprime[n - 1].mul(quot.boundary(n)))):
+            for (i, j), v in part.entries.items():
+                key = (i, dims_sub[n] + j)
+                ents[key] = field.add(ents.get(key, field.zero),
+                                      field.mul(sign, v))
         for (i, j), v in quot.boundary(n).entries.items():
             ents[(dims_sub[n - 1] + i, dims_sub[n] + j)] = v
         bounds[n] = SparseMatrix(
@@ -290,7 +287,7 @@ def test_rank_only_homology_matches_representatives(name):
     for w in range(max_w + 1):
         sl = cx.slice(w, top + 1)
         bases = HomologyBases(sl)
-        assert sl.homology().dims() == [bases.dim(n) for n in range(top + 2)]
+        assert sl.homology() == [bases.dim(n) for n in range(top + 2)]
 
 
 def _every_variant(alg):

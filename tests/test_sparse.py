@@ -8,10 +8,7 @@ from exacthom.fields import GF, QQ
 from exacthom.sparse import (Echelon, SparseMatrix, extend_basis_columns,
                              image_pivot_columns, kernel_basis, rank,
                              solve_batch)
-
-
-def mat(rows, field=QQ):
-    return SparseMatrix.from_rows(field, rows)
+from reference import columns, mat
 
 
 def test_rank_identity_and_zero():
@@ -39,7 +36,7 @@ def test_kernel_zero_map_full():
 def test_kernel_one_relation():
     k = kernel_basis(mat([[1, 1]]))
     assert k.ncols == 1
-    assert k.get(0, 0) == QQ.neg(k.get(1, 0)) != QQ.zero
+    assert k.entries[(0, 0)] == QQ.neg(k.entries[(1, 0)]) != QQ.zero
 
 
 def test_rank_nullity_random():
@@ -90,9 +87,6 @@ def test_matrix_algebra():
     a = mat([[1, 2], [3, 4]])
     b = mat([[0, 1], [1, 0]])
     assert a.mul(b) == mat([[2, 1], [4, 3]])
-    assert a.add(b).sub(b) == a
-    assert a.scale(QQ.of(0)).is_zero()
-    assert a.transpose().transpose() == a
     assert a.hstack(b).shape == (2, 4)
     assert a.select_columns([1]) == mat([[2], [4]])
 
@@ -140,7 +134,7 @@ def test_rank_against_dense_oracle():
         rows = [[rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(ncols)]
                 for _ in range(nrows)]
         dense = _dense_rank(rows, ncols)
-        sparse = rank(SparseMatrix.from_rows(QQ, rows))
+        sparse = rank(mat(rows))
         assert sparse == dense, rows
 
 
@@ -203,7 +197,8 @@ def _dense_product(field, a, b):
         for j in range(b.ncols):
             s = field.zero
             for k in range(a.ncols):
-                s = field.add(s, field.mul(a.get(i, k), b.get(k, j)))
+                s = field.add(s, field.mul(a.entries.get((i, k), field.zero),
+                                           b.entries.get((k, j), field.zero)))
             row.append(s)
         rows.append(row)
     return rows
@@ -249,8 +244,9 @@ def test_mul_matches_the_dense_product(field, kind):
         c = SparseMatrix(field, m, k, {
             key: v if rng.random() < 0.5 else _entry(rng, field, kind)
             for key, v in a.entries.items()})
-        b_minus_b = b.transpose().hstack(b.scale(minus_one).transpose()) \
-            .transpose()
+        b_minus_b = SparseMatrix(field, 2 * k, n, {
+            **b.entries, **{(i + k, j): field.mul(minus_one, v)
+                            for (i, j), v in b.entries.items()}})
         assert _check_product(field, a.hstack(a), b_minus_b).is_zero()
         _check_product(field, a.hstack(c), b_minus_b)
 
@@ -270,7 +266,7 @@ def test_forward_rank_of_fractional_block():
     rows.append([QQ.add(QQ.mul(QQ.of(1, 2), a), QQ.mul(QQ.of(2, 3), b))
                  for a, b in zip(*rows)])
     rows.append([QQ.mul(3, v) for v in rows[2]])
-    m = SparseMatrix.from_rows(QQ, rows)
+    m = mat(rows)
     assert rank(m) == Echelon(m).rank == 2
 
 
@@ -294,7 +290,7 @@ def _gauss_jordan(matrix, pivot_limit=None):
 
         def inv(x):
             return 1 / x
-    m = [[norm(matrix.get(i, j)) for j in range(matrix.ncols)]
+    m = [[norm(matrix.entries.get((i, j), 0)) for j in range(matrix.ncols)]
          for i in range(matrix.nrows)]
     pivots = []
     for col in range(limit):
@@ -337,10 +333,6 @@ def _reference_solve(a, v):
     return cols, ok
 
 
-def _columns(matrix):
-    return [matrix.column(j) for j in range(matrix.ncols)]
-
-
 def _assert_same_columns(got, expected):
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
@@ -353,7 +345,7 @@ def _assert_same_columns(got, expected):
 def _random_columns(rng, field, kind, a, ncols):
     """ncols columns of height a.nrows: about half lie in the column span
     of a (combinations of its columns), the rest are random."""
-    acols = _columns(a)
+    acols = columns(a)
     cols = []
     for _ in range(ncols):
         if acols and rng.random() < 0.5:
@@ -389,7 +381,7 @@ def test_echelon_matches_dense_gauss_jordan(field, kind):
         pivots, _, _ = _gauss_jordan(a)
         assert image_pivot_columns(a) == pivots, a.entries
         assert rank(a) == len(pivots), a.entries
-        _assert_same_columns(_columns(kernel_basis(a)), _reference_kernel(a))
+        _assert_same_columns(columns(kernel_basis(a)), _reference_kernel(a))
 
         second = _random_columns(rng, field, kind, a, rng.randint(0, 5))
         joint, _, _ = _gauss_jordan(a.hstack(second))
@@ -399,7 +391,7 @@ def test_echelon_matches_dense_gauss_jordan(field, kind):
         x, ok = solve_batch(a, second, strict=False)
         cols, expected_ok = _reference_solve(a, second)
         assert ok == expected_ok
-        _assert_same_columns(_columns(x), cols)
+        _assert_same_columns(columns(x), cols)
         solved = [j for j in range(second.ncols) if ok[j]]
         assert a.mul(x.select_columns(solved)) == second.select_columns(solved)
 
@@ -456,7 +448,7 @@ def test_echelon_reads_fractions_of_the_lead():
     rows.append([QQ.add(QQ.mul(QQ.of(1, 2), a), QQ.mul(QQ.of(2, 3), b))
                  for a, b in zip(*rows)])
     rows.append([QQ.mul(3, v) for v in rows[2]])
-    m = SparseMatrix.from_rows(QQ, rows)
+    m = mat(rows)
     ech = Echelon(m)
     assert ech.rows == {0: {0: 7, 2: 15}, 1: {1: 4, 2: -9}}
     assert ech.residuals == []
