@@ -5,10 +5,16 @@ A ChainSlice holds the degrees 0..N of a complex in one internal weight.
 Degrees above N are treated as zero, so the homology in degree N is only
 meaningful when the caller built one degree more than it reports (the
 theory-level drivers do exactly that).
+
+Homology dimensions are rank-only, from ranks a slice memoizes for
+homology() alone.  Homology representatives (HomologyBases) cost two
+eliminations per degree, and coordinates none: a kernel basis is 1 at its
+own free row and 0 at the other free rows, so a vector's coordinates in
+it are its entries at the free rows (kernel_coords), certified by one
+product.
 """
 
-from .sparse import (SparseMatrix, extend_basis_columns, kernel_basis, rank,
-                     solve_batch)
+from .sparse import Echelon, SparseMatrix, kernel_with_free, rank, solve_batch
 
 
 class CertificationError(AssertionError):
@@ -114,8 +120,8 @@ class ChainSlice:
     boundaries[n] is the map from degree n to degree n-1, of shape
     dims[n-1] x dims[n].  The composite of consecutive boundaries is
     checked to vanish at construction.  The rank of each boundary is
-    eliminated once and kept, for the homology dimensions and the
-    homology representatives alike.
+    eliminated once and kept for homology(), the rank-only dimensions;
+    HomologyBases does not read it.
     """
 
     def __init__(self, field, dims, boundaries):
@@ -157,31 +163,64 @@ class ChainSlice:
         """Homology dimensions of degrees 0..N, rank-only: dim H_n =
         dims[n] - rk d_n - rk d_{n+1} (representatives come from
         HomologyBases)."""
-        return [_homology_dim(self, n, self.dims[n] - self.boundary_rank(n))
+        dims = [self.dims[n] - self.boundary_rank(n) - self.boundary_rank(n + 1)
                 for n in range(self.top + 1)]
-
-
-def _homology_dim(sl, n, cycle_dim):
-    """dim H_n from the dimension of the degree-n cycles; a negative one
-    means the boundaries do not form a complex."""
-    dim = cycle_dim - sl.boundary_rank(n + 1)
-    if dim < 0:
-        raise AssertionError("negative homology dimension: broken complex")
-    return dim
+        if any(d < 0 for d in dims):
+            # the boundaries do not form a complex
+            raise AssertionError("negative homology dimension: broken complex")
+        return dims
 
 
 def _cycles(sl, n):
+    """(Z_n, F_n): the kernel basis of d_n and its free rows."""
     if n == 0:
-        return SparseMatrix.identity(sl.field, sl.dims[0])
-    return kernel_basis(sl.boundary(n))
+        return SparseMatrix.identity(sl.field, sl.dims[0]), range(sl.dims[0])
+    return kernel_with_free(sl.boundary(n))
 
 
 def _degree_homology(sl, n):
-    """(dim H_n, representatives): kernel columns extending a spanning set
-    of the boundary space."""
-    cyc = _cycles(sl, n)
-    reps = cyc.select_columns(extend_basis_columns(sl.boundary(n + 1), cyc))
-    return _homology_dim(sl, n, cyc.ncols), reps
+    """(Z_n, F_n, reps, H_n): the cycles with their free rows, the
+    representatives and the homology coordinates of Z_n's columns.
+
+    The representatives are the identity-block pivots of the echelon of
+    [rows F_n of d_{n+1} | I].  Every column of [d_{n+1} | Z_n] is a
+    cycle, and keeping the rows F_n is injective on cycles, so these are
+    the lex-first cycles that extend the boundaries, as
+    extend_basis_columns(d_{n+1}, Z_n) picks them.  The echelon has full
+    row rank, so its identity block is the row operation E, and for a
+    cycle with Z_n-coordinates y = d_{n+1} a + sum_r c_r reps_r, (E y) is
+    c_r at the r-th representative's row: H_n is those rows' identity
+    block, each entry over its row's lead."""
+    cyc, free = _cycles(sl, n)
+    field = sl.field
+    bnd = sl.boundary(n + 1).select_rows(free)
+    m = bnd.ncols
+    ech = Echelon(bnd.hstack(SparseMatrix.identity(field, len(free))))
+    of = field.of
+    reps, entries = [], {}
+    for r, pcol in enumerate(c for c in ech.pivot_cols if c >= m):
+        reps.append(pcol - m)
+        row = ech.rows[pcol]
+        lead = row[pcol]
+        for c, v in row.items():
+            if c >= m:
+                entries[(r, c - m)] = of(v, lead)
+    hcoords = SparseMatrix(field, len(reps), len(free), entries)
+    return cyc, free, cyc.select_columns(reps), hcoords
+
+
+def kernel_coords(kernel, free, vectors):
+    """Coordinates of the columns of vectors in a kernel basis whose column
+    t is 1 at row free[t] and 0 at the other free rows: the rows free of
+    vectors.  The product kernel x == vectors is checked exactly; a column
+    outside the span of kernel raises ValueError."""
+    x = vectors.select_rows(free)
+    back = kernel.mul(x)
+    if back != vectors:
+        bad = min(j for (_, j), _ in
+                  back.entries.items() ^ vectors.entries.items())
+        raise ValueError(f"column {bad} is not in the span")
+    return x
 
 
 def coords(basis, vectors, modulo=None):
@@ -193,7 +232,7 @@ def coords(basis, vectors, modulo=None):
     if modulo is None:
         return solve_batch(basis, vectors)[0]
     sol, _ = solve_batch(modulo.hstack(basis), vectors)
-    return sol.row_block(modulo.ncols, sol.nrows)
+    return sol.select_rows(range(modulo.ncols, sol.nrows))
 
 
 def span_slice(boundary, reps, modulo=None):
@@ -204,12 +243,26 @@ def span_slice(boundary, reps, modulo=None):
     the chosen bases, d_n = coords(reps[n-1], boundary(n) reps[n],
     modulo[n-1]), and solving certifies that the span is closed under the
     boundary."""
+    return _restricted_slice(boundary, reps, lambda n, image: coords(
+        reps[n - 1], image, modulo[n - 1] if modulo else None))
+
+
+def kernel_slice(boundary, kernels, free):
+    """span_slice of kernel bases with free rows free[n], with no solve:
+    d_n = kernel_coords(kernels[n-1], free[n-1], boundary(n) kernels[n])."""
+    return _restricted_slice(boundary, kernels, lambda n, image: kernel_coords(
+        kernels[n - 1], free[n - 1], image))
+
+
+def _restricted_slice(boundary, reps, solve):
+    """ChainSlice of the columns of reps[n], with d_n = solve(n,
+    boundary(n) reps[n]); a ValueError of solve means the span is not
+    closed under the boundary."""
     bounds = {}
     for n in range(1, len(reps)):
         image = boundary(n).mul(reps[n])
         try:
-            bounds[n] = coords(reps[n - 1], image,
-                               modulo[n - 1] if modulo else None)
+            bounds[n] = solve(n, image)
         except ValueError as exc:
             raise CertificationError(
                 f"boundary leaves the subcomplex at degree {n}: {exc}"
@@ -218,7 +271,14 @@ def span_slice(boundary, reps, modulo=None):
 
 
 class HomologyBases:
-    """Cached homology representatives of one slice, with coordinate solving."""
+    """Homology representatives of one slice and homology coordinates.
+
+    A degree costs two eliminations on first use (_degree_homology): d_n
+    for the cycles Z_n and their free rows F_n, then the representatives
+    with the homology coordinates H_n of Z_n's columns.  Cycles v have
+    coordinates H_n kernel_coords(Z_n, F_n, v): two products, no
+    elimination.  No rank of the slice is read.
+    """
 
     def __init__(self, sl):
         self.slice = sl
@@ -230,16 +290,18 @@ class HomologyBases:
         return self._deg[n]
 
     def dim(self, n):
-        return self._data(n)[0]
+        return self.reps(n).ncols
 
     def reps(self, n):
-        return self._data(n)[1]
+        return self._data(n)[2]
 
     def coords(self, n, vectors):
-        """Homology coordinates of cycle columns: express each column as a
-        combination of the chosen representatives plus a boundary, and
-        return the representative coefficients (dim H_n x ncols)."""
-        return coords(self.reps(n), vectors, self.slice.boundary(n + 1))
+        """Homology coordinates of cycle columns: the coefficients of the
+        representatives when each column is written as a combination of
+        them plus a boundary (dim H_n x ncols).  A column that is not a
+        cycle raises ValueError."""
+        cyc, free, _, hcoords = self._data(n)
+        return hcoords.mul(kernel_coords(cyc, free, vectors))
 
 
 def check_chain_map(f, src, dst):
@@ -310,24 +372,23 @@ def long_exact_sequence_nodes(inc, proj, sub, total, quot, max_n):
     ht = HomologyBases(total)
     hq = HomologyBases(quot)
 
-    alpha = {}  # H_n(sub) -> H_n(total)
-    beta = {}   # H_n(total) -> H_n(quot)
-    delta = {}  # H_n(quot) -> H_{n-1}(sub)
+    # the ranks of H_n(inc), H_n(proj) and the connecting map H_n(quot) ->
+    # H_{n-1}(sub), each taken once; the last is 0 for n = 0
+    rk_alpha, rk_beta, rk_delta = {}, {}, {0: 0}
     for n in range(max_n + 1):
-        alpha[n] = induced_map_on_homology(inc, sub, total, n, hs, ht, checked=True)
-        beta[n] = induced_map_on_homology(proj, total, quot, n, ht, hq, checked=True)
+        rk_alpha[n] = rank(induced_map_on_homology(
+            inc, sub, total, n, hs, ht, checked=True))
+        rk_beta[n] = rank(induced_map_on_homology(
+            proj, total, quot, n, ht, hq, checked=True))
         if n >= 1:
-            delta[n] = connecting_homomorphism(
-                inc, proj, sub, total, quot, n, hs, hq, checked=True)
+            rk_delta[n] = rank(connecting_homomorphism(
+                inc, proj, sub, total, quot, n, hs, hq, checked=True))
 
     nodes = []
     for n in range(max_n + 1):
-        nodes.append((
-            f"H_{n}(total)", rank(alpha[n]), ht.dim(n) - rank(beta[n])))
-        out_rank = rank(delta[n]) if n >= 1 else 0  # H_0(quot) -> 0
-        nodes.append((
-            f"H_{n}(quot)", rank(beta[n]), hq.dim(n) - out_rank))
+        nodes.append((f"H_{n}(total)", rk_alpha[n], ht.dim(n) - rk_beta[n]))
+        nodes.append((f"H_{n}(quot)", rk_beta[n], hq.dim(n) - rk_delta[n]))
         if n + 1 <= max_n:
             nodes.append((
-                f"H_{n}(sub)", rank(delta[n + 1]), hs.dim(n) - rank(alpha[n])))
+                f"H_{n}(sub)", rk_delta[n + 1], hs.dim(n) - rk_alpha[n]))
     return nodes

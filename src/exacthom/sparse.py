@@ -15,8 +15,8 @@ against monic pivot rows.
   new pivot column from all earlier rows.  Pivot columns are therefore
   the lex-first independent column set, which callers rely on when they
   extend one basis by another (put the preferred columns first).  Kernels
-  and solves read it off, and form a rational only there: an entry over
-  its row's lead.
+  and solves read it off through a column index of the pivot rows, built
+  once, and form a rational only there: an entry over its row's lead.
 
 Products are fraction-free too: ``SparseMatrix.mul`` multiplies rows and
 columns scaled to integers and forms each nonzero entry of the product
@@ -131,12 +131,15 @@ class SparseMatrix:
             ents[(i, j + off)] = v
         return SparseMatrix(self.field, self.nrows, self.ncols + other.ncols, ents)
 
-    def row_block(self, lo, hi):
-        """Submatrix of the rows lo..hi-1."""
-        return SparseMatrix(
-            self.field, hi - lo, self.ncols,
-            {(i - lo, j): v for (i, j), v in self.entries.items()
-             if lo <= i < hi})
+    def select_rows(self, rows):
+        """Submatrix of the given rows, in the given order."""
+        pos = {r: t for t, r in enumerate(rows)}
+        ents = {}
+        for (i, j), v in self.entries.items():
+            t = pos.get(i)
+            if t is not None:
+                ents[(t, j)] = v
+        return SparseMatrix(self.field, len(rows), self.ncols, ents)
 
     def select_columns(self, cols):
         """Submatrix of the given columns, in the given order."""
@@ -188,6 +191,7 @@ class Echelon:
                                     else pivot_limit)
         self.rows = rows = {}  # pivot col -> row dict
         self.residuals = []    # row dicts with no entry below pivot_limit
+        self._index = None     # see _column_index
         raw = matrix.rows_as_dicts()
         for i in sorted(range(len(raw)), key=lambda i: (len(raw[i]), i)):
             row = raw[i]
@@ -223,31 +227,40 @@ class Echelon:
     def free_cols(self):
         return [c for c in range(self.pivot_limit) if c not in self.rows]
 
+    def _column_index(self):
+        """(column -> [(pivot column, entry, lead)], columns of the residual
+        rows), built in one pass over the rows on the first read, so each
+        read below costs the entries it returns.  A column's pivots come in
+        the order of self.rows."""
+        if self._index is None:
+            cols = {}
+            for pcol, row in self.rows.items():
+                lead = row[pcol]
+                for c, v in row.items():
+                    if c != pcol:
+                        cols.setdefault(c, []).append((pcol, v, lead))
+            self._index = cols, set().union(*self.residuals)
+        return self._index
+
     def solve_augmented(self, j):
         """Particular solution x of A x = v_j for augmented column j
         (columns >= pivot_limit), or None if v_j is not in the span."""
-        for res in self.residuals:
-            if j in res:
-                return None
+        cols, residual = self._column_index()
+        if j in residual:
+            return None
         of = self.field.of
-        x = {}
-        for pcol, row in self.rows.items():
-            v = row.get(j)
-            if v is not None:
-                x[pcol] = of(v, row[pcol])
-        return x
+        return {pcol: of(v, lead) for pcol, v, lead in cols.get(j, ())}
 
     def kernel_vectors(self):
         """Kernel basis of the leading block, one vector per free column."""
+        cols = self._column_index()[0]
         of = self.field.of
         one = self.field.one
         vecs = []
         for c in self.free_cols():
             vec = {c: one}
-            for pcol, row in self.rows.items():
-                v = row.get(c)
-                if v is not None:
-                    vec[pcol] = of(-v, row[pcol])
+            for pcol, v, lead in cols.get(c, ()):
+                vec[pcol] = of(-v, lead)
             vecs.append(vec)
         return vecs
 
@@ -328,8 +341,18 @@ def _eliminate(row, piv, c, p):
 
 def kernel_basis(matrix):
     """Matrix whose columns are a basis of the kernel (ncols x nullity)."""
+    return kernel_with_free(matrix)[0]
+
+
+def kernel_with_free(matrix):
+    """(K, free): the kernel basis of kernel_basis and its free columns in
+    order.  Column t of K is 1 at row free[t] and 0 at the other free rows,
+    so a kernel vector's coordinates in K are its entries at the free rows
+    (chains.kernel_coords)."""
     ech = Echelon(matrix)
-    return SparseMatrix.from_columns(matrix.field, matrix.ncols, ech.kernel_vectors())
+    return (SparseMatrix.from_columns(matrix.field, matrix.ncols,
+                                      ech.kernel_vectors()),
+            ech.free_cols())
 
 
 def image_pivot_columns(matrix):

@@ -16,10 +16,10 @@ from math import comb, factorial
 
 from .algebras import Coefficients
 from .chains import (SliceComplex, basis_map_matrix, check_chain_map,
-                     span_slice)
+                     kernel_slice)
 from .gamma import (FiniteMap, GammaComplex, Surjection, map_strings,
                     string_count, surjections)
-from .sparse import kernel_basis, rank
+from .sparse import SparseMatrix, rank
 
 
 class FiberOrderedMap(FiniteMap):
@@ -208,6 +208,29 @@ def phi_matrix(sym_quot, gamma_ideal, n, w):
         lambda key: (forget_string(key[0]), key[1], 0))
 
 
+def _basis_map_kernel(matrix):
+    """(K, free) of a matrix whose every column is zero or holds one
+    entry 1: K has one column e_j or e_j - e_j0 per non-first column j of
+    a fiber (ComparisonData.kernel), and free lists those j in order."""
+    field = matrix.field
+    one, minus_one = field.one, field.of(-1)
+    target = [None] * matrix.ncols
+    for i, j in matrix.entries:
+        target[j] = i
+    first = {}
+    cols, free = [], []
+    for j, i in enumerate(target):
+        if i is None:
+            cols.append({j: one})
+        elif i in first:
+            cols.append({j: one, first[i]: minus_one})
+        else:
+            first[i] = j
+            continue
+        free.append(j)
+    return SparseMatrix.from_columns(field, matrix.ncols, cols), free
+
+
 class ComparisonData:
     """The surjection NCS -> NC-Gamma(I, k) at one weight with its short
     exact sequence, certificates included."""
@@ -242,10 +265,23 @@ class ComparisonData:
         return True
 
     def kernel(self):
-        """(inclusion columns, ChainSlice) of ker(phi o q)."""
+        """(inclusion columns, ChainSlice) of ker(phi o q), in closed form.
+
+        phi o q sends each basis element to one basis element or to zero,
+        so its kernel has one basis column per column j that is not the
+        first column of its fiber: e_j when j maps to zero, and e_j - e_j0
+        otherwise, where j0 is the first column with j's image.  This is
+        the basis that kernel_basis eliminates, entry for entry.  Column t
+        is 1 at its own column and 0 at the other non-first columns, so
+        the kernel complex's boundaries are read off d_n K_n at those rows
+        (kernel_slice), and a boundary leaving the kernel raises
+        CertificationError.  check_ses certifies that the columns span
+        the kernel."""
         if self._kernel is None:
-            reps = [kernel_basis(p) for p in self.proj]
-            self._kernel = (reps, span_slice(self.sym_chain.boundary, reps))
+            bases = [_basis_map_kernel(p) for p in self.proj]
+            reps = [k for k, _ in bases]
+            self._kernel = (reps, kernel_slice(
+                self.sym_chain.boundary, reps, [free for _, free in bases]))
         return self._kernel
 
     def ses(self):

@@ -6,9 +6,11 @@ faster or more general way; none of them is used outside the tests.
 
 from itertools import permutations
 
-from exacthom.algebras import AlgebraElement
+from exacthom.algebras import AlgebraElement, algebra_from_dict
+from exacthom.chains import span_slice
 from exacthom.fields import QQ
-from exacthom.sparse import SparseMatrix
+from exacthom.sparse import (SparseMatrix, extend_basis_columns, kernel_basis,
+                             rank, solve_batch)
 from exacthom.symhom import FiberOrderedMap
 
 
@@ -90,3 +92,78 @@ def epi_maps(x, y):
                 start += size
             out.append(FiberOrderedMap(y, fibers))
     return tuple(sorted(out))
+
+
+def fractional_trunc4(field=QQ):
+    """trunc4 with x*x = (2/3) y and x*y = (5/4) z: genuine fractions in
+    every boundary that multiplies."""
+    alg = algebra_from_dict({
+        "name": "trunc4-fractional", "field": "Q",
+        "generators": [{"symbol": "x", "weight": 1},
+                       {"symbol": "y", "weight": 2},
+                       {"symbol": "z", "weight": 3}],
+        "products": [
+            {"left": "x", "right": "x", "result": {"y": "2/3"}},
+            {"left": "x", "right": "y", "result": {"z": "5/4"}},
+            {"left": "y", "right": "x", "result": {"z": "5/4"}}]}, field)
+    assert alg.validate() == []
+    return alg
+
+
+def kernel_vectors_scan(ech):
+    """Echelon.kernel_vectors by scanning every pivot row for every free
+    column."""
+    of, one = ech.field.of, ech.field.one
+    vecs = []
+    for c in ech.free_cols():
+        vec = {c: one}
+        for pcol, row in ech.rows.items():
+            v = row.get(c)
+            if v is not None:
+                vec[pcol] = of(-v, row[pcol])
+        vecs.append(vec)
+    return vecs
+
+
+def solve_augmented_scan(ech, j):
+    """Echelon.solve_augmented by scanning every residual and pivot row
+    for the augmented column j."""
+    if any(j in res for res in ech.residuals):
+        return None
+    return {pcol: ech.field.of(row[j], row[pcol])
+            for pcol, row in ech.rows.items() if j in row}
+
+
+class HomologyBases:
+    """chains.HomologyBases by kernel bases and solves: the representatives
+    are the cycles that extend_basis_columns picks after the boundaries,
+    and coordinates solve [d_{n+1} | reps] x = v and keep the
+    representative rows."""
+
+    def __init__(self, sl):
+        self.slice = sl
+
+    def cycles(self, n):
+        if n == 0:
+            return SparseMatrix.identity(self.slice.field, self.slice.dims[0])
+        return kernel_basis(self.slice.boundary(n))
+
+    def dim(self, n):
+        return self.cycles(n).ncols - rank(self.slice.boundary(n + 1))
+
+    def reps(self, n):
+        cyc = self.cycles(n)
+        return cyc.select_columns(
+            extend_basis_columns(self.slice.boundary(n + 1), cyc))
+
+    def coords(self, n, vectors):
+        bnd = self.slice.boundary(n + 1)
+        sol, _ = solve_batch(bnd.hstack(self.reps(n)), vectors)
+        return sol.select_rows(range(bnd.ncols, sol.nrows))
+
+
+def comparison_kernel(cd):
+    """ComparisonData.kernel by elimination: the kernel basis of each
+    projection, and the subcomplex it spans by solving."""
+    reps = [kernel_basis(p) for p in cd.proj]
+    return reps, span_slice(cd.sym_chain.boundary, reps)

@@ -9,6 +9,7 @@ from exacthom.chains import (CertificationError, ChainSlice, HomologyBases,
                              long_exact_sequence_nodes, span_slice)
 from exacthom.fields import GF, QQ
 from exacthom.sparse import SparseMatrix, kernel_basis
+import reference
 from reference import mat
 
 
@@ -242,23 +243,6 @@ def test_span_slice_rejects_a_span_not_closed_under_the_boundary():
     assert hochschild.CertificationError is CertificationError
 
 
-def _fractional_trunc4():
-    # trunc4 with x*x = (2/3) y and x*y = (5/4) z: genuine fractions in
-    # every boundary that multiplies
-    from exacthom.algebras import algebra_from_dict
-    alg = algebra_from_dict({
-        "name": "trunc4-fractional", "field": "Q",
-        "generators": [{"symbol": "x", "weight": 1},
-                       {"symbol": "y", "weight": 2},
-                       {"symbol": "z", "weight": 3}],
-        "products": [
-            {"left": "x", "right": "x", "result": {"y": "2/3"}},
-            {"left": "x", "right": "y", "result": {"z": "5/4"}},
-            {"left": "y", "right": "x", "result": {"z": "5/4"}}]})
-    assert alg.validate() == []
-    return alg
-
-
 def _complexes():
     """name -> (complex, top degree reported, max weight)"""
     from exacthom.algebras import Coefficients, preset
@@ -266,7 +250,7 @@ def _complexes():
     from exacthom.hochschild import HochschildComplex
     from exacthom.symhom import SymmetricComplex
     trunc3 = preset("trunc3")
-    fractional = _fractional_trunc4()
+    fractional = reference.fractional_trunc4()
     return {
         "hochschild trunc3 A": (HochschildComplex(
             trunc3, Coefficients(trunc3, "A")), 4, 6),
@@ -377,3 +361,60 @@ def test_boundary_terms_match_the_per_term_sum(field):
                             assert type(v) is int or v.denominator != 1
                             fractions += type(v) is not int
     assert fractions or field.characteristic
+
+
+def _bases_slices(field):
+    """name -> slice: every sub, total and quot slice of ComparisonData on
+    both presets for w <= 3, and the fractional trunc4 Hochschild slices
+    (M = A) for w <= 4."""
+    from exacthom.algebras import Coefficients, preset
+    from exacthom.hochschild import HochschildComplex
+    from exacthom.symhom import ComparisonData
+    out = {}
+    for name in ("dual-numbers", "trunc3"):
+        alg = preset(name, field)
+        for w in range(4):
+            _, _, sub, total, quot = ComparisonData(alg, w, 3).ses()
+            for tag, sl in (("sub", sub), ("total", total), ("quot", quot)):
+                out[f"{name} w={w} {tag}"] = sl
+    alg = reference.fractional_trunc4(field)
+    hc = HochschildComplex(alg, Coefficients(alg, "A"))
+    for w in range(5):
+        out[f"fractional hochschild w={w}"] = hc.slice(w, 4)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+def test_homology_bases_match_the_solve_oracle(field):
+    # the two eliminations per degree against kernel_basis,
+    # extend_basis_columns and one solve per coordinate call
+    for name, sl in _bases_slices(field).items():
+        bases, oracle = HomologyBases(sl), reference.HomologyBases(sl)
+        for n in range(sl.top + 1):
+            assert bases.dim(n) == oracle.dim(n), (name, n)
+            assert bases.reps(n) == oracle.reps(n), (name, n)
+            # the cycles and the boundaries, which have coordinates 0
+            vectors = oracle.cycles(n).hstack(sl.boundary(n + 1))
+            assert bases.coords(n, vectors) == oracle.coords(n, vectors), (
+                name, n)
+
+
+def test_homology_coords_reject_a_non_cycle():
+    # C_1 = <a, b>, C_0 = <c>, d(a) = c, d(b) = 0: b is a cycle, a is not
+    sl = ChainSlice(QQ, [1, 2], {1: mat([[1, 0]])})
+    bases = HomologyBases(sl)
+    assert bases.coords(1, mat([[0], [3]])) == mat([[3]])
+    with pytest.raises(ValueError, match="column 1"):
+        bases.coords(1, mat([[0, 1], [1, 1]]))
+
+
+def test_kernel_coords_are_the_free_rows():
+    from exacthom.chains import kernel_coords
+    from exacthom.sparse import kernel_with_free
+    d = mat([[1, 2, 0, 1], [0, 0, 1, 1]])
+    k, free = kernel_with_free(d)
+    assert free == [1, 3]
+    v = k.mul(mat([[2, 0], [QQ.of(1, 3), 1]]))
+    assert kernel_coords(k, free, v) == mat([[2, 0], [QQ.of(1, 3), 1]])
+    with pytest.raises(ValueError, match="column 0"):
+        kernel_coords(k, free, mat([[1], [0], [0], [0]]))

@@ -334,13 +334,13 @@ def restricted_boundary_reference(hc, n, w, keep):
 def lower_block(a, b, vectors):
     """Solve [a | b] x = vectors and keep the rows of b."""
     sol, _ = solve_batch(a.hstack(b), vectors)
-    return sol.row_block(a.ncols, sol.nrows)
+    return sol.select_rows(range(a.ncols, sol.nrows))
 
 
 def upper_block(a, b, vectors):
     """Solve [a | b] x = vectors and keep the rows of a."""
     sol, _ = solve_batch(a.hstack(b), vectors)
-    return sol.row_block(0, a.ncols)
+    return sol.select_rows(range(a.ncols))
 
 
 def image_reps(mat):

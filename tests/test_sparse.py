@@ -8,6 +8,7 @@ from exacthom.fields import GF, QQ
 from exacthom.sparse import (Echelon, SparseMatrix, extend_basis_columns,
                              image_pivot_columns, kernel_basis, rank,
                              solve_batch)
+import reference
 from reference import columns, mat
 
 
@@ -454,3 +455,30 @@ def test_echelon_reads_fractions_of_the_lead():
     assert ech.residuals == []
     assert kernel_basis(m) == SparseMatrix.from_columns(
         QQ, 3, [{0: QQ.of(-15, 7), 1: QQ.of(9, 4), 2: 1}])
+
+
+@pytest.mark.parametrize("field,kind", [
+    pytest.param(QQ, "mixed", id="QQ"), pytest.param(GF(7), None, id="GF(7)")])
+def test_echelon_reads_match_the_per_column_scan(field, kind):
+    # the column index against scanning every pivot row per column, with
+    # and without augmented columns, so with and without residual rows
+    rng = random.Random(f"reads:{field}")
+    residuals = 0
+    for trial in range(300):
+        a = _structured_matrix(rng, field, kind)
+        if trial % 2:
+            ech = Echelon(a)
+            assert ech.residuals == []
+        else:
+            second = _random_columns(rng, field, kind, a, rng.randint(1, 5))
+            ech = Echelon(a.hstack(second), pivot_limit=a.ncols)
+            residuals += bool(ech.residuals)
+            for j in range(a.ncols, ech.ncols):
+                got = ech.solve_augmented(j)
+                expected = reference.solve_augmented_scan(ech, j)
+                assert got == expected and (
+                    got is None or list(got.items()) == list(expected.items()))
+        got, expected = ech.kernel_vectors(), reference.kernel_vectors_scan(ech)
+        assert [list(v.items()) for v in got] == [
+            list(v.items()) for v in expected]
+    assert residuals > 20

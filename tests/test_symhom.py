@@ -235,3 +235,98 @@ def test_comparison_over_prime_field():
     assert cd.q_is_chain_map() and cd.phi_is_chain_map() and cd.surjective()
     for w, got, expected in hs0_consistency(alg, 2):
         assert got == expected
+
+
+def _identical(a, b):
+    """Equal matrices whose entries also have the same normal form."""
+    return a == b and all(type(v) is type(b.entries[k])
+                          for k, v in a.entries.items())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF(5)"])
+@pytest.mark.parametrize("name", ["dual-numbers", "trunc3"])
+def test_closed_form_kernel_matches_elimination(name, field):
+    # the fiber kernel of phi o q against kernel_basis, and the boundaries
+    # read off at the free rows against span_slice's solves
+    alg = preset(name, field)
+    for w in range(4):
+        cd = ComparisonData(alg, w, 3)
+        reps, kchain = cd.kernel()
+        oracle_reps, oracle_chain = reference.comparison_kernel(cd)
+        assert len(reps) == len(oracle_reps)
+        for n, (got, expected) in enumerate(zip(reps, oracle_reps)):
+            assert _identical(got, expected), (w, n)
+        assert kchain.dims == oracle_chain.dims
+        for n in range(1, 4):
+            assert _identical(kchain.boundary(n), oracle_chain.boundary(n))
+
+
+def test_kernel_rejects_a_boundary_leaving_the_kernel():
+    from exacthom.chains import CertificationError
+    from exacthom.sparse import SparseMatrix, kernel_with_free
+    cd = ComparisonData(preset("trunc3"), 3, 3)
+    n = 2
+    field = cd.sym_chain.field
+    # a degree-(n-1) basis element that phi o q does not kill, and a
+    # degree-n kernel column: the perturbed d_n sends that column out of
+    # the kernel
+    target = min(j for _, j in cd.proj[n - 1].entries)
+    free = kernel_with_free(cd.proj[n])[1][0]
+    bnd = cd.sym_chain.boundaries[n]
+    entries = dict(bnd.entries)
+    entries[(target, free)] = field.add(entries.get((target, free), 0),
+                                        field.one)
+    cd.sym_chain.boundaries[n] = SparseMatrix(field, *bnd.shape, entries)
+    with pytest.raises(CertificationError, match=f"degree {n}"):
+        cd.kernel()
+
+
+def test_kernel_and_homology_coords_build_no_echelon(monkeypatch):
+    # kernel() is closed-form and HomologyBases.coords is two products;
+    # only the two per-degree eliminations of HomologyBases remain
+    from exacthom import chains, sparse
+    built = [0]
+    init = sparse.Echelon.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    coords = chains.HomologyBases.coords
+
+    def checked_coords(self, n, vectors):
+        self.reps(n)  # the degree's own eliminations, on first use
+        before = built[0]
+        out = coords(self, n, vectors)
+        assert built[0] == before, f"coords({n}) eliminated"
+        return out
+
+    monkeypatch.setattr(sparse.Echelon, "__init__", counted_init)
+    monkeypatch.setattr(chains.HomologyBases, "coords", checked_coords)
+    alg = preset("trunc4")
+    for w in range(4):
+        cd = ComparisonData(alg, w, 3)
+        before = built[0]
+        cd.kernel()
+        assert built[0] == before, f"kernel() eliminated at w={w}"
+        long_exact_sequence_nodes(*cd.ses(), 2)
+    assert built[0] > 0  # the counter is live
+
+
+def test_les_ranks_each_map_once(monkeypatch):
+    from exacthom import chains
+    ranked = []
+    rank = chains.rank
+
+    def counted_rank(matrix):
+        ranked.append(matrix)  # kept alive, so ids stay distinct
+        return rank(matrix)
+
+    monkeypatch.setattr(chains, "rank", counted_rank)
+    alg = preset("dual-numbers")
+    for w in range(4):
+        ses = ComparisonData(alg, w, 3).ses()
+        ranked.clear()
+        nodes = long_exact_sequence_nodes(*ses, 2)
+        assert ranked and all(rin == kout for _, rin, kout in nodes)
+        assert len({id(m) for m in ranked}) == len(ranked), w
