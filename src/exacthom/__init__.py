@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .algebras import (Coefficients, GradedAlgebra, load_algebra, preset,
                        PRESETS)
-from .chains import (ChainSlice, HomologyBases, connecting_homomorphism,
+from .chains import (ChainSlice, connecting_homomorphism,
                      induced_map_on_homology, long_exact_sequence_nodes)
 from .fields import GF, QQ, field_from_name
 from .gamma import GammaComplex, gamma_homology, prune_split_certificates
@@ -22,7 +22,7 @@ from .symhom import (ComparisonData, FiberOrderedMap, SymmetricComplex,
 __all__ = [
     "ChainSlice", "Coefficients", "ComparisonData", "FiberOrderedMap",
     "GF", "GammaComplex", "GradedAlgebra", "GroupAlgebraElement",
-    "HochschildComplex", "HomologyBases", "PRESETS", "Permutation", "QQ",
+    "HochschildComplex", "PRESETS", "Permutation", "QQ",
     "SparseMatrix", "SymmetricComplex", "connecting_homomorphism",
     "eulerian_idempotents", "field_from_name", "gamma_homology",
     "harrison_homology", "hochschild_homology", "induced_map_on_homology",

@@ -6,15 +6,15 @@ Degrees above N are treated as zero, so the homology in degree N is only
 meaningful when the caller built one degree more than it reports (the
 theory-level drivers do exactly that).
 
-Homology dimensions are rank-only, from ranks a slice memoizes for
-homology() alone.  Homology representatives (HomologyBases) cost two
-eliminations per degree, and coordinates none: a kernel basis is 1 at its
-own free row and 0 at the other free rows, so a vector's coordinates in
-it are its entries at the free rows (kernel_coords), certified by one
-product.
+Each boundary is eliminated once, by low_pivots, into one memo per
+degree that serves the rank-only homology(), the representatives and the
+homology coordinates.  A kernel basis is 1 at its own free row and 0 at
+the other free rows, so a vector's coordinates in it are its entries at
+the free rows (kernel_coords), certified by one product.
 """
 
-from .sparse import Echelon, SparseMatrix, kernel_with_free, rank, solve_batch
+from .sparse import (SparseMatrix, kernel_with_free, low_coords, low_pivots,
+                     rank, solve_batch)
 
 
 class CertificationError(AssertionError):
@@ -119,9 +119,8 @@ class ChainSlice:
 
     boundaries[n] is the map from degree n to degree n-1, of shape
     dims[n-1] x dims[n].  The composite of consecutive boundaries is
-    checked to vanish at construction.  The rank of each boundary is
-    eliminated once and kept for homology(), the rank-only dimensions;
-    HomologyBases does not read it.
+    checked to vanish at construction.  Homology reads one memo per
+    degree n: rk d_n, and the cycles and low pivots of _degree(n).
     """
 
     def __init__(self, field, dims, boundaries):
@@ -130,6 +129,7 @@ class ChainSlice:
         self.boundaries = dict(boundaries)
         self.top = len(self.dims) - 1
         self._ranks = {}
+        self._homology = {}
         for n, mat in self.boundaries.items():
             if not 1 <= n <= self.top:
                 raise ValueError(f"boundary degree {n} out of range")
@@ -152,61 +152,56 @@ class ChainSlice:
             mat = SparseMatrix.zeros(self.field, lo, hi)
         return mat
 
-    def boundary_rank(self, n):
-        """rk d_n, eliminated on the first call only (d_0 and d_{top+1}
-        are empty matrices of rank 0)."""
-        if n not in self._ranks:
-            self._ranks[n] = rank(self.boundary(n))
-        return self._ranks[n]
-
     def homology(self):
         """Homology dimensions of degrees 0..N, rank-only: dim H_n =
-        dims[n] - rk d_n - rk d_{n+1} (representatives come from
-        HomologyBases)."""
-        dims = [self.dims[n] - self.boundary_rank(n) - self.boundary_rank(n + 1)
+        dims[n] - rk d_n - rk d_{n+1}, each rank eliminated once unless
+        _degree(n - 1) has recorded it (a boundary not given has rank 0)."""
+        ranks = self._ranks
+        for n, mat in self.boundaries.items():
+            if n not in ranks:
+                ranks[n] = rank(mat)
+        dims = [self.dims[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
                 for n in range(self.top + 1)]
         if any(d < 0 for d in dims):
             # the boundaries do not form a complex
             raise AssertionError("negative homology dimension: broken complex")
         return dims
 
+    def _degree(self, n):
+        """(Z_n, F_n, low, reps): the kernel basis of d_n, its free rows,
+        the low pivots of the rows F_n of d_{n+1}'s columns, and the
+        positions in F_n that are not keys of low.  Keeping the rows F_n
+        is injective on cycles and Z_n is the identity there, so len(low)
+        = rk d_{n+1}, and reps are the lex-first cycles that extend the
+        boundaries, as extend_basis_columns(d_{n+1}, Z_n) picks them."""
+        if n not in self._homology:
+            cycles, free = kernel_with_free(self.boundary(n))
+            bnd = self.boundary(n + 1).select_rows(free)
+            low = low_pivots(self.field, bnd.columns_as_dicts())
+            self._ranks[n + 1] = len(low)
+            reps = [t for t in range(len(free)) if t not in low]
+            self._homology[n] = cycles, free, low, reps
+        return self._homology[n]
 
-def _cycles(sl, n):
-    """(Z_n, F_n): the kernel basis of d_n and its free rows."""
-    if n == 0:
-        return SparseMatrix.identity(sl.field, sl.dims[0]), range(sl.dims[0])
-    return kernel_with_free(sl.boundary(n))
+    def reps(self, n):
+        """The homology representatives of degree n, as columns."""
+        cycles, _, _, reps = self._degree(n)
+        return cycles.select_columns(reps)
 
-
-def _degree_homology(sl, n):
-    """(Z_n, F_n, reps, H_n): the cycles with their free rows, the
-    representatives and the homology coordinates of Z_n's columns.
-
-    The representatives are the identity-block pivots of the echelon of
-    [rows F_n of d_{n+1} | I].  Every column of [d_{n+1} | Z_n] is a
-    cycle, and keeping the rows F_n is injective on cycles, so these are
-    the lex-first cycles that extend the boundaries, as
-    extend_basis_columns(d_{n+1}, Z_n) picks them.  The echelon has full
-    row rank, so its identity block is the row operation E, and for a
-    cycle with Z_n-coordinates y = d_{n+1} a + sum_r c_r reps_r, (E y) is
-    c_r at the r-th representative's row: H_n is those rows' identity
-    block, each entry over its row's lead."""
-    cyc, free = _cycles(sl, n)
-    field = sl.field
-    bnd = sl.boundary(n + 1).select_rows(free)
-    m = bnd.ncols
-    ech = Echelon(bnd.hstack(SparseMatrix.identity(field, len(free))))
-    of = field.of
-    reps, entries = [], {}
-    for r, pcol in enumerate(c for c in ech.pivot_cols if c >= m):
-        reps.append(pcol - m)
-        row = ech.rows[pcol]
-        lead = row[pcol]
-        for c, v in row.items():
-            if c >= m:
-                entries[(r, c - m)] = of(v, lead)
-    hcoords = SparseMatrix(field, len(reps), len(free), entries)
-    return cyc, free, cyc.select_columns(reps), hcoords
+    def coords(self, n, vectors):
+        """Homology coordinates of cycle columns: the coefficients of the
+        representatives when each column is written as a combination of
+        them plus a boundary (dim H_n x ncols).  A column that is not a
+        cycle raises ValueError.  In Z_n-coordinates the representatives
+        are the unit vectors off the keys of low."""
+        cycles, free, low, reps = self._degree(n)
+        x = kernel_coords(cycles, free, vectors)
+        row = {t: r for r, t in enumerate(reps)}
+        entries = {}
+        for j, col in enumerate(x.columns_as_dicts()):
+            for t, c in low_coords(self.field, col, low).items():
+                entries[(row[t], j)] = c
+        return SparseMatrix(self.field, len(reps), x.ncols, entries)
 
 
 def kernel_coords(kernel, free, vectors):
@@ -270,55 +265,17 @@ def _restricted_slice(boundary, reps, solve):
     return ChainSlice(reps[0].field, [r.ncols for r in reps], bounds)
 
 
-class HomologyBases:
-    """Homology representatives of one slice and homology coordinates.
-
-    A degree costs two eliminations on first use (_degree_homology): d_n
-    for the cycles Z_n and their free rows F_n, then the representatives
-    with the homology coordinates H_n of Z_n's columns.  Cycles v have
-    coordinates H_n kernel_coords(Z_n, F_n, v): two products, no
-    elimination.  No rank of the slice is read.
-    """
-
-    def __init__(self, sl):
-        self.slice = sl
-        self._deg = {}
-
-    def _data(self, n):
-        if n not in self._deg:
-            self._deg[n] = _degree_homology(self.slice, n)
-        return self._deg[n]
-
-    def dim(self, n):
-        return self.reps(n).ncols
-
-    def reps(self, n):
-        return self._data(n)[2]
-
-    def coords(self, n, vectors):
-        """Homology coordinates of cycle columns: the coefficients of the
-        representatives when each column is written as a combination of
-        them plus a boundary (dim H_n x ncols).  A column that is not a
-        cycle raises ValueError."""
-        cyc, free, _, hcoords = self._data(n)
-        return hcoords.mul(kernel_coords(cyc, free, vectors))
-
-
 def check_chain_map(f, src, dst):
     """Verify f commutes with the boundaries: f_{n-1} d_n = d_n f_n."""
     return all(f[n - 1].mul(src.boundary(n)) == dst.boundary(n).mul(f[n])
                for n in range(1, min(src.top, dst.top) + 1))
 
 
-def induced_map_on_homology(f, src, dst, n, src_bases=None, dst_bases=None,
-                            checked=False):
+def induced_map_on_homology(f, src, dst, n, checked=False):
     """Matrix of H_n(f) with respect to the canonical homology bases."""
     if not checked and not check_chain_map(f, src, dst):
         raise ValueError("not a chain map")
-    src_bases = src_bases or HomologyBases(src)
-    dst_bases = dst_bases or HomologyBases(dst)
-    images = f[n].mul(src_bases.reps(n))
-    return dst_bases.coords(n, images)
+    return dst.coords(n, f[n].mul(src.reps(n)))
 
 
 def check_ses(inc, proj, sub, total, quot):
@@ -341,21 +298,15 @@ def check_ses(inc, proj, sub, total, quot):
             raise ValueError(f"im(i) != ker(p) in degree {n}")
 
 
-def connecting_homomorphism(inc, proj, sub, total, quot, n,
-                            sub_bases=None, quot_bases=None, checked=False):
+def connecting_homomorphism(inc, proj, sub, total, quot, n, checked=False):
     """Zig-zag connecting map H_n(quot) -> H_{n-1}(sub) of a short exact
     sequence: lift through proj, apply the boundary, pull back through inc."""
     if not checked:
         check_ses(inc, proj, sub, total, quot)
-    sub_bases = sub_bases or HomologyBases(sub)
-    quot_bases = quot_bases or HomologyBases(quot)
-    reps = quot_bases.reps(n)
-    lifts, _ = solve_batch(proj[n], reps)
+    lifts, _ = solve_batch(proj[n], quot.reps(n))
     dlifts = total.boundary(n).mul(lifts)
     pulls, _ = solve_batch(inc[n - 1], dlifts)
-    if not sub.boundary(n - 1).mul(pulls).is_zero():
-        raise AssertionError("pulled-back chains are not cycles")
-    return sub_bases.coords(n - 1, pulls)
+    return sub.coords(n - 1, pulls)  # raises ValueError on a non-cycle
 
 
 def long_exact_sequence_nodes(inc, proj, sub, total, quot, max_n):
@@ -368,27 +319,24 @@ def long_exact_sequence_nodes(inc, proj, sub, total, quot, max_n):
     top-degree homology to be meaningful).
     """
     check_ses(inc, proj, sub, total, quot)
-    hs = HomologyBases(sub)
-    ht = HomologyBases(total)
-    hq = HomologyBases(quot)
 
     # the ranks of H_n(inc), H_n(proj) and the connecting map H_n(quot) ->
     # H_{n-1}(sub), each taken once; the last is 0 for n = 0
     rk_alpha, rk_beta, rk_delta = {}, {}, {0: 0}
     for n in range(max_n + 1):
         rk_alpha[n] = rank(induced_map_on_homology(
-            inc, sub, total, n, hs, ht, checked=True))
+            inc, sub, total, n, checked=True))
         rk_beta[n] = rank(induced_map_on_homology(
-            proj, total, quot, n, ht, hq, checked=True))
+            proj, total, quot, n, checked=True))
         if n >= 1:
             rk_delta[n] = rank(connecting_homomorphism(
-                inc, proj, sub, total, quot, n, hs, hq, checked=True))
+                inc, proj, sub, total, quot, n, checked=True))
 
     nodes = []
     for n in range(max_n + 1):
-        nodes.append((f"H_{n}(total)", rk_alpha[n], ht.dim(n) - rk_beta[n]))
-        nodes.append((f"H_{n}(quot)", rk_beta[n], hq.dim(n) - rk_delta[n]))
-        if n + 1 <= max_n:
-            nodes.append((
-                f"H_{n}(sub)", rk_delta[n + 1], hs.dim(n) - rk_alpha[n]))
+        h_sub, h_total, h_quot = (c.reps(n).ncols for c in (sub, total, quot))
+        nodes.append((f"H_{n}(total)", rk_alpha[n], h_total - rk_beta[n]))
+        nodes.append((f"H_{n}(quot)", rk_beta[n], h_quot - rk_delta[n]))
+        if n < max_n:
+            nodes.append((f"H_{n}(sub)", rk_delta[n + 1], h_sub - rk_alpha[n]))
     return nodes

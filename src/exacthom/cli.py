@@ -74,6 +74,14 @@ def _require_non_negative(args, *names):
                               f"non-negative, got {value}")
 
 
+def _require_writable_output(args):
+    """Refuse an --output path that cannot be written, before any work."""
+    path = getattr(args, "output", None)
+    if path and (os.path.isdir(path) or not os.access(
+            os.path.dirname(os.path.abspath(path)), os.W_OK)):
+        raise ConfigError(f"--output {path}: not a writable file path")
+
+
 def _config_echo(args, alg):
     return {
         "algebra": alg.name,
@@ -436,6 +444,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_writable_output(args)
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

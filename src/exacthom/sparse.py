@@ -1,15 +1,14 @@
 """Sparse matrices over an exact field, with rank, kernel and batched solving.
 
-Two elimination engines share one row order (sparsest first) and one
-elimination step, ``_eliminate``.  Over Q both are fraction-free: rows are
-primitive integer vectors, a column is cleared by integer
-cross-multiplication and the result is divided by its content, so no
-rational is formed while eliminating.  Over F_p the same step runs mod p
-against monic pivot rows.
+Two elimination engines share one elimination step, ``_eliminate``.  Over
+Q both are fraction-free: vectors are primitive integer vectors, an index
+is cleared by integer cross-multiplication and the result is divided by
+its content, so no rational is formed while eliminating.  Over F_p the
+same step runs mod p against monic pivots.
 
-- ``rank`` is forward-only: each row is reduced against the pivots at its
-  leading (minimum) column until its lead is new, with no
-  back-substitution.
+- ``low_pivots`` is forward-only: each vector is reduced against the
+  pivot at its largest ("low") index until that index is new, with no
+  back-substitution.  ``rank`` counts the low pivots of the rows.
 - ``Echelon`` builds the (unique) reduced row echelon form, up to one
   scale per row, by inserting rows one at a time and back-eliminating each
   new pivot column from all earlier rows.  Pivot columns are therefore
@@ -76,6 +75,12 @@ class SparseMatrix:
         for (i, j), v in self.entries.items():
             rows[i][j] = v
         return rows
+
+    def columns_as_dicts(self):
+        cols = [{} for _ in range(self.ncols)]
+        for (i, j), v in self.entries.items():
+            cols[j][i] = v
+        return cols
 
     def mul(self, other):
         """Matrix product self @ other, fraction-free.
@@ -266,21 +271,52 @@ class Echelon:
 
 
 def rank(matrix):
-    """Exact rank over the matrix's field, by forward elimination."""
-    field = matrix.field
+    """Exact rank over the matrix's field."""
+    return len(low_pivots(matrix.field, matrix.rows_as_dicts()))
+
+
+def low_pivots(field, vectors):
+    """{largest index -> pivot} of the span of vectors (dicts {index:
+    value}, left unchanged), reduced sparsest first.  The keys are the
+    largest indices of the span's nonzero vectors, whatever the order of
+    vectors.  Over Q a pivot is a primitive integer vector, positive at
+    its key; mod p it is monic there."""
     p = field.characteristic
-    pivots = {}  # leading column -> pivot row
-    for row in sorted((r for r in matrix.rows_as_dicts() if r), key=len):
+    pivots = {}
+    for vec in sorted((v for v in vectors if v), key=len):
+        vec = dict(vec)
         if not p:
-            row = _primitive(field.scaled(row)[0])
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
+            vec = _primitive(field.scaled(vec)[0])
+        while vec:
+            low = max(vec)
+            piv = pivots.get(low)
             if piv is None:
-                pivots[lead] = _normalize(row, lead, p)
+                pivots[low] = _normalize(vec, low, p)
                 break
-            row = _eliminate(row, piv, lead, p)
-    return len(pivots)
+            vec = _eliminate(vec, piv, low, p)
+    return pivots
+
+
+def low_coords(field, vector, pivots):
+    """{index: c} with vector = b + sum of c e_index, b in the span of
+    low_pivots' pivots and no index a key: reduce from the largest index
+    down, clearing each key with its pivot (in field arithmetic, as few
+    vectors are read this way) and keeping any other index's entry."""
+    vec, out = dict(vector), {}
+    while vec:
+        t = max(vec)
+        piv = pivots.get(t)
+        if piv is None:
+            out[t] = vec.pop(t)
+            continue
+        c = field.neg(field.of(vec[t], piv[t]))
+        for j, v in piv.items():
+            s = field.add(vec.get(j, field.zero), field.mul(c, v))
+            if s == field.zero:
+                del vec[j]
+            else:
+                vec[j] = s
+    return out
 
 
 def _primitive(row):

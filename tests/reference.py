@@ -9,8 +9,9 @@ from itertools import permutations
 from exacthom.algebras import AlgebraElement, algebra_from_dict
 from exacthom.chains import span_slice
 from exacthom.fields import QQ
-from exacthom.sparse import (SparseMatrix, extend_basis_columns, kernel_basis,
-                             rank, solve_batch)
+from exacthom.sparse import (Echelon, SparseMatrix, _eliminate, _normalize,
+                             _primitive, extend_basis_columns, kernel_basis,
+                             solve_batch)
 from exacthom.symhom import FiberOrderedMap
 
 
@@ -134,11 +135,31 @@ def solve_augmented_scan(ech, j):
             for pcol, row in ech.rows.items() if j in row}
 
 
+def leading_rank(matrix):
+    """sparse.rank with the smallest-index pivot: each row, sparsest
+    first, is reduced against the pivot at its leading (minimum) column
+    until its lead is new."""
+    field = matrix.field
+    p = field.characteristic
+    pivots = {}  # leading column -> pivot row
+    for row in sorted((r for r in matrix.rows_as_dicts() if r), key=len):
+        if not p:
+            row = _primitive(field.scaled(row)[0])
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = _normalize(row, lead, p)
+                break
+            row = _eliminate(row, piv, lead, p)
+    return len(pivots)
+
+
 class HomologyBases:
-    """chains.HomologyBases by kernel bases and solves: the representatives
-    are the cycles that extend_basis_columns picks after the boundaries,
-    and coordinates solve [d_{n+1} | reps] x = v and keep the
-    representative rows."""
+    """ChainSlice.reps and ChainSlice.coords by kernel bases and solves:
+    the representatives are the cycles that extend_basis_columns picks
+    after the boundaries, and coordinates solve [d_{n+1} | reps] x = v and
+    keep the representative rows."""
 
     def __init__(self, sl):
         self.slice = sl
@@ -149,7 +170,7 @@ class HomologyBases:
         return kernel_basis(self.slice.boundary(n))
 
     def dim(self, n):
-        return self.cycles(n).ncols - rank(self.slice.boundary(n + 1))
+        return self.cycles(n).ncols - Echelon(self.slice.boundary(n + 1)).rank
 
     def reps(self, n):
         cyc = self.cycles(n)

@@ -26,7 +26,6 @@ import hashlib
 import pytest
 
 from exacthom.algebras import Coefficients, algebra_from_dict, preset
-from exacthom.chains import HomologyBases
 from exacthom.gamma import GammaComplex, Surjection
 from exacthom.hochschild import (HarrisonQuotient, HochschildComplex,
                                  NormalizedHarrison, normalized_slice)
@@ -166,14 +165,13 @@ def representatives_digest(cx, max_n, max_w):
     h = hashlib.sha256()
     for w in range(max_w + 1):
         sl = cx.slice(w, max_n + 1)
-        bases = HomologyBases(sl)
         for n in range(max_n + 1):
-            _update_matrix(h, ("representatives", w, n), bases.reps(n))
+            _update_matrix(h, ("representatives", w, n), sl.reps(n))
             if n >= 1:
                 cycles = kernel_basis(sl.boundary(n))
                 _update_matrix(h, ("cycles", w, n), cycles)
                 _update_matrix(h, ("coordinates", w, n),
-                               bases.coords(n, cycles))
+                               sl.coords(n, cycles))
     return h.hexdigest()
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from exacthom.fields import GF, QQ
 from exacthom.sparse import (Echelon, SparseMatrix, extend_basis_columns,
-                             image_pivot_columns, kernel_basis, rank,
-                             solve_batch)
+                             image_pivot_columns, kernel_basis, low_coords,
+                             low_pivots, rank, solve_batch)
 import reference
 from reference import columns, mat
 
@@ -269,6 +269,81 @@ def test_forward_rank_of_fractional_block():
     rows.append([QQ.mul(3, v) for v in rows[2]])
     m = mat(rows)
     assert rank(m) == Echelon(m).rank == 2
+
+
+LOW_FIELDS = [
+    pytest.param(QQ, "fractions", id="QQ-fractions"),
+    pytest.param(QQ, "mixed", id="QQ-mixed"),
+    pytest.param(GF(2), None, id="GF(2)"),
+    pytest.param(GF(7), None, id="GF(7)")]
+
+
+@pytest.mark.parametrize("field,kind", LOW_FIELDS)
+def test_rank_matches_the_leading_pivot_rank_and_dense_oracle(field, kind):
+    # rank() takes the largest-index pivot, the reference the smallest;
+    # the dense Gauss-Jordan oracle shares no code with either
+    rng = random.Random(f"low rank:{field}:{kind}")
+    for shape in ((0, 0), (0, 3), (3, 0), (2, 4)):
+        assert rank(SparseMatrix.zeros(field, *shape)) == 0
+    for _ in range(150):
+        m = _structured_matrix(rng, field, kind)
+        dense = len(_gauss_jordan(m)[0])
+        assert rank(m) == reference.leading_rank(m) == dense, m.entries
+
+
+@pytest.mark.parametrize("field,kind", LOW_FIELDS)
+def test_low_pivot_keys_do_not_depend_on_the_order(field, kind):
+    rng = random.Random(f"low order:{field}:{kind}")
+    for _ in range(60):
+        rows = _structured_matrix(rng, field, kind).rows_as_dicts()
+        copies = [dict(v) for v in rows]
+        keys = set(low_pivots(field, rows))
+        assert rows == copies  # the input vectors are not changed
+        for _ in range(3):
+            rng.shuffle(rows)
+            assert set(low_pivots(field, rows)) == keys
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_low_pivot_keys_are_the_largest_indices_of_the_span(p):
+    # brute force: every combination of the vectors, over a small field
+    from itertools import product
+    field = GF(p)
+    rng = random.Random(f"low span:{p}")
+    for _ in range(40):
+        size, count = rng.randint(1, 6), rng.randint(0, 4)
+        vectors = [{j: v for j in range(size)
+                    if (v := rng.randrange(p)) and rng.random() < 0.6}
+                   for _ in range(count)]
+        largest = set()
+        for coeffs in product(range(p), repeat=count):
+            combo = [sum(c * v.get(j, 0) for c, v in zip(coeffs, vectors))
+                     % p for j in range(size)]
+            nonzero = [j for j, v in enumerate(combo) if v]
+            if nonzero:
+                largest.add(max(nonzero))
+        assert set(low_pivots(field, vectors)) == largest, vectors
+
+
+@pytest.mark.parametrize("field,kind", LOW_FIELDS)
+def test_low_coords_split_off_the_span(field, kind):
+    # vector = b + sum c_r e_r with b in the span and no r a key: low_coords
+    # returns exactly the c_r
+    rng = random.Random(f"low coords:{field}:{kind}")
+    for _ in range(60):
+        m = _structured_matrix(rng, field, kind)
+        pivots = low_pivots(field, m.rows_as_dicts())
+        others = [r for r in range(m.ncols) if r not in pivots]
+        coeffs = {r: _entry(rng, field, kind) for r in others
+                  if rng.random() < 0.5}
+        vector = dict(coeffs)
+        for row in m.rows_as_dicts():
+            c = _entry(rng, field, kind)
+            for j, v in row.items():
+                vector[j] = field.add(vector.get(j, field.zero),
+                                      field.mul(c, v))
+        vector = {j: v for j, v in vector.items() if v != field.zero}
+        assert low_coords(field, vector, pivots) == coeffs, m.entries
 
 
 def _gauss_jordan(matrix, pivot_limit=None):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import comb, factorial
 
 import pytest
@@ -282,35 +283,48 @@ def test_kernel_rejects_a_boundary_leaving_the_kernel():
 
 
 def test_kernel_and_homology_coords_build_no_echelon(monkeypatch):
-    # kernel() is closed-form and HomologyBases.coords is two products;
-    # only the two per-degree eliminations of HomologyBases remain
+    # kernel() is closed-form; a degree's homology costs one Echelon (the
+    # cycles) and one low_pivots on first use, and coords builds neither
     from exacthom import chains, sparse
-    built = [0]
-    init = sparse.Echelon.__init__
+    built = Counter()
+    init, low_pivots = sparse.Echelon.__init__, chains.low_pivots
+    degree, coords = chains.ChainSlice._degree, chains.ChainSlice.coords
 
     def counted_init(self, *args, **kwargs):
-        built[0] += 1
+        built["echelon"] += 1
         init(self, *args, **kwargs)
 
-    coords = chains.HomologyBases.coords
+    def counted_low_pivots(*args):
+        built["low_pivots"] += 1
+        return low_pivots(*args)
+
+    def checked_degree(self, n):
+        fresh = n not in self._homology
+        before = built.copy()
+        out = degree(self, n)
+        if fresh:
+            assert built - before == Counter(echelon=1, low_pivots=1), n
+        return out
 
     def checked_coords(self, n, vectors):
-        self.reps(n)  # the degree's own eliminations, on first use
-        before = built[0]
+        self._degree(n)  # the degree's own eliminations, on first use
+        before = built.copy()
         out = coords(self, n, vectors)
-        assert built[0] == before, f"coords({n}) eliminated"
+        assert built == before, f"coords({n}) eliminated"
         return out
 
     monkeypatch.setattr(sparse.Echelon, "__init__", counted_init)
-    monkeypatch.setattr(chains.HomologyBases, "coords", checked_coords)
+    monkeypatch.setattr(chains, "low_pivots", counted_low_pivots)
+    monkeypatch.setattr(chains.ChainSlice, "_degree", checked_degree)
+    monkeypatch.setattr(chains.ChainSlice, "coords", checked_coords)
     alg = preset("trunc4")
     for w in range(4):
         cd = ComparisonData(alg, w, 3)
-        before = built[0]
+        before = built.copy()
         cd.kernel()
-        assert built[0] == before, f"kernel() eliminated at w={w}"
+        assert built == before, f"kernel() eliminated at w={w}"
         long_exact_sequence_nodes(*cd.ses(), 2)
-    assert built[0] > 0  # the counter is live
+    assert built["low_pivots"] > 0  # the counter is live
 
 
 def test_les_ranks_each_map_once(monkeypatch):
