@@ -102,8 +102,11 @@ def _complexes(alg, args):
     if args.theory == "gamma":
         return [(v, f"gamma({v})", GammaComplex(alg, co, v))
                 for v in ("I", "A")]
-    if args.theory in ("hochschild", "harrison"):
-        return [(None, args.theory, HochschildComplex(alg, co))]
+    if args.theory == "hochschild":
+        # the normalized complex C(I, M); see hochschild_homology
+        return [(None, "hochschild", HochschildComplex(alg, co, "I"))]
+    if args.theory == "harrison":
+        return [(None, "harrison", HochschildComplex(alg, co))]
     return [(None, "symmetric", SymmetricComplex(alg, "full"))]
 
 

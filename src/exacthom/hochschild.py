@@ -6,6 +6,16 @@ Basis elements of degree n in weight w are pairs (module index, slot tuple)
 where slots take basic values (0 = unit, i = generator b_i) and the weights
 add up to w.  Bases are ordered lexicographically so all matrices are
 reproducible.
+
+Hochschild homology is computed from the normalized complex.  For any
+unital A, bimodule M and ground ring, the quotient of C(A, M) by the
+degenerate chains D(A, M) (those with a unit slot) is the normalized complex
+M (x) (A/k)^{(x)n}, and the projection is a quasi-isomorphism (Loday,
+Cyclic Homology, 1.1.14-1.1.15).  Here A = k + I is augmented, so A/k is I
+and the quotient has the unit-free tensors as basis.  These span a
+subcomplex C(I, M): a face multiplies two slots of I, which stays in I, or
+drops a slot.  So C(A, M) = C(I, M) + D(A, M) as complexes, D is acyclic,
+and the unit-free slices alone give HH(A, M).
 """
 
 from .chains import (CertificationError, SliceComplex, check_chain_map,
@@ -16,9 +26,15 @@ from .sparse import (SparseMatrix, extend_basis_columns, image_pivot_columns,
 
 
 class HochschildComplex(SliceComplex):
-    """Slice-by-slice view of C(A, M) for a weight-graded algebra.
+    """Slice-by-slice view of C(A, M) for a weight-graded algebra, or with
+    variant 'I' of its subcomplex C(I, M) on the unit-free tensors.
 
-    Bases, boundary matrices and operator actions are computed per
+    Variant 'A' (the default) is the full complex, with the unit slot 0;
+    the Eulerian, shuffle, Barr and augmentation-splitting constructions
+    act on it.  Variant 'I' is the normalized complex, quasi-isomorphic to
+    C(A, M) (Loday 1.1.15): the faces are the same, and unit-free keys are
+    closed under them, so its boundaries are the restriction of the full
+    ones.  Bases, boundary matrices and operator actions are computed per
     (degree, weight); everything is exact and deterministic.
     """
 
@@ -27,20 +43,24 @@ class HochschildComplex(SliceComplex):
     basis = SliceComplex.basis
     boundary = SliceComplex.boundary
 
-    def __init__(self, alg, coeffs):
+    def __init__(self, alg, coeffs, variant="A"):
+        if variant not in ("I", "A"):
+            raise ValueError("variant must be 'I' or 'A'")
         super().__init__(alg.field)
         self.alg = alg
         self.coeffs = coeffs
+        self.variant = variant
 
     def iter_basis(self, n, w):
+        unit = self.variant == "A"
         for m in self.coeffs.basis():
-            for slots in self.alg.tensors(n, w - self.coeffs.weight(m),
-                                          unit=True):
+            for slots in self.alg.tensors(n, w - self.coeffs.weight(m), unit):
                 yield (m, slots)
 
     def count(self, n, w):
         """dim(n, w) from closed-form counts, without building the basis."""
-        return sum(self.alg.tensor_count(n, w - self.coeffs.weight(m), True)
+        unit = self.variant == "A"
+        return sum(self.alg.tensor_count(n, w - self.coeffs.weight(m), unit)
                    for m in self.coeffs.basis())
 
     @staticmethod
@@ -352,5 +372,8 @@ def harrison_homology(alg, coeffs, max_n, max_w):
 
 
 def hochschild_homology(alg, coeffs, max_n, max_w):
-    """Hochschild homology dimensions per (degree, weight)."""
-    return HochschildComplex(alg, coeffs).homology_table(max_n, max_w)
+    """Hochschild homology dimensions per (degree, weight), from the
+    normalized complex C(I, M): A is augmented, so the normalized quotient
+    of C(A, M) is its unit-free subcomplex, and the quotient map is a
+    quasi-isomorphism (Loday 1.1.15)."""
+    return HochschildComplex(alg, coeffs, "I").homology_table(max_n, max_w)

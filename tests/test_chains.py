@@ -277,8 +277,8 @@ def _every_variant(alg):
 
     for kind in ("k", "A"):
         co = Coefficients(alg, kind)
-        yield HochschildComplex(alg, co)
         for variant in ("I", "A"):
+            yield HochschildComplex(alg, co, variant)
             for normalized in (True, False):
                 yield GammaComplex(alg, co, variant, normalized)
     for variant in ("full", "quotient"):

@@ -313,6 +313,17 @@ def test_jobs_below_one_rejected(capsys):
     assert "--jobs" in line
 
 
+def test_hochschild_ceiling_counts_the_normalized_slices(capsys):
+    # the full trunc4 complex has 120 basis elements at w = 3; the unit-free
+    # slices that hochschild builds have at most 17, at w = 6
+    bounds = ("compute", "--preset", "trunc4", "--theory", "hochschild",
+              "--coefficients", "A", "--max-degree", "6", "--max-weight", "6")
+    code, _ = run(capsys, *bounds, "--max-basis", "100")
+    assert code == 0
+    line = run_error(capsys, *bounds, "--max-basis", "10")
+    assert "hochschild slice w=6 has 17 basis elements" in line
+
+
 def test_harrison_basis_ceiling_refused(capsys):
     line = run_error(capsys, "compute", "--preset", "trunc3",
                      "--theory", "harrison", "--max-degree", "3",
@@ -432,18 +443,25 @@ COMPARISON_PASSED = [
         "comparison map surjective", "long exact sequence exact")]
 
 
-@pytest.mark.parametrize("theory,name,passed", [
+DUAL_NUMBERS_2_2 = ("--preset", "dual-numbers", "--max-degree", "2",
+                    "--max-weight", "2")
+
+
+@pytest.mark.parametrize("theory,name,passed,bounds", [
+    # hochschild computes from the unit-free slices, which on dual-numbers
+    # at n, w <= 2 never use face 1 twice; trunc4's weight 3 does
     pytest.param("hochschild", "boundary squares to zero", [],
+                 ("--preset", "trunc4", "--max-degree", "2",
+                  "--max-weight", "3"),
                  id="hochschild-boundary squares to zero"),
     pytest.param("harrison", "quotient and eulerian pipelines agree", [],
+                 DUAL_NUMBERS_2_2,
                  id="harrison-quotient and eulerian pipelines agree"),
     pytest.param("comparison", "comparison slices certified (w=2)",
-                 COMPARISON_PASSED, id="comparison")])
+                 COMPARISON_PASSED, DUAL_NUMBERS_2_2, id="comparison")])
 def test_compute_reports_a_failing_check(capsys, broken_boundaries, theory,
-                                         name, passed):
-    code, out = run(capsys, "compute", "--preset", "dual-numbers",
-                    "--theory", theory, "--max-degree", "2",
-                    "--max-weight", "2")
+                                         name, passed, bounds):
+    code, out = run(capsys, "compute", "--theory", theory, *bounds)
     assert code == 1
     report = json.loads(out)
     certs = report["certifications"]

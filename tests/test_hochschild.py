@@ -155,6 +155,52 @@ def test_hochschild_homology_dual_numbers_diagonal():
             assert table[(n, w)] == (1 if n == w else 0), (n, w)
 
 
+# every preset and the fractional trunc4, which has no reduction mod 2
+NORMALIZED_ORACLE_CASES = [
+    pytest.param(name, field, id=f"{name} {fid}")
+    for field, fid in ((QQ, "QQ"), (GF(2), "GF(2)"), (GF(7), "GF(7)"))
+    for name in ("dual-numbers", "trunc3", "trunc4", "square-zero-xy",
+                 "fractional trunc4")
+    if name != "fractional trunc4" or field.characteristic != 2]
+
+
+def _oracle_complexes(name, field, kind):
+    """The full complex C(A, M) and its unit-free subcomplex C(I, M)."""
+    alg = fractional_trunc4(field) if name == "fractional trunc4" \
+        else preset(name, field)
+    co = Coefficients(alg, kind)
+    return HochschildComplex(alg, co), HochschildComplex(alg, co, "I")
+
+
+@pytest.mark.parametrize("name,field", NORMALIZED_ORACLE_CASES)
+@pytest.mark.parametrize("kind", ["k", "A"])
+def test_normalized_table_matches_the_full_complex(name, field, kind):
+    # C(I, M), which hochschild_homology computes from, is
+    # quasi-isomorphic to C(A, M)
+    full, unit_free = _oracle_complexes(name, field, kind)
+    assert unit_free.homology_table(5, 6) == full.homology_table(5, 6)
+
+
+@pytest.mark.parametrize("name,field", NORMALIZED_ORACLE_CASES)
+@pytest.mark.parametrize("kind", ["k", "A"])
+def test_normalized_complex_is_the_ideal_slice(name, field, kind):
+    # the "I" variant builds, unrestricted, the unit-free subcomplex that
+    # the augmentation-splitting certificate restricts C(A, M) to
+    full, unit_free = _oracle_complexes(name, field, kind)
+    for w in range(5):
+        ideal, _ = ideal_slice(full, w, 4)
+        normalized = unit_free.slice(w, 4)
+        assert ideal.dims == normalized.dims
+        for n in range(1, 5):
+            assert ideal.boundary(n) == normalized.boundary(n), (w, n)
+
+
+def test_unknown_variant_rejected():
+    alg = preset("dual-numbers")
+    with pytest.raises(ValueError, match="variant"):
+        HochschildComplex(alg, Coefficients(alg, "k"), "B")
+
+
 def test_harrison_over_prime_field():
     alg = preset("dual-numbers", GF(7))
     table = harrison_homology(alg, Coefficients(alg, "k"), 3, 3)
