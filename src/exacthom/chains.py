@@ -10,7 +10,9 @@ Each boundary is eliminated once, by low_pivots, into one memo per
 degree that serves the rank-only homology(), the representatives and the
 homology coordinates.  A kernel basis is 1 at its own free row and 0 at
 the other free rows, so a vector's coordinates in it are its entries at
-the free rows (kernel_coords), certified by one product.
+the free rows (kernel_coords), certified by one product.  A quotient by a
+span has the unit vectors off the keys of its low pivots as basis, read
+by complement_coords (homology here, the Harrison quotient too).
 """
 
 from .sparse import (SparseMatrix, kernel_with_free, low_coords, low_pivots,
@@ -195,13 +197,21 @@ class ChainSlice:
         cycle raises ValueError.  In Z_n-coordinates the representatives
         are the unit vectors off the keys of low."""
         cycles, free, low, reps = self._degree(n)
-        x = kernel_coords(cycles, free, vectors)
-        row = {t: r for r, t in enumerate(reps)}
-        entries = {}
-        for j, col in enumerate(x.columns_as_dicts()):
-            for t, c in low_coords(self.field, col, low).items():
-                entries[(row[t], j)] = c
-        return SparseMatrix(self.field, len(reps), x.ncols, entries)
+        return complement_coords(kernel_coords(cycles, free, vectors), low,
+                                 reps)
+
+
+def complement_coords(vectors, low, complement):
+    """Coordinates of columns modulo the span of the low pivots low, in
+    the unit vectors at complement, the indices off the keys of low: the
+    lex-first standard columns completing the span (row r: complement[r])."""
+    field = vectors.field
+    row = {t: r for r, t in enumerate(complement)}
+    entries = {}
+    for j, col in enumerate(vectors.columns_as_dicts()):
+        for t, c in low_coords(field, col, low).items():
+            entries[(row[t], j)] = c
+    return SparseMatrix(field, len(complement), vectors.ncols, entries)
 
 
 def kernel_coords(kernel, free, vectors):

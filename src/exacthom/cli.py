@@ -24,7 +24,8 @@ from .fields import QQ, field_from_name
 from .gamma import GammaComplex
 from .hochschild import HochschildComplex, harrison_weight
 from .symhom import ComparisonData, SymmetricComplex, hs0_law
-from .verify import SUITES, BoundsError, Check, run_suite
+from .verify import (SUITES, BoundsError, Check, require_characteristic,
+                     require_shuffle_separates, run_suite)
 
 THEORIES = ("hochschild", "harrison", "gamma", "symmetric", "comparison")
 
@@ -272,12 +273,11 @@ def cmd_compute(args):
         raise ConfigError(f"{args.theory} runs with k coefficients")
     alg = _resolve_algebra(args)
     N = args.max_degree
-    p = alg.field.characteristic
-    if args.theory == "harrison" and p and p <= N + 1:
-        raise ConfigError(
-            f"harrison homology through degree {N} uses slices through "
-            f"degree {N + 1} and needs a field characteristic above "
-            f"{N + 1}; got {p}")
+    if args.theory == "harrison":
+        # harrison_weight builds the slices through degree N + 1
+        what = f"harrison homology through degree {N}"
+        require_characteristic(alg.field, N + 1, what)
+        require_shuffle_separates(alg.field, N, what)
     _guard_basis(alg, args)
     timings = {}
     work = partial(compute_weight, alg, args)
@@ -343,10 +343,7 @@ def cmd_verify(args):
         config["presets"] = [args.preset]
     if args.field:
         config["field"] = _field(args)
-    try:
-        checks, elapsed = run_suite(args.suite, config)
-    except BoundsError as exc:
-        raise ConfigError(str(exc)) from None
+    checks, elapsed = run_suite(args.suite, config)
     report = {
         "tool": "exacthom",
         "version": __version__,
@@ -449,7 +446,7 @@ def main(argv=None):
     try:
         _require_writable_output(args)
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, BoundsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,6 @@
 """The Hochschild complex with coefficients and its subquotients: the
-degenerate, normalized, ideal-only and shuffle pieces, the Eulerian
-splitting, and the normalized Harrison complex with its comparison maps.
+normalized quotient, the Eulerian splitting, the Harrison quotient by
+shuffles, and the normalized Harrison complex with its comparison maps.
 
 Basis elements of degree n in weight w are pairs (module index, slot tuple)
 where slots take basic values (0 = unit, i = generator b_i) and the weights
@@ -15,27 +15,31 @@ Cyclic Homology, 1.1.14-1.1.15).  Here A = k + I is augmented, so A/k is I
 and the quotient has the unit-free tensors as basis.  These span a
 subcomplex C(I, M): a face multiplies two slots of I, which stays in I, or
 drops a slot.  So C(A, M) = C(I, M) + D(A, M) as complexes, D is acyclic,
-and the unit-free slices alone give HH(A, M).
+and the unit-free slices alone give HH(A, M).  Every standalone C(I, M)
+is the "I" variant (hochschild_homology, harrison_weight, aug_split_iso).
+
+A whole slice modulo a span, C(A, M)/im(sh) or C(A, M)/D(A, M), has the
+basis elements off the keys of the span's low pivots as basis, with
+complement_coords as coordinates; D is spanned by basis elements, so for
+it these are the unit-free ones and entries.  NormalizedHarrison, a span
+modulo a span, solves instead.
 """
 
-from .chains import (CertificationError, SliceComplex, check_chain_map,
-                     coords, span_slice)
+from .chains import (CertificationError, ChainSlice, SliceComplex,
+                     check_chain_map, complement_coords, coords, span_slice)
 from .groupalg import eulerian_idempotent, total_shuffle
 from .sparse import (SparseMatrix, extend_basis_columns, image_pivot_columns,
-                     rank)
+                     low_pivots, rank)
 
 
 class HochschildComplex(SliceComplex):
-    """Slice-by-slice view of C(A, M) for a weight-graded algebra, or with
-    variant 'I' of its subcomplex C(I, M) on the unit-free tensors.
-
-    Variant 'A' (the default) is the full complex, with the unit slot 0;
-    the Eulerian, shuffle, Barr and augmentation-splitting constructions
-    act on it.  Variant 'I' is the normalized complex, quasi-isomorphic to
-    C(A, M) (Loday 1.1.15): the faces are the same, and unit-free keys are
-    closed under them, so its boundaries are the restriction of the full
-    ones.  Bases, boundary matrices and operator actions are computed per
-    (degree, weight); everything is exact and deterministic.
+    """Slice-by-slice view of C(A, M) for a weight-graded algebra (variant
+    'A', the default, with the unit slot 0), or of its normalized complex
+    C(I, M) on the unit-free tensors (variant 'I').  The faces are the
+    same, and unit-free keys are closed under them, so the 'I' boundaries
+    are the restriction of the full ones.  Bases, boundary matrices and
+    operator actions are computed per (degree, weight); everything is
+    exact and deterministic.
     """
 
     # bound in this class's own namespace so that per-class wrappers
@@ -125,7 +129,7 @@ class HochschildComplex(SliceComplex):
         return self.action_matrix(total_shuffle(self.field, n), n, w)
 
 
-# -- structural subcomplexes ---------------------------------------------------
+# -- the normalized quotient --------------------------------------------------
 
 def is_degenerate(key):
     return any(v == 0 for v in key[1])
@@ -144,41 +148,22 @@ def _key_columns(hc, n, w, keep):
     return [j for j, k in enumerate(hc.basis(n, w)) if keep(k)]
 
 
-def _basis_columns(hc, w, top, keep):
-    """Per degree, the identity columns of the keys `keep` selects."""
-    return [SparseMatrix.identity(hc.field, hc.dim(n, w)).select_columns(
-        _key_columns(hc, n, w, keep)) for n in range(top + 1)]
-
-
-def _span_of_keys(hc, w, top, keep, modulo=None):
-    """ChainSlice spanned by the basis elements selected by `keep`
-    (modulo those selected by `modulo`), with its representative columns
-    in full coordinates."""
-    reps = _basis_columns(hc, w, top, keep)
-    mod = modulo and _basis_columns(hc, w, top, modulo)
-    return span_slice(lambda n: hc.boundary(n, w), reps, mod), reps
-
-
-def degenerate_slice(hc, w, top):
-    return _span_of_keys(hc, w, top, is_degenerate)
-
-
-def ideal_slice(hc, w, top):
-    """The complex C(I, M) sitting inside C(A, M) on unit-free tensors."""
-    return _span_of_keys(hc, w, top, is_ideal_only)
-
-
 def normalized_slice(hc, w, top):
-    """The normalized complex: quotient of the full complex by the
-    degenerate part, in coordinates of the unit-free basis elements."""
-    return _span_of_keys(hc, w, top, is_ideal_only, modulo=is_degenerate)
+    """The normalized complex C(A, M)/D(A, M) on the unit-free basis
+    elements.  D(A, M) is spanned by the degenerate ones, so the quotient's
+    boundary is the full one on the unit-free rows and columns."""
+    keep = [_key_columns(hc, n, w, is_ideal_only) for n in range(top + 1)]
+    return ChainSlice(hc.field, [len(k) for k in keep], {
+        n: hc.boundary(n, w).select_rows(keep[n - 1]).select_columns(keep[n])
+        for n in range(1, top + 1)})
 
 
 def aug_split_iso(hc, w, top):
-    """The normalized and the ideal-only slices, certified to have the same
-    boundaries: the identity is a chain isomorphism between them."""
-    norm, _ = normalized_slice(hc, w, top)
-    ideal, _ = ideal_slice(hc, w, top)
+    """The normalized quotient of the full complex hc and the unit-free
+    complex C(I, M) that hochschild_homology computes from, certified to
+    have the same boundaries: the identity is a chain isomorphism."""
+    norm = normalized_slice(hc, w, top)
+    ideal = HochschildComplex(hc.alg, hc.coeffs, "I").slice(w, top)
     for n in range(1, top + 1):
         if norm.boundary(n) != ideal.boundary(n):
             raise CertificationError(
@@ -186,40 +171,29 @@ def aug_split_iso(hc, w, top):
     return norm, ideal
 
 
-# -- image subcomplexes (shuffle, Eulerian) -------------------------------------
-
-def _image_reps(mat):
-    """The lex-first columns of a matrix spanning its image."""
-    return mat.select_columns(image_pivot_columns(mat))
-
-
-def shuffle_slice(hc, w, top):
-    """The shuffle subcomplex: image of the total shuffle operators."""
-    reps = [_image_reps(hc.shuffle_matrix(n, w)) for n in range(top + 1)]
-    return span_slice(lambda n: hc.boundary(n, w), reps), reps
-
+# -- Eulerian summands --------------------------------------------------------
 
 def _eulerian_pieces(hc, w, top, i, keeps):
     """For each predicate in keeps, the ChainSlice and representative
     columns (in full coordinates) of the image of e^(i) on the basis
     elements it selects: e^(i)C(A,M) on all of them, e^(i)C(I,M) on the
     unit-free ones and e^(i)D(A,M) on the degenerate ones.  Each degree's
-    e^(i) matrix is computed once for all the pieces."""
+    e^(i) matrix is computed once for all the pieces, and each piece is
+    spanned by the lex-first columns of its part of it."""
     reps = [[] for _ in keeps]
     for n in range(top + 1):
         pmat = hc.idempotent_matrix(n, w, i)
         for piece, keep in zip(reps, keeps):
-            piece.append(_image_reps(
-                pmat.select_columns(_key_columns(hc, n, w, keep))))
+            cols = pmat.select_columns(_key_columns(hc, n, w, keep))
+            piece.append(cols.select_columns(image_pivot_columns(cols)))
     return [(span_slice(lambda n: hc.boundary(n, w), piece), piece)
             for piece in reps]
 
 
-def idempotent_slice(hc, w, top, i, keep=_every_key):
-    """The i-th Eulerian summand e^(i) C(A, M), or with keep=is_ideal_only
-    (is_degenerate) its piece e^(i) C(I, M) (e^(i) D(A, M))."""
-    [piece] = _eulerian_pieces(hc, w, top, i, [keep])
-    return piece
+def idempotent_slice(hc, w, top, i):
+    """The i-th Eulerian summand e^(i) of hc's complex: e^(i) C(A, M) on
+    the full complex, e^(i) C(I, M) on the "I" variant."""
+    return _eulerian_pieces(hc, w, top, i, [_every_key])[0]
 
 
 def hodge_commutes(hc, w, top, i):
@@ -245,36 +219,36 @@ def idempotent_dims_complete(hc, w, top):
     return True
 
 
-# -- the Harrison quotient -------------------------------------------------------
+# -- the Harrison quotient ----------------------------------------------------
 
 class HarrisonQuotient:
-    """C(A, M) / im(sh), in coordinates given by the standard basis
-    elements that complete the shuffle image to a basis."""
+    """C(A, M)/im(sh) on the basis elements off the keys of low[n], the low
+    pivots of the total shuffle's columns: classes[n] are the lex-first
+    standard basis elements completing im(sh) to a basis."""
 
     def __init__(self, hc, w, top):
-        self.shuffle_reps, self.reps = [], []
-        for n in range(top + 1):
-            sreps = _image_reps(hc.shuffle_matrix(n, w))
-            full_id = SparseMatrix.identity(hc.field, hc.dim(n, w))
-            self.shuffle_reps.append(sreps)
-            self.reps.append(full_id.select_columns(
-                extend_basis_columns(sreps, full_id)))
-        self.chain = span_slice(lambda n: hc.boundary(n, w), self.reps,
-                                self.shuffle_reps)
+        self.low = [low_pivots(hc.field,
+                               hc.shuffle_matrix(n, w).columns_as_dicts())
+                    for n in range(top + 1)]
+        self.classes = [[t for t in range(hc.dim(n, w)) if t not in low]
+                        for n, low in enumerate(self.low)]
+        self.chain = ChainSlice(hc.field, [len(c) for c in self.classes], {
+            n: self.coords(n - 1, hc.boundary(n, w).select_columns(
+                self.classes[n])) for n in range(1, top + 1)})
+
+    def coords(self, n, vectors):
+        """Coordinates modulo im(sh) of columns of degree n."""
+        return complement_coords(vectors, self.low[n], self.classes[n])
 
 
 def barr_map(hc, w, top):
     """The composite e^(1) C(A,M) -> C(A,M) -> C(A,M)/Sh as per-degree
-    matrices, with the slices on both sides.
-
-    Over a field of characteristic 0 (or large enough p) this is an
-    isomorphism in every degree; the caller checks the rank identity.
-    """
+    matrices, with the slices on both sides; the caller checks that it is
+    an isomorphism (over F_p, see verify.require_shuffle_separates)."""
     e1_chain, e1_reps = idempotent_slice(hc, w, top, 1)
     quot = HarrisonQuotient(hc, w, top)
-    mats = [coords(quot.reps[n], e1_reps[n], quot.shuffle_reps[n])
-            for n in range(top + 1)]
-    return mats, e1_chain, quot
+    return ([quot.coords(n, e1_reps[n]) for n in range(top + 1)], e1_chain,
+            quot)
 
 
 # -- normalized Harrison complex ---------------------------------------------------
@@ -350,7 +324,9 @@ def harrison_weight(hc, w, max_n):
     ideal complex e^(1) C(I, M)) and certified to agree."""
     top = max_n + 1
     dims_quot = HarrisonQuotient(hc, w, top).chain.homology()
-    ideal, _ = idempotent_slice(hc, w, top, 1, is_ideal_only)
+    # no other caller reads the "I" slices of weight w: nothing to cache
+    ideal, _ = idempotent_slice(
+        HochschildComplex(hc.alg, hc.coeffs, "I"), w, top, 1)
     dims_ideal = ideal.homology()
     for n in range(max_n + 1):
         if dims_quot[n] != dims_ideal[n]:

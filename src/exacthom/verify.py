@@ -27,13 +27,25 @@ class BoundsError(ValueError):
     """The bounds or the field leave a suite nothing it can check."""
 
 
-def _require_characteristic(field, n, suite):
+def require_characteristic(field, n, what):
     """The Eulerian idempotents of Sigma_n need n! invertible: p > n."""
     p = field.characteristic
     if p and p <= n:
         raise BoundsError(
-            f"suite {suite} uses the Eulerian idempotents of Sigma_{n} and "
+            f"{what} uses the Eulerian idempotents of Sigma_{n} and "
             f"needs a field characteristic above {n}; got {p}")
+
+
+def require_shuffle_separates(field, max_n, what):
+    """C/im(sh) is e^(1) C through degree max_n only if the total shuffle's
+    eigenvalue 2^i - 2 on e^(i) (groupalg.shuffle_annihilating_product) is
+    not 0 for 2 <= i <= max_n; else im(sh) misses e^(i) C."""
+    p = field.characteristic
+    bad = [i for i in range(2, max_n + 1) if p and (2 ** i - 2) % p == 0]
+    if bad:
+        raise BoundsError(
+            f"{what} needs the shuffle eigenvalue 2^i - 2 nonzero mod {p} "
+            f"for 2 <= i <= {max_n}; it vanishes at i = {bad[0]}")
 
 
 def _require_boundaries(max_n, suite):
@@ -74,7 +86,7 @@ def _checked(name, certify, *args):
 def suite_eulerian(config):
     max_n = config.get("max_n", 6)
     field = config.get("field", QQ)
-    _require_characteristic(field, max_n, "eulerian")
+    require_characteristic(field, max_n, "suite eulerian")
     checks = []
     for n in range(1, max_n + 1):
         results = certify_eulerian(field, n)
@@ -108,7 +120,7 @@ def suite_hodge(config):
     max_n = config.get("max_degree", 5)
     max_w = config.get("max_weight", 5)
     _require_boundaries(max_n, "hodge")
-    _require_characteristic(config.get("field", QQ), max_n, "hodge")
+    require_characteristic(config.get("field", QQ), max_n, "suite hodge")
     checks = []
     for alg, co in _hochschild_setups(config):
         hc = HochschildComplex(alg, co)
@@ -125,8 +137,7 @@ def suite_hodge(config):
 
 
 def _aug_split(hc, w, max_n):
-    """(ok, witness) of the normalized and ideal-only slices at weight w
-    having the same boundaries; aug_split_iso raises when they differ."""
+    """(ok, witness) of aug_split_iso, which raises on a difference."""
     aug_split_iso(hc, w, max_n)
     return True, None
 
@@ -150,8 +161,10 @@ def suite_harrison(config):
     max_w = config.get("max_weight", 4)
     idems = config.get("idempotents", (1, 2, 3))
     _require_boundaries(max_n, "harrison")
+    field = config.get("field", QQ)
     # harrison_weight builds slices one degree past max_n
-    _require_characteristic(config.get("field", QQ), max_n + 1, "harrison")
+    require_characteristic(field, max_n + 1, "suite harrison")
+    require_shuffle_separates(field, max_n, "suite harrison")
     checks = []
     for alg, co in _hochschild_setups(config):
         hc = HochschildComplex(alg, co)
@@ -207,7 +220,9 @@ def _barr_iso(hc, w, max_n):
 def suite_barr(config):
     max_n = config.get("max_degree", 4)
     max_w = config.get("max_weight", 4)
-    _require_characteristic(config.get("field", QQ), max_n, "barr")
+    field = config.get("field", QQ)
+    require_characteristic(field, max_n, "suite barr")
+    require_shuffle_separates(field, max_n, "suite barr")
     checks = []
     for alg, co in _hochschild_setups(config):
         hc = HochschildComplex(alg, co)
@@ -264,7 +279,8 @@ def suite_gamma_iso(config):
     max_w = config.get("max_weight", 3)
     shift_n = config.get("shift_degree", 4)
     field = config.get("field", QQ)
-    _require_characteristic(field, shift_n + 1, "gamma-iso")
+    require_characteristic(field, shift_n + 1, "suite gamma-iso")
+    require_shuffle_separates(field, shift_n, "suite gamma-iso")
     names = config.get("presets", ["dual-numbers", "trunc3"])
     # one ideal-variant table per preset, through the highest degree either
     # check reads, so no slice is eliminated twice; it is computed inside

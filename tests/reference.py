@@ -10,8 +10,8 @@ from exacthom.algebras import AlgebraElement, algebra_from_dict
 from exacthom.chains import span_slice
 from exacthom.fields import QQ
 from exacthom.sparse import (Echelon, SparseMatrix, _eliminate, _normalize,
-                             _primitive, extend_basis_columns, kernel_basis,
-                             solve_batch)
+                             _primitive, extend_basis_columns,
+                             image_pivot_columns, kernel_basis, solve_batch)
 from exacthom.symhom import FiberOrderedMap
 
 
@@ -188,3 +188,14 @@ def comparison_kernel(cd):
     projection, and the subcomplex it spans by solving."""
     reps = [kernel_basis(p) for p in cd.proj]
     return reps, span_slice(cd.sym_chain.boundary, reps)
+
+
+def shuffle_slice(hc, w, top):
+    """The shuffle subcomplex im(sh) of a Hochschild complex, spanned by the
+    lex-first columns of each total shuffle matrix; its dimensions and the
+    Harrison quotient's add up to the full slice's."""
+    reps = []
+    for n in range(top + 1):
+        sh = hc.shuffle_matrix(n, w)
+        reps.append(sh.select_columns(image_pivot_columns(sh)))
+    return span_slice(lambda n: hc.boundary(n, w), reps), reps

@@ -304,24 +304,6 @@ def test_closed_form_counts_match_the_bases(name):
                     assert (n, w) == (4, 4), (cx, n, w, count)
 
 
-def fractional_trunc4(field=QQ):
-    """trunc4 with x*x = (2/3) y and x*y = (5/4) z, over QQ or reduced mod
-    a prime: genuine fractions in every face that multiplies."""
-    from exacthom.algebras import algebra_from_dict
-
-    alg = algebra_from_dict({
-        "name": "trunc4-fractional", "field": "Q",
-        "generators": [{"symbol": "x", "weight": 1},
-                       {"symbol": "y", "weight": 2},
-                       {"symbol": "z", "weight": 3}],
-        "products": [
-            {"left": "x", "right": "x", "result": {"y": "2/3"}},
-            {"left": "x", "right": "y", "result": {"z": "5/4"}},
-            {"left": "y", "right": "x", "result": {"z": "5/4"}}]}, field)
-    assert alg.validate() == []
-    return alg
-
-
 def boundary_terms_per_term(cx, key):
     """Reference alternating sum: every face term multiplied by its sign
     and added with field.add, one term at a time."""
@@ -342,7 +324,7 @@ def boundary_terms_per_term(cx, key):
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
 def test_boundary_terms_match_the_per_term_sum(field):
     fractions = 0
-    for cx in _every_variant(fractional_trunc4(field)):
+    for cx in _every_variant(reference.fractional_trunc4(field)):
         for n in range(1, 4):
             for w in range(4):
                 for key in cx.basis(n, w):

@@ -301,6 +301,36 @@ def test_harrison_over_too_small_characteristic_rejected(capsys):
     assert "characteristic" in line
 
 
+def test_harrison_where_the_shuffle_misses_an_eulerian_piece_refused(
+        tmp_path, capsys):
+    # over F_7 the total shuffle acts on e^(4) by 2^4 - 2 = 14 = 0, as on
+    # e^(1), so C/im(sh) is larger than e^(1) C in degree 4: on four square-
+    # zero generators at w = 4 the two pipelines read 61 and 60
+    path = tmp_path / "square-zero-4.json"
+    path.write_text(json.dumps({
+        "name": "square-zero-4", "field": "Q",
+        "generators": [{"symbol": s, "weight": 1} for s in "abcd"],
+        "products": []}))
+    bounds = ("compute", "--algebra-file", str(path), "--field", "Fp:7",
+              "--theory", "harrison", "--max-weight", "4")
+    line = run_error(capsys, *bounds, "--max-degree", "4")
+    assert "harrison" in line and "2^i - 2" in line and "i = 4" in line
+    code, out = run(capsys, *bounds, "--max-degree", "3")
+    assert code == 0
+    certs = json.loads(out)["certifications"]
+    assert certs and all(c["status"] == "pass" for c in certs)
+
+
+@pytest.mark.parametrize("suite", ["harrison", "barr", "gamma-iso"])
+def test_verify_where_the_shuffle_misses_an_eulerian_piece_refused(capsys,
+                                                                   suite):
+    # gamma-iso reads Harrison homology through its shift degree, 4 by
+    # default
+    line = run_error(capsys, "verify", "--suite", suite, "--field", "Fp:7",
+                     "--max-degree", "4")
+    assert suite in line and "i = 4" in line
+
+
 @pytest.mark.parametrize("flag", ["--max-degree", "--max-weight"])
 def test_negative_bounds_rejected(capsys, flag):
     line = run_error(capsys, "compute", "--theory", "hochschild", flag, "-1")

@@ -25,12 +25,13 @@ import hashlib
 
 import pytest
 
-from exacthom.algebras import Coefficients, algebra_from_dict, preset
+from exacthom.algebras import Coefficients, preset
 from exacthom.gamma import GammaComplex, Surjection
 from exacthom.hochschild import (HarrisonQuotient, HochschildComplex,
                                  NormalizedHarrison, normalized_slice)
 from exacthom.sparse import kernel_basis
 from exacthom.symhom import ComparisonData, FiberOrderedMap, SymmetricComplex
+from reference import fractional_trunc4
 
 MAX_N = 3
 MAX_W = 3
@@ -183,7 +184,7 @@ def subquotients_digest(hc, max_w, top):
     h = hashlib.sha256()
     for w in range(max_w + 1):
         chains = [("harrison quotient", HarrisonQuotient(hc, w, top).chain),
-                  ("normalized", normalized_slice(hc, w, top)[0])]
+                  ("normalized", normalized_slice(hc, w, top))]
         for tag, sl in chains:
             for n in range(1, top + 1):
                 _update_matrix(h, (tag, w, n), sl.boundary(n))
@@ -198,22 +199,6 @@ def subquotients_digest(hc, max_w, top):
     return h.hexdigest()
 
 
-def _fractional_trunc4():
-    # trunc4 with x*x = (2/3) y and x*y = (5/4) z: genuine fractions in
-    # every boundary that multiplies
-    alg = algebra_from_dict({
-        "name": "trunc4-fractional", "field": "Q",
-        "generators": [{"symbol": "x", "weight": 1},
-                       {"symbol": "y", "weight": 2},
-                       {"symbol": "z", "weight": 3}],
-        "products": [
-            {"left": "x", "right": "x", "result": {"y": "2/3"}},
-            {"left": "x", "right": "y", "result": {"z": "5/4"}},
-            {"left": "y", "right": "x", "result": {"z": "5/4"}}]})
-    assert alg.validate() == []
-    return alg
-
-
 def _hochschild_reps(alg):
     return representatives_digest(
         HochschildComplex(alg, Coefficients(alg, "A")), 4, 6)
@@ -225,7 +210,7 @@ ELIMINATION_CASES = {
     "hochschild trunc3 A representatives":
         lambda: _hochschild_reps(preset("trunc3")),
     "hochschild fractional trunc4 A representatives":
-        lambda: _hochschild_reps(_fractional_trunc4()),
+        lambda: _hochschild_reps(fractional_trunc4()),
     "hochschild trunc3 A subquotients":
         lambda: subquotients_digest(_hochschild("trunc3", "A"), 4, 4),
 }

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from exacthom import hochschild
+from exacthom import hochschild, sparse
 from exacthom.algebras import Coefficients, preset
 from exacthom.chains import CertificationError
 from exacthom.cli import main
@@ -10,16 +10,16 @@ from exacthom.fields import GF, QQ
 from exacthom.groupalg import eulerian_idempotents, total_shuffle
 from exacthom.hochschild import (HarrisonQuotient, HochschildComplex,
                                  NormalizedHarrison, aug_split_iso, barr_map,
-                                 degenerate_slice, harrison_homology,
-                                 harrison_weight, hochschild_homology,
-                                 hodge_commutes, ideal_slice,
+                                 harrison_homology, harrison_weight,
+                                 hochschild_homology, hodge_commutes,
                                  idempotent_dims_complete, idempotent_slice,
                                  is_degenerate, is_ideal_only,
-                                 normalized_slice, shuffle_slice)
+                                 normalized_slice)
 from exacthom.sparse import (Echelon, SparseMatrix, extend_basis_columns,
                              image_pivot_columns, kernel_basis, solve_batch)
-from reference import columns, permute_slots
-from test_chains import fractional_trunc4
+from exacthom.verify import run_suite
+from reference import (columns, fractional_trunc4, permute_slots,
+                       shuffle_slice)
 
 
 @pytest.fixture(scope="module")
@@ -52,11 +52,19 @@ def test_boundary_squares_to_zero_small(trunc3_A):
 
 
 def test_degenerate_slice_degree_one(dual_k):
-    sl, _ = degenerate_slice(dual_k, 1, 1)
-    assert sl.dims == [0, 0]
+    # D(A, M) is spanned by the degenerate basis elements, and the
+    # normalized quotient keeps the others
+    def degenerate_dims(w, top):
+        return [sum(map(is_degenerate, dual_k.basis(n, w)))
+                for n in range(top + 1)]
+
+    assert degenerate_dims(1, 1) == [0, 0]
     # at weight 0 the one degenerate element is the inserted unit
-    sl, _ = degenerate_slice(dual_k, 0, 2)
-    assert sl.dims == [0, 1, 1]
+    assert degenerate_dims(0, 2) == [0, 1, 1]
+    for w, top in ((1, 1), (0, 2)):
+        assert [a + b for a, b in zip(
+            normalized_slice(dual_k, w, top).dims, degenerate_dims(w, top))
+        ] == [dual_k.dim(n, w) for n in range(top + 1)]
 
 
 def test_shuffle_slice_degree_two_antisymmetrizers(trunc3_A):
@@ -97,9 +105,10 @@ def test_normalized_equals_ideal_boundaries(trunc3_A):
 
 
 def test_ideal_slice_is_boundary_closed(trunc3_A):
-    # restricting must not raise: no face of a unit-free tensor leaves
+    # building C(I, M) must not raise: no face of a unit-free tensor leaves
+    unit_free = HochschildComplex(trunc3_A.alg, trunc3_A.coeffs, "I")
     for w in range(4):
-        ideal_slice(trunc3_A, w, 4)
+        unit_free.slice(w, 4)
         normalized_slice(trunc3_A, w, 4)
 
 
@@ -184,15 +193,16 @@ def test_normalized_table_matches_the_full_complex(name, field, kind):
 @pytest.mark.parametrize("name,field", NORMALIZED_ORACLE_CASES)
 @pytest.mark.parametrize("kind", ["k", "A"])
 def test_normalized_complex_is_the_ideal_slice(name, field, kind):
-    # the "I" variant builds, unrestricted, the unit-free subcomplex that
-    # the augmentation-splitting certificate restricts C(A, M) to
+    # the "I" variant builds, from the unit-free tensors alone, the
+    # normalized quotient that the augmentation-splitting certificate
+    # compares it with
     full, unit_free = _oracle_complexes(name, field, kind)
     for w in range(5):
-        ideal, _ = ideal_slice(full, w, 4)
+        quotient = normalized_slice(full, w, 4)
         normalized = unit_free.slice(w, 4)
-        assert ideal.dims == normalized.dims
+        assert quotient.dims == normalized.dims
         for n in range(1, 5):
-            assert ideal.boundary(n) == normalized.boundary(n), (w, n)
+            assert quotient.boundary(n) == normalized.boundary(n), (w, n)
 
 
 def test_unknown_variant_rejected():
@@ -247,8 +257,10 @@ def test_quotient_pipeline_certification_error_detectable(monkeypatch,
 @pytest.mark.parametrize("kind", ["k", "A"])
 def test_harrison_weight_slice_is_the_normalized_ideal_chain(monkeypatch,
                                                              kind, field):
-    # the e^(1) C(I, M) slice that harrison_weight builds is the i_chain of
-    # the full normalized Harrison splitting, boundary for boundary
+    # the e^(1) C(I, M) slice that harrison_weight builds on the "I"
+    # complex is the i_chain of the full normalized Harrison splitting,
+    # boundary for boundary; its representatives are i_reps on the
+    # unit-free rows, where i_reps has all its entries
     built = []
 
     def recorded(*args, **kwargs):
@@ -264,7 +276,10 @@ def test_harrison_weight_slice_is_the_normalized_ideal_chain(monkeypatch,
         harrison_weight(hc, w, max_n)
         [(chain, reps)] = built
         nh = NormalizedHarrison(hc, w, max_n + 1, 1)
-        assert reps == nh.i_reps
+        assert reps == [nh.i_reps[n].select_rows(
+            [j for j, k in enumerate(hc.basis(n, w)) if is_ideal_only(k)])
+            for n in range(max_n + 2)]
+        assert all(r.nnz == f.nnz for r, f in zip(reps, nh.i_reps))
         assert chain.dims == nh.i_chain.dims
         for n in range(1, max_n + 2):
             assert chain.boundary(n) == nh.i_chain.boundary(n)
@@ -313,6 +328,40 @@ def test_action_matrix_examples(trunc3_A):
     col = columns(e1)[idx[(0, (2, 0))]]
     half = QQ.of(1, 2)
     assert col == {idx[(0, (2, 0))]: half, idx[(0, (0, 2))]: half}
+
+
+def test_whole_slice_quotients_build_no_echelon(monkeypatch, trunc3_A):
+    # the Harrison quotient reads its basis and coordinates off low pivots,
+    # and the normalized quotient selects rows and columns
+    built = []
+    init = sparse.Echelon.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparse.Echelon, "__init__", counted)
+    for w in range(4):
+        HarrisonQuotient(trunc3_A, w, 4).chain.dims
+        normalized_slice(trunc3_A, w, 4)
+    assert built == []
+
+
+def test_harrison_suite_computes_each_action_matrix_once(monkeypatch):
+    # NormalizedHarrison's e^(i) on C(A, M), the shuffles on C(A, M) and
+    # harrison_weight's e^(1) on C(I, M) are all different matrices
+    seen = {}
+    action_matrix = HochschildComplex.action_matrix
+
+    def counted(self, elem, n, w):
+        key = (id(self), frozenset(elem.coeffs.items()), n, w)
+        seen.setdefault(key, []).append(self)  # keeps id(self) unique
+        return action_matrix(self, elem, n, w)
+
+    monkeypatch.setattr(HochschildComplex, "action_matrix", counted)
+    checks, _ = run_suite("harrison", {})
+    assert checks and all(c.ok for c in checks)
+    assert seen and all(len(v) == 1 for v in seen.values())
 
 
 def test_shuffle_plus_quotient_dims_match_full(trunc3_A):
@@ -453,15 +502,13 @@ def normalized_harrison_reference(hc, w, top, i):
 def test_subquotients_match_the_hand_written_reference(name, kind, field):
     alg = preset(name, field)
     hc = HochschildComplex(alg, Coefficients(alg, kind))
+    unit_free = HochschildComplex(alg, hc.coeffs, "I")
     top = 4
     for w in range(5):
-        for slicer, keep in ((degenerate_slice, is_degenerate),
-                             (ideal_slice, is_ideal_only),
-                             (normalized_slice, is_ideal_only)):
-            sl = slicer(hc, w, top)[0]
+        for sl in (normalized_slice(hc, w, top), unit_free.slice(w, top)):
             for n in range(1, top + 1):
                 assert sl.boundary(n) == \
-                    restricted_boundary_reference(hc, n, w, keep)
+                    restricted_boundary_reference(hc, n, w, is_ideal_only)
         chain = HarrisonQuotient(hc, w, top).chain
         bounds, project = harrison_quotient_reference(hc, w, top)
         for n, mat in bounds.items():
