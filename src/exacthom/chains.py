@@ -8,11 +8,14 @@ theory-level drivers do exactly that).
 
 Each boundary is eliminated once, by low_pivots, into one memo per
 degree that serves the rank-only homology(), the representatives and the
-homology coordinates.  A kernel basis is 1 at its own free row and 0 at
-the other free rows, so a vector's coordinates in it are its entries at
-the free rows (kernel_coords), certified by one product.  A quotient by a
-span has the unit vectors off the keys of its low pivots as basis, read
-by complement_coords (homology here, the Harrison quotient too).
+homology coordinates.  Every subquotient is read without a solve, in one
+of two ways.  A quotient by a span has the unit vectors off the keys of
+its low pivots as basis, read by complement_coords (homology here, the
+Harrison quotient and the Eulerian pieces too).  A kernel basis is 1 at
+its own free row and 0 at the other free rows, so a vector's coordinates
+in it are its entries at the free rows (kernel_coords).  A subcomplex
+spanned by either kind of basis (kernel_slice, complement_slice) reads
+each boundary that way and certifies it with one product.
 """
 
 from .sparse import (SparseMatrix, kernel_with_free, low_coords, low_pivots,
@@ -175,7 +178,7 @@ class ChainSlice:
         positions in F_n that are not keys of low.  Keeping the rows F_n
         is injective on cycles and Z_n is the identity there, so len(low)
         = rk d_{n+1}, and reps are the lex-first cycles that extend the
-        boundaries, as extend_basis_columns(d_{n+1}, Z_n) picks them."""
+        boundaries."""
         if n not in self._homology:
             cycles, free = kernel_with_free(self.boundary(n))
             bnd = self.boundary(n + 1).select_rows(free)
@@ -220,54 +223,47 @@ def kernel_coords(kernel, free, vectors):
     vectors.  The product kernel x == vectors is checked exactly; a column
     outside the span of kernel raises ValueError."""
     x = vectors.select_rows(free)
-    back = kernel.mul(x)
+    _certify_coords(kernel, x, vectors)
+    return x
+
+
+def _certify_coords(basis, x, vectors):
+    """Raise ValueError naming the first column where basis x != vectors."""
+    back = basis.mul(x)
     if back != vectors:
         bad = min(j for (_, j), _ in
                   back.entries.items() ^ vectors.entries.items())
         raise ValueError(f"column {bad} is not in the span")
-    return x
-
-
-def coords(basis, vectors, modulo=None):
-    """Coordinates of the columns of vectors in the columns of basis,
-    modulo the span of the columns of modulo: solve [modulo | basis] x =
-    vectors and keep the basis rows.  The columns of basis must be
-    independent modulo that span; a column of vectors outside the joint
-    span raises ValueError."""
-    if modulo is None:
-        return solve_batch(basis, vectors)[0]
-    sol, _ = solve_batch(modulo.hstack(basis), vectors)
-    return sol.select_rows(range(modulo.ncols, sol.nrows))
-
-
-def span_slice(boundary, reps, modulo=None):
-    """ChainSlice spanned by the columns of reps[n] in each degree n, where
-    boundary(n) is the ambient boundary matrix.  Without modulo this is the
-    subcomplex those columns span; with modulo it is the subquotient by the
-    subcomplex spanned by the columns of modulo[n].  d_n is expressed in
-    the chosen bases, d_n = coords(reps[n-1], boundary(n) reps[n],
-    modulo[n-1]), and solving certifies that the span is closed under the
-    boundary."""
-    return _restricted_slice(boundary, reps, lambda n, image: coords(
-        reps[n - 1], image, modulo[n - 1] if modulo else None))
 
 
 def kernel_slice(boundary, kernels, free):
-    """span_slice of kernel bases with free rows free[n], with no solve:
-    d_n = kernel_coords(kernels[n-1], free[n-1], boundary(n) kernels[n])."""
-    return _restricted_slice(boundary, kernels, lambda n, image: kernel_coords(
-        kernels[n - 1], free[n - 1], image))
+    """The subcomplex spanned by kernel bases with free rows free[n]:
+    d_n is the rows free[n-1] of boundary(n) kernels[n]."""
+    return _restricted_slice(boundary, kernels, lambda n, image:
+                             image.select_rows(free[n - 1]))
 
 
-def _restricted_slice(boundary, reps, solve):
-    """ChainSlice of the columns of reps[n], with d_n = solve(n,
-    boundary(n) reps[n]); a ValueError of solve means the span is not
-    closed under the boundary."""
+def complement_slice(boundary, reps, low, complement):
+    """The subcomplex spanned by the columns of reps[n], when
+    complement_coords(v, low[n], complement[n]) are the coordinates in
+    reps[n] of any v in their span (as for the image of an idempotent,
+    with low the low pivots of its kernel)."""
+    return _restricted_slice(boundary, reps, lambda n, image:
+                             complement_coords(image, low[n - 1],
+                                               complement[n - 1]))
+
+
+def _restricted_slice(boundary, reps, coords):
+    """ChainSlice of the columns of reps[n], with d_n = coords(n,
+    boundary(n) reps[n]) certified by one product, reps[n-1] d_n ==
+    boundary(n) reps[n]: a span not closed under the boundary raises
+    CertificationError."""
     bounds = {}
     for n in range(1, len(reps)):
         image = boundary(n).mul(reps[n])
+        bounds[n] = coords(n, image)
         try:
-            bounds[n] = solve(n, image)
+            _certify_coords(reps[n - 1], bounds[n], image)
         except ValueError as exc:
             raise CertificationError(
                 f"boundary leaves the subcomplex at degree {n}: {exc}"

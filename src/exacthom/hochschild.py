@@ -18,18 +18,20 @@ drops a slot.  So C(A, M) = C(I, M) + D(A, M) as complexes, D is acyclic,
 and the unit-free slices alone give HH(A, M).  Every standalone C(I, M)
 is the "I" variant (hochschild_homology, harrison_weight, aug_split_iso).
 
-A whole slice modulo a span, C(A, M)/im(sh) or C(A, M)/D(A, M), has the
-basis elements off the keys of the span's low pivots as basis, with
-complement_coords as coordinates; D is spanned by basis elements, so for
-it these are the unit-free ones and entries.  NormalizedHarrison, a span
-modulo a span, solves instead.
+Every subquotient is read off low pivots, with no solve.  A whole slice
+modulo a span, C(A, M)/im(sh) or C(A, M)/D(A, M), has the basis elements
+off the keys of the span's low pivots as basis, with complement_coords as
+coordinates; D is spanned by basis elements, so for it these are the
+unit-free ones and entries.  An Eulerian piece e^(i)C is C modulo
+im(1 - e^(i)), represented by the images of those basis elements, and
+NormalizedHarrison's e^(i)C(A,M)/e^(i)D(A,M) is C modulo im(1 - e^(i))
+and D(A, M).
 """
 
 from .chains import (CertificationError, ChainSlice, SliceComplex,
-                     check_chain_map, complement_coords, coords, span_slice)
+                     check_chain_map, complement_coords, complement_slice)
 from .groupalg import eulerian_idempotent, total_shuffle
-from .sparse import (SparseMatrix, extend_basis_columns, image_pivot_columns,
-                     low_pivots, rank)
+from .sparse import SparseMatrix, low_pivots, rank
 
 
 class HochschildComplex(SliceComplex):
@@ -143,16 +145,12 @@ def _every_key(key):
     return True
 
 
-def _key_columns(hc, n, w, keep):
-    """Indices of the basis elements of (n, w) selected by `keep`."""
-    return [j for j, k in enumerate(hc.basis(n, w)) if keep(k)]
-
-
 def normalized_slice(hc, w, top):
     """The normalized complex C(A, M)/D(A, M) on the unit-free basis
     elements.  D(A, M) is spanned by the degenerate ones, so the quotient's
     boundary is the full one on the unit-free rows and columns."""
-    keep = [_key_columns(hc, n, w, is_ideal_only) for n in range(top + 1)]
+    keep = [[j for j, key in enumerate(hc.basis(n, w)) if is_ideal_only(key)]
+            for n in range(top + 1)]
     return ChainSlice(hc.field, [len(k) for k in keep], {
         n: hc.boundary(n, w).select_rows(keep[n - 1]).select_columns(keep[n])
         for n in range(1, top + 1)})
@@ -174,26 +172,43 @@ def aug_split_iso(hc, w, top):
 # -- Eulerian summands --------------------------------------------------------
 
 def _eulerian_pieces(hc, w, top, i, keeps):
-    """For each predicate in keeps, the ChainSlice and representative
-    columns (in full coordinates) of the image of e^(i) on the basis
+    """For each predicate in keeps, the image of e^(i) on the basis
     elements it selects: e^(i)C(A,M) on all of them, e^(i)C(I,M) on the
-    unit-free ones and e^(i)D(A,M) on the degenerate ones.  Each degree's
-    e^(i) matrix is computed once for all the pieces, and each piece is
-    spanned by the lex-first columns of its part of it."""
-    reps = [[] for _ in keeps]
+    unit-free ones and e^(i)D(A,M) on the degenerate ones, as (chain,
+    reps, low, complement) with reps[n] in full coordinates.
+
+    e^(i) is idempotent, so its kernel is im(1 - e^(i)), and it permutes
+    slots, so it keeps the unit-free and the degenerate blocks apart.  So
+    low[n] are the low pivots of the columns of 1 - e^(i) on the selected
+    elements and of the unit vectors of the others, the indices
+    complement[n] off their keys are the lex-first columns whose images
+    span the piece, reps[n] are those images, and complement_coords reads
+    coordinates in them.  Each degree's e^(i) matrix serves all pieces."""
+    field = hc.field
+    pieces = [([], [], []) for _ in keeps]
     for n in range(top + 1):
         pmat = hc.idempotent_matrix(n, w, i)
-        for piece, keep in zip(reps, keeps):
-            cols = pmat.select_columns(_key_columns(hc, n, w, keep))
-            piece.append(cols.select_columns(image_pivot_columns(cols)))
-    return [(span_slice(lambda n: hc.boundary(n, w), piece), piece)
-            for piece in reps]
+        cols = pmat.columns_as_dicts()
+        for j, col in enumerate(cols):
+            col = {r: -v for r, v in col.items()}
+            col[j] = col.get(j, 0) + 1
+            cols[j] = field.normal_terms(col)
+        keys = hc.basis(n, w)
+        for (reps, low, complement), keep in zip(pieces, keeps):
+            low.append(low_pivots(field, [
+                cols[j] if keep(key) else {j: field.one}
+                for j, key in enumerate(keys)]))
+            complement.append([t for t in range(len(keys))
+                               if t not in low[-1]])
+            reps.append(pmat.select_columns(complement[-1]))
+    return [(complement_slice(lambda n: hc.boundary(n, w), *piece), *piece)
+            for piece in pieces]
 
 
 def idempotent_slice(hc, w, top, i):
     """The i-th Eulerian summand e^(i) of hc's complex: e^(i) C(A, M) on
     the full complex, e^(i) C(I, M) on the "I" variant."""
-    return _eulerian_pieces(hc, w, top, i, [_every_key])[0]
+    return _eulerian_pieces(hc, w, top, i, [_every_key])[0][:2]
 
 
 def hodge_commutes(hc, w, top, i):
@@ -258,40 +273,37 @@ class NormalizedHarrison:
     comparison maps materialized as matrices.
 
     Per degree: columns of `c_reps`, `i_reps`, `d_reps` are bases (in full
-    slice coordinates) of e^(i)C(A,M), e^(i)C(I,M) and e^(i)D(A,M); every
-    basis element is unit-free or degenerate, so the last two span the
-    first, and independently once i + d = c is checked.  The columns of
-    `q_reps` (those of c_reps extending d_reps) span the quotient
-    e^(i)C(A,M)/e^(i)D(A,M); the maps inclusion/quotient/collapse are
-    coordinates in these bases, and the composite collapse o quotient o
-    inclusion is certified to be the identity.
+    slice coordinates) of e^(i)C(A,M), e^(i)C(I,M) and e^(i)D(A,M).  e^(i)
+    keeps the unit-free and the degenerate blocks apart, so the columns of
+    c_reps are those of i_reps and d_reps, once i + d = c is checked.  The
+    quotient e^(i)C(A,M)/e^(i)D(A,M) is C(A,M)/(im(1 - e^(i)) + D(A,M)),
+    whose low pivots are those of the unit-free piece: it is spanned by
+    i_reps, `quot_chain` is `i_chain` and `collapse` onto e^(i)C(I,M) is
+    the identity.  `inclusion` and `quotient` are coordinates read off low
+    pivots, and the composite collapse o quotient o inclusion is certified
+    to be the identity.
     """
 
     def __init__(self, hc, w, top, i=1):
         self.hc = hc
         self.top = top
-        ((self.c_chain, self.c_reps), (self.i_chain, self.i_reps),
-         (self.d_chain, self.d_reps)) = _eulerian_pieces(
+        ((self.c_chain, self.c_reps, c_low, c_complement),
+         (self.i_chain, self.i_reps, i_low, i_complement),
+         (self.d_chain, self.d_reps, _, _)) = _eulerian_pieces(
             hc, w, top, i, [_every_key, is_ideal_only, is_degenerate])
-        self.q_reps, self.inclusion, self.quotient, self.collapse = \
-            [], [], [], []
         for n, (c_reps, i_reps, d_reps) in enumerate(
                 zip(self.c_reps, self.i_reps, self.d_reps)):
             if i_reps.ncols + d_reps.ncols != c_reps.ncols:
                 raise CertificationError(
                     f"e^({i}) splitting dimension mismatch at degree {n}: "
                     f"{i_reps.ncols} + {d_reps.ncols} != {c_reps.ncols}")
-            # the quotient by the degenerate part is spanned by the columns
-            # of c_reps extending d_reps
-            q_reps = c_reps.select_columns(
-                extend_basis_columns(d_reps, c_reps))
-            self.q_reps.append(q_reps)
-            self.inclusion.append(coords(c_reps, i_reps))
-            self.quotient.append(coords(q_reps, c_reps, d_reps))
-            # collapse of the quotient onto the ideal part
-            self.collapse.append(coords(i_reps, q_reps, d_reps))
-        self.quot_chain = span_slice(lambda n: hc.boundary(n, w),
-                                     self.q_reps, self.d_reps)
+        self.inclusion = [complement_coords(*args) for args in zip(
+            self.i_reps, c_low, c_complement)]
+        self.quotient = [complement_coords(*args) for args in zip(
+            self.c_reps, i_low, i_complement)]
+        self.collapse = [SparseMatrix.identity(hc.field, r.ncols)
+                         for r in self.i_reps]
+        self.quot_chain = self.i_chain
 
     def composite_is_identity(self):
         """The collapse-quotient-inclusion composite on e^(i)C(I,M)."""

@@ -11,11 +11,11 @@ same step runs mod p against monic pivots.
   back-substitution.  ``rank`` counts the low pivots of the rows.
 - ``Echelon`` builds the (unique) reduced row echelon form, up to one
   scale per row, by inserting rows one at a time and back-eliminating each
-  new pivot column from all earlier rows.  Pivot columns are therefore
-  the lex-first independent column set, which callers rely on when they
-  extend one basis by another (put the preferred columns first).  Kernels
-  and solves read it off through a column index of the pivot rows, built
-  once, and form a rational only there: an entry over its row's lead.
+  new pivot column from all earlier rows, so its pivot columns are the
+  lex-first independent ones.  Kernels (``kernel_with_free``) and solves
+  (``solve_batch``) read it off through a column index of the pivot rows,
+  built once, and form a rational only there: an entry over its row's
+  lead.
 
 Products are fraction-free too: ``SparseMatrix.mul`` multiplies rows and
 columns scaled to integers and forms each nonzero entry of the product
@@ -225,10 +225,6 @@ class Echelon:
     def rank(self):
         return len(self.rows)
 
-    @property
-    def pivot_cols(self):
-        return sorted(self.rows)
-
     def free_cols(self):
         return [c for c in range(self.pivot_limit) if c not in self.rows]
 
@@ -391,11 +387,6 @@ def kernel_with_free(matrix):
             ech.free_cols())
 
 
-def image_pivot_columns(matrix):
-    """Indices of the lex-first independent column subset spanning the image."""
-    return Echelon(matrix).pivot_cols
-
-
 def solve_batch(a, v, strict=True):
     """Solve a @ x = v column by column.
 
@@ -420,12 +411,3 @@ def solve_batch(a, v, strict=True):
             cols.append(x)
     return SparseMatrix.from_columns(a.field, a.ncols, cols), ok
 
-
-def extend_basis_columns(first, second):
-    """Columns of `second` that extend the column span of `first`.
-
-    Returns the indices j such that column j of `second` is independent
-    from `first` plus the previously selected columns.
-    """
-    ech = Echelon(first.hstack(second))
-    return [c - first.ncols for c in ech.pivot_cols if c >= first.ncols]

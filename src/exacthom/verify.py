@@ -277,22 +277,22 @@ def _gamma_shifts_harrison(ideal, name, shift_n, max_w):
 def suite_gamma_iso(config):
     max_n = config.get("max_degree", 3)
     max_w = config.get("max_weight", 3)
-    shift_n = config.get("shift_degree", 4)
+    # HGamma_{n-1} = Harr_n reads HGamma in degrees 0..max_n, as the
+    # variant check does
+    shift_n = max_n + 1
     field = config.get("field", QQ)
     require_characteristic(field, shift_n + 1, "suite gamma-iso")
     require_shuffle_separates(field, shift_n, "suite gamma-iso")
     names = config.get("presets", ["dual-numbers", "trunc3"])
-    # one ideal-variant table per preset, through the highest degree either
-    # check reads, so no slice is eliminated twice; it is computed inside
-    # the first check that needs it, where a failing certificate is caught
-    tops = {name: shift_n - 1 for name in names}
-    tops["dual-numbers"] = max(max_n, tops.get("dual-numbers", max_n))
 
+    # one ideal-variant table per preset, so no slice is eliminated twice;
+    # it is computed inside the first check that needs it, where a failing
+    # certificate is caught
     @cache
     def ideal(name):
         co = Coefficients(preset(name, field), "k")
         return co, GammaComplex(co.algebra, co, "I").homology_table(
-            tops[name], max_w)
+            max_n, max_w)
 
     checks = [_checked(
         f"gamma ideal vs full dims dual-numbers n<={max_n} w<={max_w}",

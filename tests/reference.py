@@ -7,11 +7,10 @@ faster or more general way; none of them is used outside the tests.
 from itertools import permutations
 
 from exacthom.algebras import AlgebraElement, algebra_from_dict
-from exacthom.chains import span_slice
+from exacthom.chains import CertificationError, ChainSlice
 from exacthom.fields import QQ
 from exacthom.sparse import (Echelon, SparseMatrix, _eliminate, _normalize,
-                             _primitive, extend_basis_columns,
-                             image_pivot_columns, kernel_basis, solve_batch)
+                             _primitive, kernel_basis, solve_batch)
 from exacthom.symhom import FiberOrderedMap
 
 
@@ -29,6 +28,49 @@ def columns(matrix):
     for (i, j), v in matrix.entries.items():
         cols[j][i] = v
     return cols
+
+
+def image_pivot_columns(matrix):
+    """Indices of the lex-first independent column subset spanning the
+    image: the pivot columns of the reduced row echelon form."""
+    return sorted(Echelon(matrix).rows)
+
+
+def extend_basis_columns(first, second):
+    """Indices j such that column j of second is independent from the
+    columns of first and the columns of second selected before it."""
+    pivots = image_pivot_columns(first.hstack(second))
+    return [c - first.ncols for c in pivots if c >= first.ncols]
+
+
+def coords(basis, vectors, modulo=None):
+    """Coordinates of the columns of vectors in the columns of basis,
+    modulo the span of the columns of modulo: solve [modulo | basis] x =
+    vectors and keep the basis rows.  A column of vectors outside the
+    joint span raises ValueError."""
+    if modulo is None:
+        return solve_batch(basis, vectors)[0]
+    sol, _ = solve_batch(modulo.hstack(basis), vectors)
+    return sol.select_rows(range(modulo.ncols, sol.nrows))
+
+
+def span_slice(boundary, reps, modulo=None):
+    """The subcomplex spanned by the columns of reps[n] (the ambient
+    boundary being boundary(n)), or its subquotient by the subcomplex
+    spanned by the columns of modulo[n], by solving: d_n =
+    coords(reps[n-1], boundary(n) reps[n], modulo[n-1]).  A span not
+    closed under the boundary raises CertificationError."""
+    bounds = {}
+    for n in range(1, len(reps)):
+        image = boundary(n).mul(reps[n])
+        try:
+            bounds[n] = coords(reps[n - 1], image,
+                               modulo[n - 1] if modulo else None)
+        except ValueError as exc:
+            raise CertificationError(
+                f"boundary leaves the subcomplex at degree {n}: {exc}"
+            ) from None
+    return ChainSlice(reps[0].field, [r.ncols for r in reps], bounds)
 
 
 def element(alg, scalar, coeffs=None):
@@ -107,6 +149,21 @@ def fractional_trunc4(field=QQ):
             {"left": "x", "right": "x", "result": {"y": "2/3"}},
             {"left": "x", "right": "y", "result": {"z": "5/4"}},
             {"left": "y", "right": "x", "result": {"z": "5/4"}}]}, field)
+    assert alg.validate() == []
+    return alg
+
+
+def non_monomial(field=QQ):
+    """k[x,y]/(x,y)^3 with weight-2 basis a = x^2, b = x^2 + xy, c = y^2,
+    so that x*y = b - a hits two basis elements."""
+    alg = algebra_from_dict({
+        "name": "non-monomial", "field": "Q",
+        "generators": [{"symbol": s, "weight": 1} for s in "xy"]
+        + [{"symbol": s, "weight": 2} for s in "abc"],
+        "products": [
+            {"left": "x", "right": "x", "result": {"a": "1"}},
+            {"left": "x", "right": "y", "result": {"a": "-1", "b": "1"}},
+            {"left": "y", "right": "y", "result": {"c": "1"}}]}, field)
     assert alg.validate() == []
     return alg
 

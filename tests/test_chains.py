@@ -3,11 +3,12 @@ import random
 import pytest
 
 from exacthom.chains import (CertificationError, ChainSlice, check_chain_map,
-                             check_ses, connecting_homomorphism,
-                             induced_map_on_homology,
-                             long_exact_sequence_nodes, span_slice)
+                             check_ses, complement_slice,
+                             connecting_homomorphism,
+                             induced_map_on_homology, kernel_slice,
+                             long_exact_sequence_nodes)
 from exacthom.fields import GF, QQ
-from exacthom.sparse import SparseMatrix, kernel_basis
+from exacthom.sparse import SparseMatrix, kernel_basis, low_pivots
 import reference
 from reference import mat
 
@@ -210,28 +211,48 @@ def test_check_ses_rejects_non_exact_input():
         check_ses(inc, proj, sub, total, quot)
 
 
-def test_span_slice_restricts_the_boundary():
-    # C_1 = <a, b>, C_0 = <c>, d(a) = d(b) = c; the span of a - b and 0
+def test_restricted_slice_restricts_the_boundary():
+    # C_1 = <a, b>, C_0 = <c>, d(a) = d(b) = c; the span of a - b and 0,
+    # as a kernel basis (1 at its free row 0) and as the image of the
+    # idempotent a -> a - b, b -> 0, whose kernel is spanned by b
     d1 = mat([[1, 1]])
     reps = [SparseMatrix.zeros(QQ, 1, 0), mat([[1], [-1]])]
-    sl = span_slice(lambda n: d1, reps)
-    assert sl.dims == [0, 1]
-    assert sl.boundary(1).shape == (0, 1)
+    low = [low_pivots(QQ, [{0: 1}]), low_pivots(QQ, [{1: 1}])]
+    for sl in (kernel_slice(lambda n: d1, reps, [[], [0]]),
+               complement_slice(lambda n: d1, reps, low, [[], [0]])):
+        assert sl.dims == [0, 1]
+        assert sl.boundary(1).shape == (0, 1)
 
 
-def test_span_slice_rejects_a_span_not_closed_under_the_boundary():
+def test_restricted_slice_rejects_a_span_not_closed_under_the_boundary():
     from exacthom import hochschild
     d1 = mat([[1, 1]])
     reps = [SparseMatrix.zeros(QQ, 1, 0), mat([[1], [0]])]
+    with pytest.raises(CertificationError, match="degree 1: column 0"):
+        kernel_slice(lambda n: d1, reps, [[], [0]])
+    low = [low_pivots(QQ, [{0: 1}]), low_pivots(QQ, [{1: 1}])]
+    with pytest.raises(CertificationError, match="degree 1: column 0"):
+        complement_slice(lambda n: d1, reps, low, [[], [0]])
     with pytest.raises(CertificationError, match="degree 1"):
-        span_slice(lambda n: d1, reps)
-    # C_1 = <a>, C_0 = <c, e, f>, d(a) = c + f: the span of a modulo the
-    # span of e is not closed, modulo the span of f it is
+        reference.span_slice(lambda n: d1, reps)
+    # C_1 = <a>, C_0 = <c, e, f>, d(a) = c + f: the image of the
+    # projection onto c along e and f is not closed, that of the
+    # projection onto c + f along them is
     d1 = mat([[1], [0], [1]])
+    low = [low_pivots(QQ, [{1: 1}, {2: 1}]), {}]
+    with pytest.raises(CertificationError, match="degree 1"):
+        complement_slice(lambda n: d1, [mat([[1], [0], [0]]), mat([[1]])],
+                         low, [[0], [0]])
+    sl = complement_slice(lambda n: d1, [mat([[1], [0], [1]]), mat([[1]])],
+                          low, [[0], [0]])
+    assert sl.boundary(1) == mat([[1]])
+    # the solve oracle: the span of c modulo the span of e is not closed,
+    # modulo the span of f it is
     reps = [mat([[1], [0], [0]]), mat([[1]])]
     with pytest.raises(CertificationError, match="degree 1"):
-        span_slice(lambda n: d1, reps, [mat([[0], [1], [0]]), None])
-    sl = span_slice(lambda n: d1, reps, [mat([[0], [0], [1]]), None])
+        reference.span_slice(lambda n: d1, reps, [mat([[0], [1], [0]]), None])
+    sl = reference.span_slice(lambda n: d1, reps,
+                              [mat([[0], [0], [1]]), None])
     assert sl.boundary(1) == mat([[1]])
     # the error class is still reachable from the Hochschild module
     assert hochschild.CertificationError is CertificationError

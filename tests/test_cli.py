@@ -324,11 +324,15 @@ def test_harrison_where_the_shuffle_misses_an_eulerian_piece_refused(
 @pytest.mark.parametrize("suite", ["harrison", "barr", "gamma-iso"])
 def test_verify_where_the_shuffle_misses_an_eulerian_piece_refused(capsys,
                                                                    suite):
-    # gamma-iso reads Harrison homology through its shift degree, 4 by
-    # default
-    line = run_error(capsys, "verify", "--suite", suite, "--field", "Fp:7",
-                     "--max-degree", "4")
+    # gamma-iso reads Harrison homology one degree past --max-degree, so
+    # at --max-degree 2 it reads degree 3, where 2^3 - 2 = 6 is not 0 mod 7
+    bounds = ("verify", "--suite", suite, "--field", "Fp:7")
+    line = run_error(capsys, *bounds, "--max-degree", "4")
     assert suite in line and "i = 4" in line
+    code, out = run(capsys, *bounds, "--max-degree", "2")
+    assert code == 0
+    certs = json.loads(out)["certifications"]
+    assert certs and all(c["status"] == "pass" for c in certs)
 
 
 @pytest.mark.parametrize("flag", ["--max-degree", "--max-weight"])

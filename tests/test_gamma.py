@@ -8,7 +8,7 @@ from math import comb, factorial
 import pytest
 
 from exacthom.algebras import Coefficients, preset
-from exacthom.chains import basis_map_matrix, check_chain_map, span_slice
+from exacthom.chains import basis_map_matrix, check_chain_map
 from exacthom.cli import main
 from exacthom.fields import GF, QQ
 from exacthom import chains, gamma
@@ -20,6 +20,7 @@ from exacthom.gamma import (GammaComplex, Surjection, gamma_homology,
 from exacthom.sparse import SparseMatrix, kernel_basis, rank
 from exacthom.symhom import FiberOrderedMap
 from exacthom.verify import run_suite
+from reference import span_slice
 
 
 def stirling2(x, y):

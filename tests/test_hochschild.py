@@ -7,7 +7,8 @@ from exacthom.algebras import Coefficients, preset
 from exacthom.chains import CertificationError
 from exacthom.cli import main
 from exacthom.fields import GF, QQ
-from exacthom.groupalg import eulerian_idempotents, total_shuffle
+from exacthom.groupalg import (GroupAlgebraElement, eulerian_idempotent,
+                               eulerian_idempotents, total_shuffle)
 from exacthom.hochschild import (HarrisonQuotient, HochschildComplex,
                                  NormalizedHarrison, aug_split_iso, barr_map,
                                  harrison_homology, harrison_weight,
@@ -15,10 +16,10 @@ from exacthom.hochschild import (HarrisonQuotient, HochschildComplex,
                                  idempotent_dims_complete, idempotent_slice,
                                  is_degenerate, is_ideal_only,
                                  normalized_slice)
-from exacthom.sparse import (Echelon, SparseMatrix, extend_basis_columns,
-                             image_pivot_columns, kernel_basis, solve_batch)
+from exacthom.sparse import Echelon, SparseMatrix, kernel_basis, solve_batch
 from exacthom.verify import run_suite
-from reference import (columns, fractional_trunc4, permute_slots,
+from reference import (columns, extend_basis_columns, fractional_trunc4,
+                       image_pivot_columns, non_monomial, permute_slots,
                        shuffle_slice)
 
 
@@ -331,8 +332,9 @@ def test_action_matrix_examples(trunc3_A):
 
 
 def test_whole_slice_quotients_build_no_echelon(monkeypatch, trunc3_A):
-    # the Harrison quotient reads its basis and coordinates off low pivots,
-    # and the normalized quotient selects rows and columns
+    # the Harrison quotient and the Eulerian pieces, C/im(1 - e^(i)), read
+    # their bases and coordinates off low pivots, and the normalized
+    # quotient selects rows and columns
     built = []
     init = sparse.Echelon.__init__
 
@@ -344,7 +346,26 @@ def test_whole_slice_quotients_build_no_echelon(monkeypatch, trunc3_A):
     for w in range(4):
         HarrisonQuotient(trunc3_A, w, 4).chain.dims
         normalized_slice(trunc3_A, w, 4)
+        for i in (1, 2):
+            NormalizedHarrison(trunc3_A, w, 4, i)
+        idempotent_slice(trunc3_A, w, 4, 2)
+        barr_map(trunc3_A, w, 4)
+        harrison_weight(trunc3_A, w, 3)
     assert built == []
+
+
+@pytest.mark.parametrize("suite", ["harrison", "barr"])
+def test_suites_refuse_an_eulerian_element_that_is_not_idempotent(
+        monkeypatch, suite):
+    # the Eulerian pieces are read off the low pivots of im(1 - e^(i)),
+    # which is the kernel of e^(i) only when e^(i) is idempotent
+    def broken(field, n, i):
+        third = GroupAlgebraElement.unit(field, n).scale(field.of(1, 3))
+        return eulerian_idempotent(field, n, i).add(third)
+
+    monkeypatch.setattr(hochschild, "eulerian_idempotent", broken)
+    checks, _ = run_suite(suite)
+    assert any(not c.ok for c in checks)
 
 
 def test_harrison_suite_computes_each_action_matrix_once(monkeypatch):
@@ -498,9 +519,10 @@ def normalized_harrison_reference(hc, w, top, i):
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
 @pytest.mark.parametrize("kind", ["k", "A"])
-@pytest.mark.parametrize("name", ["dual-numbers", "trunc3"])
+@pytest.mark.parametrize("name", ["dual-numbers", "trunc3", "non-monomial"])
 def test_subquotients_match_the_hand_written_reference(name, kind, field):
-    alg = preset(name, field)
+    alg = non_monomial(field) if name == "non-monomial" \
+        else preset(name, field)
     hc = HochschildComplex(alg, Coefficients(alg, kind))
     unit_free = HochschildComplex(alg, hc.coeffs, "I")
     top = 4
