@@ -35,12 +35,13 @@ class SliceComplex:
     faces, viewed one (degree, weight) slice at a time.
 
     A theory supplies iter_basis(n, w) (the basis elements of a slice, in
-    any order), degree(key), face_terms(key, i) (the i-th face as
-    [(key, coeff)] terms, 0 <= i <= degree) and sort_key (the canonical
-    basis order; None sorts the keys themselves).  Bases and boundary
-    matrices are cached per (n, w), so every matrix is reproducible.  The
-    theories also give count(n, w), dim(n, w) from closed-form counts, so
-    that a size guard can refuse a slice without enumerating it.
+    any order), faces(key) (every face of a generator of degree n >= 1 in
+    one call: faces 0..n, the i-th as [(key, coeff)] terms) and sort_key
+    (the canonical basis order; None sorts the keys themselves).  Bases
+    and boundary matrices are cached per (n, w), so every matrix is
+    reproducible.  The theories also give count(n, w), dim(n, w) from
+    closed-form counts, so that a size guard can refuse a slice without
+    enumerating it.
     """
 
     sort_key = None
@@ -69,12 +70,12 @@ class SliceComplex:
         come, and each sum is put in the field's normal form once."""
         acc = {}
         get = acc.get
-        for i in range(self.degree(key) + 1):
+        for i, terms in enumerate(self.faces(key)):
             if i % 2:
-                for tkey, c in self.face_terms(key, i):
+                for tkey, c in terms:
                     acc[tkey] = get(tkey, 0) - c
             else:
-                for tkey, c in self.face_terms(key, i):
+                for tkey, c in terms:
                     acc[tkey] = get(tkey, 0) + c
         return self.field.normal_terms(acc)
 

@@ -26,10 +26,11 @@ What the faces of a generator need from its string is computed once per
 string (the face plan), and a restriction once per (surjection, kept
 positions); these caches are keyed by morphisms and strings only, so they
 stay bounded by the strings of a slice.  The last face's components are
-the fibers of one composite, f_{n-1} o .. o f_1.  The pruning check streams
-the faces of each full generator into one pruned alternating sum, without
-building that generator's boundary, and prunes each distinct face term
-once, through a memo that lives for one degree of one check.
+the fibers of one composite, f_{n-1} o .. o f_1.  faces(key) reads the
+plan once per generator and gives all its faces at once.  The pruning
+check streams them, for each full generator, into one pruned alternating
+sum, without building that generator's boundary, and prunes each distinct
+face term once, through a memo that lives for one degree of one check.
 """
 
 from functools import lru_cache
@@ -235,35 +236,32 @@ class GammaComplex(SliceComplex):
             for x in range(1, w + 1))
 
     @staticmethod
-    def degree(key):
-        return len(key[0])
-
-    @staticmethod
     def sort_key(key):
         string, slots, m = key
         return (len(slots),
                 tuple((f.cod, f.images) for f in string),
                 slots, m)
 
-    def face_terms(self, key, i):
-        """The i-th face of a generator; in the normalized complex, strings
-        containing an identity are dropped."""
+    def faces(self, key):
+        """Faces 0..n of a generator of degree n >= 1, read off one face
+        plan; in the normalized complex, strings containing an identity
+        are dropped."""
         string, slots, m = key
-        faces, components = _face_plan(string, self.normalized)
-        if i < len(string):
-            new_string = faces[i]
-            if new_string is None:
-                return []
-            if i == 0:
-                return [((new_string, new_slots, m), c) for new_slots, c
-                        in self.alg.map_tensor(string[0], slots)]
-            return [((new_string, slots, m), self.field.one)]
-        out = []
+        plan, components = _face_plan(string, self.normalized)
+        first = plan[0]
+        out = [[] if first is None else [
+            ((first, new_slots, m), c)
+            for new_slots, c in self.alg.map_tensor(string[0], slots)]]
+        one = self.field.one
+        out += [[] if inner is None else [((inner, slots, m), one)]
+                for inner in plan[1:]]
+        last = []
         act_all = self.coeffs.act_all
         for comp_string, preimage, others in components:
             new_slots = tuple([slots[p - 1] for p in preimage])
             for m2, c in act_all([slots[p - 1] for p in others], m):
-                out.append(((comp_string, new_slots, m2), c))
+                last.append(((comp_string, new_slots, m2), c))
+        out.append(last)
         return out
 
 
@@ -330,10 +328,11 @@ def prune_split_certificates(alg, coeffs, w, top, normalized=True):
     "surjective", the pruned images of all full generators being exactly
     the ideal basis.  The unit-free full generators are not compared for
     "chain_map": they are the ideal generators, and the two variants share
-    face_terms, so for them the law follows from "retraction_identity".  The unit-free
-    full generators must be exactly the ideal generators; their images
-    are the pruner's images of the ideal basis, so a pruner that loses an
-    ideal generator fails "surjective" as well as "retraction_identity".
+    faces, so for them the law follows from "retraction_identity".  The
+    unit-free full generators must be exactly the ideal generators; their
+    images are the pruner's images of the ideal basis, so a pruner that
+    loses an ideal generator fails "surjective" as well as
+    "retraction_identity".
     Returns the three booleans plus the per-degree (full, ideal)
     dimensions, which are reported, not checked.
     """
@@ -376,9 +375,9 @@ def prune_split_certificates(alg, coeffs, w, top, normalized=True):
                 # stream the faces of g into one pruned alternating sum
                 lhs = {}
                 get = lhs.get
-                for i in range(n + 1):
+                for i, terms in enumerate(full.faces(g)):
                     odd = i % 2
-                    for tkey, c in full.face_terms(g, i):
+                    for tkey, c in terms:
                         pt = pruned.get(tkey, _UNSEEN)
                         if pt is _UNSEEN:
                             pt = pruned[tkey] = pruner(tkey)

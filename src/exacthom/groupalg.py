@@ -9,6 +9,11 @@ Permutations are interned on gamma's FiniteMap core: one object per image
 tuple, validated as a bijection when first built, so group algebra
 elements key their coefficients by object.  Products are summed by image
 tuple, and each distinct result is interned once per product.
+
+The Eulerian idempotents are the Lagrange interpolation of the total
+shuffle at its eigenvalues, e_n^(i) = prod_{j != i} (sh - l_j)/(l_i - l_j),
+evaluated as a polynomial in sh: n - 2 products build the powers of sh,
+and each e_n^(i) is an integer combination of them over one denominator.
 """
 
 from itertools import combinations, permutations
@@ -248,28 +253,32 @@ _rational_idempotents = {}
 
 
 def _eulerian_over_q(n):
-    """The Eulerian idempotents by Lagrange interpolation in the total
-    shuffle: e_n^(i) = prod_{j != i} (sh - l_j) / (l_i - l_j).  The
-    factors are integer elements and polynomials in sh, so they are
-    multiplied in integers and the product is divided once."""
+    """The Eulerian idempotents e_n^(i) = p_i(sh) / p_i(l_i), with p_i =
+    prod_{j != i} (x - l_j): the powers sh^0..sh^(n-1) have integer
+    coefficients, so each p_i(sh) is summed in ints and divided once."""
     if n not in _rational_idempotents:
-        unit = GroupAlgebraElement.unit(QQ, n)
-        if n == 1:
-            _rational_idempotents[n] = [unit]
-        else:
+        powers = [GroupAlgebraElement.unit(QQ, n)]
+        if n > 1:
             sh = total_shuffle(QQ, n)
-            eigen = [_shuffle_eigenvalue(j) for j in range(1, n + 1)]
-            factors = [sh.sub(unit.scale(lj)) for lj in eigen]
-            idems = []
-            for i, li in enumerate(eigen):
-                num, den = unit, 1
-                for j, lj in enumerate(eigen):
-                    if j != i:
-                        num = num.mul(factors[j])
-                        den *= li - lj
-                idems.append(GroupAlgebraElement(
-                    QQ, n, QQ.normal_terms(num.coeffs, den)))
-            _rational_idempotents[n] = idems
+            powers.append(sh)
+            while len(powers) < n:
+                powers.append(powers[-1].mul(sh))
+        eigen = [_shuffle_eigenvalue(j) for j in range(1, n + 1)]
+        idems = []
+        for i, li in enumerate(eigen):
+            # the integer coefficients of p_i, lowest degree first
+            poly, den = [1], 1
+            for j, lj in enumerate(eigen):
+                if j != i:
+                    poly = [a - lj * b for a, b in zip([0] + poly, poly + [0])]
+                    den *= li - lj
+            sums = {}
+            for a, power in zip(poly, powers):
+                for perm, c in power.coeffs.items():
+                    sums[perm] = sums.get(perm, 0) + a * c
+            idems.append(GroupAlgebraElement(
+                QQ, n, QQ.normal_terms(sums, den)))
+        _rational_idempotents[n] = idems
     return _rational_idempotents[n]
 
 

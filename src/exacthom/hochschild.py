@@ -69,21 +69,15 @@ class HochschildComplex(SliceComplex):
         return sum(self.alg.tensor_count(n, w - self.coeffs.weight(m), unit)
                    for m in self.coeffs.basis())
 
-    @staticmethod
-    def degree(key):
-        return len(key[1])
-
-    def face_terms(self, key, i):
-        """The i-th face of a basis element, as [(key, coeff)] terms."""
+    def faces(self, key):
+        """Faces 0..n of a basis element of degree n >= 1."""
         m, slots = key
-        if i == 0:
-            return [((m2, slots[1:]), c)
-                    for m2, c in self.coeffs.act(slots[0], m)]
-        if i < len(slots):
-            return [((m, slots[:i - 1] + (l,) + slots[i + 1:]), c)
-                    for l, c in self.alg.slot_product(slots[i - 1], slots[i])]
-        return [((m2, slots[:-1]), c)
-                for m2, c in self.coeffs.act(slots[-1], m)]
+        act, product = self.coeffs.act, self.alg.slot_product
+        return ([[((m2, slots[1:]), c) for m2, c in act(slots[0], m)]]
+                + [[((m, slots[:i - 1] + (l,) + slots[i + 1:]), c)
+                    for l, c in product(slots[i - 1], slots[i])]
+                   for i in range(1, len(slots))]
+                + [[((m2, slots[:-1]), c) for m2, c in act(slots[-1], m)]])
 
     # -- operator actions -------------------------------------------------------
 
@@ -99,8 +93,8 @@ class HochschildComplex(SliceComplex):
         f = self.field
         nums, den = f.scaled(elem.coeffs)
         # sigma puts slot t at position sigma(t), so position k of the
-        # image reads slot sigma^-1(k)
-        moves = [([v - 1 for v in perm.inverse().image], c)
+        # image reads slot sigma^-1(k), the one point of sigma's fiber at k
+        moves = [([v - 1 for (v,) in perm.fibers], c)
                  for perm, c in nums.items()]
         idx = self.index(n, w)
         sums = {}

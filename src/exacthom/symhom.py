@@ -143,10 +143,6 @@ class SymmetricComplex(SliceComplex):
                    * self.alg.tensor_count(x, w) for x in range(1, w + 1))
 
     @staticmethod
-    def degree(key):
-        return len(key[0])
-
-    @staticmethod
     def sort_key(key):
         string, slots = key
         return (len(slots), tuple((f.cod, f.fibers) for f in string), slots)
@@ -154,32 +150,31 @@ class SymmetricComplex(SliceComplex):
     def _keeps(self, string, obj):
         """obj is the final codomain: the codomain of the last morphism, or
         the object itself for an empty string."""
-        if self.normalized and any(f.is_identity() for f in string):
+        if self.normalized and any(f._is_id for f in string):
             return False
         if self.variant == "quotient" and obj != 1:
             return False
         return True
 
-    def face_terms(self, key, i):
+    def faces(self, key):
+        """Faces 0..n of a generator of degree n >= 1."""
         string, slots = key
-        n = len(string)
-        out = []
-        if i == 0:
-            new_string = string[1:]
-            obj = new_string[-1].cod if new_string else string[0].cod
-            if self._keeps(new_string, obj):
-                for new_slots, c in self.alg.map_tensor(string[0], slots):
-                    out.append(((new_string, new_slots), c))
-        elif i < n:
-            comp = string[i].after(string[i - 1])
+        keeps, one = self._keeps, self.field.one
+        new_string = string[1:]
+        obj = new_string[-1].cod if new_string else string[0].cod
+        out = [[((new_string, new_slots), c) for new_slots, c
+                in self.alg.map_tensor(string[0], slots)]
+               if keeps(new_string, obj) else []]
+        for i in range(1, len(string)):
+            # strings are composable by construction: no after() check
+            comp = _compose_fom(string[i], string[i - 1])
             new_string = string[:i - 1] + (comp,) + string[i + 1:]
-            if self._keeps(new_string, new_string[-1].cod):
-                out.append(((new_string, slots), self.field.one))
-        else:
-            new_string = string[:-1]
-            obj = new_string[-1].cod if new_string else len(slots)
-            if self._keeps(new_string, obj):
-                out.append(((new_string, slots), self.field.one))
+            out.append([((new_string, slots), one)]
+                       if keeps(new_string, new_string[-1].cod) else [])
+        new_string = string[:-1]
+        obj = new_string[-1].cod if new_string else len(slots)
+        out.append([((new_string, slots), one)] if keeps(new_string, obj)
+                   else [])
         return out
 
 

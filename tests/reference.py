@@ -9,6 +9,7 @@ from itertools import permutations
 from exacthom.algebras import AlgebraElement, algebra_from_dict
 from exacthom.chains import CertificationError, ChainSlice
 from exacthom.fields import QQ
+from exacthom.groupalg import GroupAlgebraElement, total_shuffle
 from exacthom.sparse import (Echelon, SparseMatrix, _eliminate, _normalize,
                              _primitive, kernel_basis, solve_batch)
 from exacthom.symhom import FiberOrderedMap
@@ -102,6 +103,25 @@ def permute_slots(perm, slots):
     for i, v in enumerate(slots, start=1):
         out[perm(i) - 1] = v
     return tuple(out)
+
+
+def eulerian_by_factors(field, n):
+    """The Eulerian idempotents of k[Sigma_n] by Lagrange interpolation at
+    the shuffle eigenvalues 2^j - 2, one product per factor: e_n^(i) =
+    prod_{j != i} (sh - l_j) / (l_i - l_j), all in field, so each l_i - l_j
+    must be invertible there."""
+    unit = GroupAlgebraElement.unit(field, n)
+    eigen = [2**j - 2 for j in range(1, n + 1)]
+    idems = []
+    for li in eigen:
+        elem, den = unit, 1
+        for lj in eigen:
+            if lj != li:
+                elem = elem.mul(total_shuffle(field, n).sub(
+                    unit.scale(field.of(lj))))
+                den *= li - lj
+        idems.append(elem.scale(field.of(1, den)))
+    return idems
 
 
 def b_sym_words(f, words):

@@ -439,15 +439,14 @@ def test_verify_with_nothing_to_check_rejected(capsys):
 def _double_first_face(monkeypatch, cls):
     """Double face 1 of cls, so that d o d != 0 in the slices that use
     that face twice."""
-    face_terms = cls.face_terms
+    faces = cls.faces
 
-    def doubled(self, key, i):
-        terms = face_terms(self, key, i)
-        if i != 1:
-            return terms
-        return [(k, self.field.mul(2, c)) for k, c in terms]
+    def doubled(self, key):
+        out = faces(self, key)
+        out[1] = [(k, self.field.mul(2, c)) for k, c in out[1]]
+        return out
 
-    monkeypatch.setattr(cls, "face_terms", doubled)
+    monkeypatch.setattr(cls, "faces", doubled)
 
 
 @pytest.fixture

@@ -17,7 +17,8 @@ from exacthom.groupalg import (GroupAlgebraElement, Permutation,
                                eulerian_idempotent, eulerian_idempotents,
                                shuffle_annihilating_product, shuffle_element,
                                total_shuffle)
-from reference import permute_slots
+from exacthom.verify import run_suite
+from reference import eulerian_by_factors, permute_slots
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -263,6 +264,41 @@ def test_eulerian_interpolation_matches_step_by_step(n):
     assert idems == eulerian_step_by_step(n)
     for e in idems:
         assert_normal_form(QQ, e)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_power_chain_matches_the_factor_product(n):
+    assert groupalg._eulerian_over_q(n) == eulerian_by_factors(QQ, n)
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(2**31 - 1)],
+                         ids=["GF(7)", "GF(2^31-1)"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_eulerian_idempotents_match_the_factor_product_mod_p(field, n):
+    # the rational factor product reduced mod p and, where every
+    # eigenvalue difference is a unit mod p (always mod 2^31 - 1, for
+    # n <= 3 mod 7), the factor product taken mod p from the start
+    expected = [GroupAlgebraElement(field, n, {
+        perm: field.of(c.numerator, c.denominator)
+        for perm, c in e.coeffs.items()}) for e in eulerian_by_factors(QQ, n)]
+    assert eulerian_idempotents(field, n) == expected
+    if field.p > 7 or n <= 3:
+        assert eulerian_by_factors(field, n) == expected
+
+
+def test_suite_eulerian_catches_a_wrong_eigenvalue(monkeypatch):
+    # interpolating at 2^3 - 2 + 1 instead of 2^3 - 2 gives elements that
+    # are not orthogonal idempotents from Sigma_3 on, and the certificates
+    # of the rebuilt idempotents must say so
+    eigenvalue = groupalg._shuffle_eigenvalue
+    monkeypatch.setattr(groupalg, "_shuffle_eigenvalue",
+                        lambda i: eigenvalue(i) + (i == 3))
+    monkeypatch.setattr(groupalg, "_rational_idempotents", {})
+    checks, _ = run_suite("eulerian", {"max_n": 4})
+    failed = [c.name for c in checks if not c.ok]
+    assert "eulerian certificates n=3" in failed
+    assert "eulerian certificates n=4" in failed
+    assert "eulerian certificates n=2" not in failed
 
 
 def test_import_builds_no_group_algebra_tables():
