@@ -177,12 +177,17 @@ def _eulerian_pieces(hc, w, top, i, keeps):
     elements and of the unit vectors of the others, the indices
     complement[n] off their keys are the lex-first columns whose images
     span the piece, reps[n] are those images, and complement_coords reads
-    coordinates in them.  Each degree's e^(i) matrix serves all pieces."""
+    coordinates in them.  Each degree's e^(i) matrix serves all pieces.
+
+    An idempotent's rank is its trace, so each piece's size must equal the
+    trace of e^(i) on the selected block, as field elements; a mismatch
+    raises CertificationError, since then e^(i) is not idempotent."""
     field = hc.field
     pieces = [([], [], []) for _ in keeps]
     for n in range(top + 1):
         pmat = hc.idempotent_matrix(n, w, i)
         cols = pmat.columns_as_dicts()
+        diag = [col.get(j, field.zero) for j, col in enumerate(cols)]
         for j, col in enumerate(cols):
             col = {r: -v for r, v in col.items()}
             col[j] = col.get(j, 0) + 1
@@ -194,6 +199,14 @@ def _eulerian_pieces(hc, w, top, i, keeps):
                 for j, key in enumerate(keys)]))
             complement.append([t for t in range(len(keys))
                                if t not in low[-1]])
+            trace = field.zero
+            for d, key in zip(diag, keys):
+                if keep(key):
+                    trace = field.add(trace, d)
+            if trace != field.of(len(complement[-1])):
+                raise CertificationError(
+                    f"e^({i}) is not idempotent at degree {n}, weight {w}: "
+                    f"a piece of size {len(complement[-1])} has trace {trace}")
             reps.append(pmat.select_columns(complement[-1]))
     return [(complement_slice(lambda n: hc.boundary(n, w), *piece), *piece)
             for piece in pieces]
@@ -272,10 +285,10 @@ class NormalizedHarrison:
     c_reps are those of i_reps and d_reps, once i + d = c is checked.  The
     quotient e^(i)C(A,M)/e^(i)D(A,M) is C(A,M)/(im(1 - e^(i)) + D(A,M)),
     whose low pivots are those of the unit-free piece: it is spanned by
-    i_reps, `quot_chain` is `i_chain` and `collapse` onto e^(i)C(I,M) is
-    the identity.  `inclusion` and `quotient` are coordinates read off low
-    pivots, and the composite collapse o quotient o inclusion is certified
-    to be the identity.
+    i_reps and its complex is `i_chain`.  `inclusion` (i -> c) and
+    `quotient` (c -> i) are coordinates read off low pivots; the checks
+    certify quotient o inclusion = 1, ker(quotient) of the degenerate
+    dimension, and both maps as chain maps.
     """
 
     def __init__(self, hc, w, top, i=1):
@@ -295,33 +308,28 @@ class NormalizedHarrison:
             self.i_reps, c_low, c_complement)]
         self.quotient = [complement_coords(*args) for args in zip(
             self.c_reps, i_low, i_complement)]
-        self.collapse = [SparseMatrix.identity(hc.field, r.ncols)
-                         for r in self.i_reps]
-        self.quot_chain = self.i_chain
 
     def composite_is_identity(self):
-        """The collapse-quotient-inclusion composite on e^(i)C(I,M)."""
+        """The quotient-inclusion composite on e^(i)C(I,M)."""
         for n in range(self.top + 1):
-            comp = self.collapse[n].mul(self.quotient[n]).mul(self.inclusion[n])
+            comp = self.quotient[n].mul(self.inclusion[n])
             if comp != SparseMatrix.identity(self.hc.field, comp.nrows):
                 return False
         return True
 
     def kernel_dims_match_degenerate(self):
-        """dim ker(collapse o quotient) equals the degenerate dimension."""
+        """dim ker(quotient) equals the degenerate dimension."""
         for n in range(self.top + 1):
-            fq = self.collapse[n].mul(self.quotient[n])
-            ker = fq.ncols - rank(fq)
-            if ker != self.d_reps[n].ncols:
+            q = self.quotient[n]
+            if q.ncols - rank(q) != self.d_reps[n].ncols:
                 return False
         return True
 
     def maps_are_chain_maps(self):
-        """All three comparison maps intertwine the boundaries."""
-        c, i, q = self.c_chain, self.i_chain, self.quot_chain
-        return (check_chain_map(self.inclusion, i, c)
-                and check_chain_map(self.quotient, c, q)
-                and check_chain_map(self.collapse, q, i))
+        """The inclusion and the quotient intertwine the boundaries."""
+        return (check_chain_map(self.inclusion, self.i_chain, self.c_chain)
+                and check_chain_map(self.quotient, self.c_chain,
+                                    self.i_chain))
 
 
 def harrison_weight(hc, w, max_n):

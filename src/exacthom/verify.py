@@ -186,7 +186,7 @@ def suite_harrison(config):
                     f"comparison maps are chain maps {label}",
                     nh.maps_are_chain_maps()))
                 cdims = nh.c_chain.homology()
-                qdims = nh.quot_chain.homology()
+                qdims = nh.i_chain.homology()
                 checks.append(Check(
                     f"quotient map quasi-iso {label}",
                     cdims[:-1] == qdims[:-1], (cdims, qdims)))

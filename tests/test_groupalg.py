@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import permutations
 from math import comb
 
 import pytest
@@ -47,13 +46,6 @@ def test_sign_of_transposition():
 @given(perms(4), perms(4))
 def test_sign_is_multiplicative(a, b):
     assert (a * b).sign() == a.sign() * b.sign()
-
-
-@settings(max_examples=40, deadline=None)
-@given(perms(5))
-def test_inverse(a):
-    assert (a * a.inverse()).is_identity()
-    assert (a.inverse() * a).is_identity()
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,17 +145,40 @@ def test_eulerian_certificates_catch_a_perturbed_idempotent(monkeypatch,
 
     def perturbed(field, n):
         idems = list(exact(field, n))
-        # e^(1) + (1/2) e^(2): still orthogonal to e^(3), no longer
-        # idempotent, orthogonal to e^(2) or summing to the unit
+        # e^(1) + (1/2) e^(2): no longer killed by the total shuffle or
+        # summing to the unit, while e^(3) is untouched
         idems[0] = idems[0].add(idems[1].scale(field.of(1, 2)))
         return idems
 
     monkeypatch.setattr(groupalg, "eulerian_idempotents", perturbed)
     results = dict(certify_eulerian(field, 3))
-    assert not results["e3^(1) * e3^(1)"]
-    assert not results["e3^(1) * e3^(2)"]
+    assert not results["sh * e3^(1)"]
     assert not results["sum of e3^(i) = unit"]
-    assert results["e3^(1) * e3^(3)"] and results["e3^(2) * e3^(2)"]
+    assert results["sh * e3^(3)"]
+
+
+@pytest.mark.parametrize("field,failing", [
+    (QQ, {"sh * e4^(4)", "e4^(4) * sh"}),
+    (GF(7), {"e4^(1) * e4^(4)", "e4^(4) * e4^(1)"}),
+], ids=["QQ", "GF(7)"])
+def test_eulerian_certificates_multiply_the_colliding_pairs(monkeypatch,
+                                                            field, failing):
+    # replacing e^(1) by f = e^(1) y e^(1) and e^(4) by e^(4) + e^(1) - f
+    # keeps the sum and sh f = 0 = f sh; over F_7, l_1 = 0 = l_4 = 14 keeps
+    # the new e^(4) an eigenvector too, so only that pair's products fail
+    exact = groupalg.eulerian_idempotents
+    y = GroupAlgebraElement(field, 4, {Permutation((2, 1, 3, 4)): field.one})
+
+    def mixed(field, n):
+        idems = list(exact(field, n))
+        e1, e4 = idems[0], idems[3]
+        f = e1.mul(y).mul(e1)
+        idems[0], idems[3] = f, e4.add(e1).sub(f)
+        return idems
+
+    monkeypatch.setattr(groupalg, "eulerian_idempotents", mixed)
+    failed = {name for name, ok in certify_eulerian(field, 4) if not ok}
+    assert failed == failing
 
 
 def test_eulerian_small_characteristic_rejected():
@@ -242,7 +257,6 @@ def random_element(rng, field, n, size):
     return GroupAlgebraElement(field, n, dict(zip(perms, values)))
 
 
-# sizes on both sides of the composition-table threshold (20000 terms)
 @pytest.mark.parametrize("n,size", [(3, 4), (5, 60), (6, 150)])
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(2**31 - 1)],
                          ids=["QQ", "GF(7)", "GF(2^31-1)"])
@@ -302,25 +316,13 @@ def test_suite_eulerian_catches_a_wrong_eigenvalue(monkeypatch):
 
 
 def test_import_builds_no_group_algebra_tables():
-    # set-up time stays free of Sigma_n work: the idempotents, the
-    # composition tables and the permutations themselves are built on
-    # first use, never at import
+    # set-up time stays free of Sigma_n work: the idempotents and the
+    # permutations themselves are built on first use, never at import
     code = ("import exacthom\n"
             "from exacthom import groupalg\n"
             "assert not groupalg._rational_idempotents\n"
-            "assert not groupalg._composition_tables\n"
             "assert not groupalg.Permutation._interned\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-3000:]
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_composition_table_matches_composition(n):
-    perms, index, table = groupalg._composition_table(n)
-    assert [p.images for p in perms] == list(permutations(range(1, n + 1)))
-    for i, a in enumerate(perms):
-        assert index[a.images] == i
-        for j, b in enumerate(perms):
-            assert perms[table[i][j]] is a * b
