@@ -15,7 +15,7 @@ from .groupalg import (GroupAlgebraElement, Permutation, eulerian_idempotents,
                        shuffle_element, total_shuffle)
 from .hochschild import (HochschildComplex, harrison_homology,
                          hochschild_homology)
-from .sparse import SparseMatrix, kernel_basis, rank, solve_batch
+from .sparse import SparseMatrix, kernel_basis, rank
 from .symhom import (ComparisonData, FiberOrderedMap, SymmetricComplex,
                      reduced_symmetric_homology)
 
@@ -28,5 +28,5 @@ __all__ = [
     "harrison_homology", "hochschild_homology", "induced_map_on_homology",
     "kernel_basis", "load_algebra", "long_exact_sequence_nodes", "preset",
     "prune_split_certificates", "rank", "reduced_symmetric_homology",
-    "shuffle_element", "solve_batch", "total_shuffle",
+    "shuffle_element", "total_shuffle",
 ]

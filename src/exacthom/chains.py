@@ -16,10 +16,14 @@ its own free row and 0 at the other free rows, so a vector's coordinates
 in it are its entries at the free rows (kernel_coords).  A subcomplex
 spanned by either kind of basis (kernel_slice, complement_slice) reads
 each boundary that way and certifies it with one product.
+
+A short exact sequence is taken in basis-map form (check_ses): its exactness
+and connecting map are read off proj's section and inc's free rows, with
+no elimination.
 """
 
 from .sparse import (SparseMatrix, kernel_with_free, low_coords, low_pivots,
-                     rank, solve_batch)
+                     rank)
 
 
 class CertificationError(AssertionError):
@@ -278,41 +282,94 @@ def check_chain_map(f, src, dst):
                for n in range(1, min(src.top, dst.top) + 1))
 
 
-def induced_map_on_homology(f, src, dst, n, checked=False):
+def induced_map_on_homology(f, src, dst, n):
     """Matrix of H_n(f) with respect to the canonical homology bases."""
-    if not checked and not check_chain_map(f, src, dst):
+    if not check_chain_map(f, src, dst):
         raise ValueError("not a chain map")
+    return _induced(f, src, dst, n)
+
+
+def _induced(f, src, dst, n):
     return dst.coords(n, f[n].mul(src.reps(n)))
+
+
+def basis_map_section(proj):
+    """(target, first) of a basis map, whose every column is zero or one
+    entry 1 (any other column raises ValueError naming it): target[j] is
+    the row column j hits and first[i] the first column hitting row i,
+    None where there is none."""
+    one = proj.field.one
+    target = [None] * proj.ncols
+    bad = set()
+    for (i, j), v in proj.entries.items():
+        if v != one or target[j] is not None:
+            bad.add(j)
+        target[j] = i
+    if bad:
+        raise ValueError(f"column {min(bad)} is not a basis vector or zero")
+    first = [None] * proj.nrows
+    for j, i in enumerate(target):
+        if i is not None and first[i] is None:
+            first[i] = j
+    return target, first
 
 
 def check_ses(inc, proj, sub, total, quot):
     """Verify 0 -> sub -> total -> quot -> 0 is a degreewise-exact sequence
-    of chain maps."""
+    of chain maps in basis-map form, ranking nothing, and return per degree
+    the section first of proj and the free rows of inc (a one-line
+    ValueError otherwise).  proj is a basis map hitting every basis element
+    of quot; inc is the identity at its free rows, the largest rows of its
+    columns, so injective; p o i = 0, and inc has dim total - dim quot =
+    dim ker p columns, so im i = ker p."""
     if not check_chain_map(inc, sub, total):
         raise ValueError("inclusion is not a chain map")
     if not check_chain_map(proj, total, quot):
         raise ValueError("projection is not a chain map")
+    firsts, frees = [], []
     for n in range(min(sub.top, total.top, quot.top) + 1):
+        if (inc[n].shape != (total.dims[n], sub.dims[n])
+                or proj[n].shape != (quot.dims[n], total.dims[n])):
+            raise ValueError(f"maps of the wrong shape in degree {n}")
+        try:
+            first = basis_map_section(proj[n])[1]
+        except ValueError as exc:
+            raise ValueError(
+                f"projection is not a basis map in degree {n}: {exc}"
+            ) from None
+        if None in first:
+            raise ValueError(f"projection not surjective in degree {n}: "
+                             f"no column hits row {first.index(None)}")
+        free = [max(col, default=None) for col in inc[n].columns_as_dicts()]
+        if inc[n].select_rows(free) != SparseMatrix.identity(
+                inc[n].field, sub.dims[n]):
+            raise ValueError(f"inclusion is not the identity on its free "
+                             f"rows in degree {n}")
         if not proj[n].mul(inc[n]).is_zero():
             raise ValueError(f"p o i != 0 in degree {n}")
-        rk_i = rank(inc[n])
-        rk_p = rank(proj[n])
-        if rk_i != sub.dims[n]:
-            raise ValueError(f"inclusion not injective in degree {n}")
-        if rk_p != quot.dims[n]:
-            raise ValueError(f"projection not surjective in degree {n}")
-        if rk_i != total.dims[n] - rk_p:
+        if inc[n].ncols != total.dims[n] - quot.dims[n]:
             raise ValueError(f"im(i) != ker(p) in degree {n}")
+        firsts.append(first)
+        frees.append(free)
+    return firsts, frees
 
 
-def connecting_homomorphism(inc, proj, sub, total, quot, n, checked=False):
+def connecting_homomorphism(inc, proj, sub, total, quot, n):
     """Zig-zag connecting map H_n(quot) -> H_{n-1}(sub) of a short exact
-    sequence: lift through proj, apply the boundary, pull back through inc."""
-    if not checked:
-        check_ses(inc, proj, sub, total, quot)
-    lifts, _ = solve_batch(proj[n], quot.reps(n))
-    dlifts = total.boundary(n).mul(lifts)
-    pulls, _ = solve_batch(inc[n - 1], dlifts)
+    sequence in basis-map form (check_ses): lift through the section of
+    proj, apply the boundary, pull back at the free rows of inc."""
+    first, free = check_ses(inc, proj, sub, total, quot)
+    return _connecting(inc, sub, total, quot, n, first[n], free[n - 1])
+
+
+def _connecting(inc, sub, total, quot, n, first, free):
+    """Row i of the representatives lifts to row first[i], so proj lifts =
+    reps; the lifts' boundary lies in ker proj = im inc, pulled back at its
+    free rows with kernel_coords' certificate.  Any lift gives this map."""
+    reps = quot.reps(n)
+    lifts = SparseMatrix(reps.field, total.dims[n], reps.ncols, {
+        (first[i], j): v for (i, j), v in reps.entries.items()})
+    pulls = kernel_coords(inc[n - 1], free, total.boundary(n).mul(lifts))
     return sub.coords(n - 1, pulls)  # raises ValueError on a non-cycle
 
 
@@ -325,19 +382,17 @@ def long_exact_sequence_nodes(inc, proj, sub, total, quot, max_n):
     by the slices (all complexes must extend to degree max_n + 1 for the
     top-degree homology to be meaningful).
     """
-    check_ses(inc, proj, sub, total, quot)
+    first, free = check_ses(inc, proj, sub, total, quot)
 
     # the ranks of H_n(inc), H_n(proj) and the connecting map H_n(quot) ->
     # H_{n-1}(sub), each taken once; the last is 0 for n = 0
     rk_alpha, rk_beta, rk_delta = {}, {}, {0: 0}
     for n in range(max_n + 1):
-        rk_alpha[n] = rank(induced_map_on_homology(
-            inc, sub, total, n, checked=True))
-        rk_beta[n] = rank(induced_map_on_homology(
-            proj, total, quot, n, checked=True))
+        rk_alpha[n] = rank(_induced(inc, sub, total, n))
+        rk_beta[n] = rank(_induced(proj, total, quot, n))
         if n >= 1:
-            rk_delta[n] = rank(connecting_homomorphism(
-                inc, proj, sub, total, quot, n, checked=True))
+            rk_delta[n] = rank(_connecting(inc, sub, total, quot, n,
+                                           first[n], free[n - 1]))
 
     nodes = []
     for n in range(max_n + 1):

@@ -247,33 +247,31 @@ def _eulerian_over_q(n):
 
 
 def eulerian_idempotents(field, n):
-    """The n Eulerian idempotents of k[Sigma_n].
-
-    Over a prime field the exact rational coefficients are reduced mod p;
-    their denominators divide n!, so p > n is enough for this to work
-    (interpolating directly mod p can fail even then, since differences of
-    shuffle eigenvalues may vanish).
-    """
+    """The n Eulerian idempotents of k[Sigma_n] (eulerian_idempotent)."""
     if n < 1:
         raise ValueError("n must be positive")
-    p = field.characteristic
-    if p and p <= n:
-        raise ValueError(f"field characteristic {p} too small for Sigma_{n}")
-    rational = _eulerian_over_q(n)
-    if field == QQ:
-        return rational
-    out = []
-    for elem in rational:
-        out.append(GroupAlgebraElement(field, n, {
-            perm: field.of(c.numerator, c.denominator)
-            for perm, c in elem.coeffs.items()}))
-    return out
+    return [eulerian_idempotent(field, n, i) for i in range(1, n + 1)]
 
 
 def eulerian_idempotent(field, n, i):
+    """The Eulerian idempotent e_n^(i) of k[Sigma_n].
+
+    Over a prime field the exact rational coefficients of e_n^(i) alone
+    are reduced mod p; their denominators divide n!, so p > n is enough
+    for this to work (interpolating directly mod p can fail even then,
+    since differences of shuffle eigenvalues may vanish).
+    """
     if not 1 <= i <= n:
         raise ValueError(f"idempotent index {i} out of range for n={n}")
-    return eulerian_idempotents(field, n)[i - 1]
+    p = field.characteristic
+    if p and p <= n:
+        raise ValueError(f"field characteristic {p} too small for Sigma_{n}")
+    rational = _eulerian_over_q(n)[i - 1]
+    if field == QQ:
+        return rational
+    return GroupAlgebraElement(field, n, {
+        perm: field.of(c.numerator, c.denominator)
+        for perm, c in rational.coeffs.items()})
 
 
 def shuffle_annihilating_product(field, n):

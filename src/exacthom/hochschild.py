@@ -218,27 +218,24 @@ def idempotent_slice(hc, w, top, i):
     return _eulerian_pieces(hc, w, top, i, [_every_key])[0][:2]
 
 
-def hodge_commutes(hc, w, top, i):
-    """Exact check that the boundary commutes with the e^(i) action."""
-    for n in range(1, top + 1):
-        b = hc.boundary(n, w)
-        lhs = b.mul(hc.idempotent_matrix(n, w, i))
-        rhs = hc.idempotent_matrix(n - 1, w, i).mul(b)
-        if lhs != rhs:
-            return False
-    return True
-
-
-def idempotent_dims_complete(hc, w, top):
-    """Exact check that the Eulerian slice dimensions add up to the full
-    slice dimension in every degree."""
+def hodge_checks(hc, w, top):
+    """(commutes, complete), both exact: whether the boundary commutes
+    with the e^(i) action for every i = 1..top, and whether the Eulerian
+    slice dimensions add up to the full slice dimension in every degree
+    0..top.  Each e_n^(i) matrix is built once, and only two degrees'
+    matrices are held at a time."""
+    commutes, complete = True, True
+    below = None
     for n in range(top + 1):
-        total = 0
-        for i in range(1, max(n, 1) + 1):
-            total += rank(hc.idempotent_matrix(n, w, i))
-        if total != hc.dim(n, w):
-            return False
-    return True
+        mats = [hc.idempotent_matrix(n, w, i) for i in range(1, top + 1)]
+        if sum(map(rank, mats)) != hc.dim(n, w):
+            complete = False
+        if n and commutes:
+            b = hc.boundary(n, w)
+            commutes = all(b.mul(m) == m_below.mul(b)
+                           for m, m_below in zip(mats, below))
+        below = mats
+    return commutes, complete
 
 
 # -- the Harrison quotient ----------------------------------------------------

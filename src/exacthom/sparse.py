@@ -1,4 +1,4 @@
-"""Sparse matrices over an exact field, with rank, kernel and batched solving.
+"""Sparse matrices over an exact field, with rank and kernel.
 
 Two elimination engines share one elimination step, ``_eliminate``.  Over
 Q both are fraction-free: vectors are primitive integer vectors, an index
@@ -12,10 +12,12 @@ same step runs mod p against monic pivots.
 - ``Echelon`` builds the (unique) reduced row echelon form, up to one
   scale per row, by inserting rows one at a time and back-eliminating each
   new pivot column from all earlier rows, so its pivot columns are the
-  lex-first independent ones.  Kernels (``kernel_with_free``) and solves
-  (``solve_batch``) read it off through a column index of the pivot rows,
-  built once, and form a rational only there: an entry over its row's
-  lead.
+  lex-first independent ones.  Kernels (``kernel_with_free``) are read
+  off it through a column index of the pivot rows, and a rational is
+  formed only there: an entry over its row's lead.  In the package it
+  serves only the cycles of ``ChainSlice``; no solve is left in the
+  package, since every subquotient and the connecting map are read off
+  low pivots, free rows or a basis map's section.
 
 Products are fraction-free too: ``SparseMatrix.mul`` multiplies rows and
 columns scaled to integers and forms each nonzero entry of the product
@@ -174,13 +176,11 @@ class SparseMatrix:
 
 
 class Echelon:
-    """Reduced row echelon form of a matrix, optionally carrying extra
-    (augmented) columns that record the same row operations.
+    """Reduced row echelon form of a matrix.
 
-    Pivots are only chosen among the first ``pivot_limit`` columns;
-    rows whose leading part vanishes are kept as residual rows, so
-    membership of an augmented column in the column span of the leading
-    block can be read off afterwards.
+    Pivots are only chosen among the first ``pivot_limit`` columns (all
+    of them by default); rows whose leading part vanishes are kept as
+    residual rows.
 
     Over Q every stored row is a primitive integer row, a positive
     multiple of the row the rational RREF holds; a pivot row's entries
@@ -196,7 +196,6 @@ class Echelon:
                                     else pivot_limit)
         self.rows = rows = {}  # pivot col -> row dict
         self.residuals = []    # row dicts with no entry below pivot_limit
-        self._index = None     # see _column_index
         raw = matrix.rows_as_dicts()
         for i in sorted(range(len(raw)), key=lambda i: (len(raw[i]), i)):
             row = raw[i]
@@ -228,33 +227,15 @@ class Echelon:
     def free_cols(self):
         return [c for c in range(self.pivot_limit) if c not in self.rows]
 
-    def _column_index(self):
-        """(column -> [(pivot column, entry, lead)], columns of the residual
-        rows), built in one pass over the rows on the first read, so each
-        read below costs the entries it returns.  A column's pivots come in
-        the order of self.rows."""
-        if self._index is None:
-            cols = {}
-            for pcol, row in self.rows.items():
-                lead = row[pcol]
-                for c, v in row.items():
-                    if c != pcol:
-                        cols.setdefault(c, []).append((pcol, v, lead))
-            self._index = cols, set().union(*self.residuals)
-        return self._index
-
-    def solve_augmented(self, j):
-        """Particular solution x of A x = v_j for augmented column j
-        (columns >= pivot_limit), or None if v_j is not in the span."""
-        cols, residual = self._column_index()
-        if j in residual:
-            return None
-        of = self.field.of
-        return {pcol: of(v, lead) for pcol, v, lead in cols.get(j, ())}
-
     def kernel_vectors(self):
-        """Kernel basis of the leading block, one vector per free column."""
-        cols = self._column_index()[0]
+        """Kernel basis of the leading block, one vector per free column,
+        read through a column index of the pivot rows built in one pass."""
+        cols = {}
+        for pcol, row in self.rows.items():
+            lead = row[pcol]
+            for c, v in row.items():
+                if c != pcol:
+                    cols.setdefault(c, []).append((pcol, v, lead))
         of = self.field.of
         one = self.field.one
         vecs = []
@@ -385,29 +366,3 @@ def kernel_with_free(matrix):
     return (SparseMatrix.from_columns(matrix.field, matrix.ncols,
                                       ech.kernel_vectors()),
             ech.free_cols())
-
-
-def solve_batch(a, v, strict=True):
-    """Solve a @ x = v column by column.
-
-    Returns (x, ok) where x is ncols(a) x ncols(v) and ok[j] says whether
-    column j was solvable (unsolvable columns are zero in x).  With
-    strict=True an unsolvable column raises ValueError.
-    """
-    if a.nrows != v.nrows:
-        raise ValueError("row count mismatch in solve_batch")
-    ech = Echelon(a.hstack(v), pivot_limit=a.ncols)
-    cols = []
-    ok = []
-    for j in range(v.ncols):
-        x = ech.solve_augmented(a.ncols + j)
-        if x is None:
-            if strict:
-                raise ValueError(f"column {j} is not in the span")
-            ok.append(False)
-            cols.append({})
-        else:
-            ok.append(True)
-            cols.append(x)
-    return SparseMatrix.from_columns(a.field, a.ncols, cols), ok
-

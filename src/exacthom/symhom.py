@@ -15,11 +15,11 @@ from itertools import permutations, product
 from math import comb, factorial
 
 from .algebras import Coefficients
-from .chains import (SliceComplex, basis_map_matrix, check_chain_map,
-                     kernel_slice)
+from .chains import (SliceComplex, basis_map_matrix, basis_map_section,
+                     check_chain_map, kernel_slice)
 from .gamma import (FiniteMap, GammaComplex, Surjection, map_strings,
                     string_count, surjections)
-from .sparse import SparseMatrix, rank
+from .sparse import SparseMatrix
 
 
 class FiberOrderedMap(FiniteMap):
@@ -209,18 +209,14 @@ def _basis_map_kernel(matrix):
     a fiber (ComparisonData.kernel), and free lists those j in order."""
     field = matrix.field
     one, minus_one = field.one, field.of(-1)
-    target = [None] * matrix.ncols
-    for i, j in matrix.entries:
-        target[j] = i
-    first = {}
+    target, first = basis_map_section(matrix)
     cols, free = [], []
     for j, i in enumerate(target):
         if i is None:
             cols.append({j: one})
-        elif i in first:
+        elif first[i] != j:
             cols.append({j: one, first[i]: minus_one})
         else:
-            first[i] = j
             continue
         free.append(j)
     return SparseMatrix.from_columns(field, matrix.ncols, cols), free
@@ -254,10 +250,8 @@ class ComparisonData:
         return check_chain_map(self.phi, self.quot_chain, self.gamma_chain)
 
     def surjective(self):
-        for n in range(self.top + 1):
-            if rank(self.proj[n]) != self.gamma_chain.dims[n]:
-                return False
-        return True
+        """Every gamma basis element is the image of a first column."""
+        return all(None not in basis_map_section(p)[1] for p in self.proj)
 
     def kernel(self):
         """(inclusion columns, ChainSlice) of ker(phi o q), in closed form.
@@ -271,7 +265,8 @@ class ComparisonData:
         the kernel complex's boundaries are read off d_n K_n at those rows
         (kernel_slice), and a boundary leaving the kernel raises
         CertificationError.  check_ses certifies that the columns span
-        the kernel."""
+        the kernel by reading them: the identity at their free rows, killed
+        by phi o q, and dim - dim(gamma) of them."""
         if self._kernel is None:
             bases = [_basis_map_kernel(p) for p in self.proj]
             reps = [k for k, _ in bases]

@@ -17,8 +17,7 @@ from .groupalg import (certify_eulerian, shuffle_annihilating_product,
                        shuffle_permutations)
 from .hochschild import (HochschildComplex, NormalizedHarrison,
                          aug_split_iso, barr_map, harrison_homology,
-                         harrison_weight, hodge_commutes,
-                         idempotent_dims_complete)
+                         harrison_weight, hodge_checks)
 from .sparse import rank
 from .symhom import ComparisonData, hs0_consistency
 
@@ -125,9 +124,7 @@ def suite_hodge(config):
     for alg, co in _hochschild_setups(config):
         hc = HochschildComplex(alg, co)
         for w in range(max_w + 1):
-            ok_comm = all(hodge_commutes(hc, w, max_n, i)
-                          for i in range(1, max_n + 1))
-            ok_dims = idempotent_dims_complete(hc, w, max_n)
+            ok_comm, ok_dims = hodge_checks(hc, w, max_n)
             checks.append(Check(
                 f"hodge commutation {alg.name} M={co.kind} w={w}", ok_comm))
             checks.append(Check(

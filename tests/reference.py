@@ -11,7 +11,7 @@ from exacthom.chains import CertificationError, ChainSlice
 from exacthom.fields import QQ
 from exacthom.groupalg import GroupAlgebraElement, total_shuffle
 from exacthom.sparse import (Echelon, SparseMatrix, _eliminate, _normalize,
-                             _primitive, kernel_basis, solve_batch)
+                             _primitive, kernel_basis)
 from exacthom.symhom import FiberOrderedMap
 
 
@@ -204,12 +204,43 @@ def kernel_vectors_scan(ech):
 
 
 def solve_augmented_scan(ech, j):
-    """Echelon.solve_augmented by scanning every residual and pivot row
-    for the augmented column j."""
+    """A particular solution x of A x = v_j for the augmented column j
+    (j >= pivot_limit) of an Echelon, or None if v_j is not in the span
+    of the leading block: scan every residual and pivot row for j."""
     if any(j in res for res in ech.residuals):
         return None
     return {pcol: ech.field.of(row[j], row[pcol])
             for pcol, row in ech.rows.items() if j in row}
+
+
+def solve_batch(a, v, strict=True):
+    """Solve a @ x = v column by column, reading each particular solution
+    off the echelon form of [a | v] with pivots in a's columns only.
+
+    Returns (x, ok) where x is ncols(a) x ncols(v) and ok[j] says whether
+    column j was solvable (unsolvable columns are zero in x).  With
+    strict=True an unsolvable column raises ValueError.
+    """
+    if a.nrows != v.nrows:
+        raise ValueError("row count mismatch in solve_batch")
+    ech = Echelon(a.hstack(v), pivot_limit=a.ncols)
+    cols, ok = [], []
+    for j in range(v.ncols):
+        x = solve_augmented_scan(ech, a.ncols + j)
+        if x is None and strict:
+            raise ValueError(f"column {j} is not in the span")
+        ok.append(x is not None)
+        cols.append(x or {})
+    return SparseMatrix.from_columns(a.field, a.ncols, cols), ok
+
+
+def connecting_by_solves(inc, proj, sub, total, quot, n):
+    """chains.connecting_homomorphism by two solves: a lift of quot's
+    representatives through proj, and the pull-back of its boundary
+    through inc."""
+    lifts, _ = solve_batch(proj[n], quot.reps(n))
+    pulls, _ = solve_batch(inc[n - 1], total.boundary(n).mul(lifts))
+    return sub.coords(n - 1, pulls)
 
 
 def leading_rank(matrix):

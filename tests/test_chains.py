@@ -176,6 +176,10 @@ def test_random_ses_long_exact(field):
         nodes = long_exact_sequence_nodes(inc, proj, sub, total, quot, top)
         for name, rank_in, ker_out in nodes:
             assert rank_in == ker_out, (name, rank_in, ker_out)
+        ses = inc, proj, sub, total, quot
+        for n in range(1, top + 1):
+            assert connecting_homomorphism(*ses, n) \
+                == reference.connecting_by_solves(*ses, n)
 
 
 def test_connecting_independent_of_lift_choice():
@@ -209,6 +213,31 @@ def test_check_ses_rejects_non_exact_input():
     # im(inc) is one-dimensional but ker(proj) is zero: not exact
     with pytest.raises(ValueError):
         check_ses(inc, proj, sub, total, quot)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"proj": [[2, 0, 0], [0, 1, 1]]},
+     "not a basis map in degree 0: column 0 is not a basis vector"),
+    ({"proj": [[1, 0, 1], [0, 1, 1]]},
+     "not a basis map in degree 0: column 2 is not a basis vector"),
+    ({"proj": [[1, 0, 0], [0, 1, 1], [0, 0, 0]], "quot": 3},
+     "not surjective in degree 0: no column hits row 2"),
+    ({"inc": [[0], [-2], [2]]},
+     "inclusion is not the identity on its free rows in degree 0"),
+    ({"proj": [[0, 1, 1]], "quot": 1}, r"im\(i\) != ker\(p\) in degree 0"),
+], ids=["entry-2", "two-entries", "misses-a-row", "inc-times-2", "too-small"])
+def test_check_ses_refuses_a_sequence_not_in_basis_map_form(change, message):
+    # proj sends e_0 -> e_0 and e_1, e_2 -> e_1, and inc spans e_2 - e_1,
+    # 1 at its free row 2: exact; each change breaks one condition
+    def sequence(inc=((0,), (-1,), (1,)), proj=((1, 0, 0), (0, 1, 1)),
+                 quot=2):
+        return ([mat(inc)], [mat(proj)], ChainSlice(QQ, [1], {}),
+                ChainSlice(QQ, [3], {}), ChainSlice(QQ, [quot], {}))
+
+    check_ses(*sequence())
+    with pytest.raises(ValueError, match=message) as exc:
+        check_ses(*sequence(**change))
+    assert "\n" not in str(exc.value)
 
 
 def test_restricted_slice_restricts_the_boundary():

@@ -181,6 +181,25 @@ def test_eulerian_certificates_multiply_the_colliding_pairs(monkeypatch,
     assert failed == failing
 
 
+def test_eulerian_idempotent_reduces_only_its_own_element(monkeypatch):
+    groupalg._eulerian_over_q(5)  # the rational idempotents, built once
+    reduced = []
+
+    class Counted(GroupAlgebraElement):
+        __slots__ = ()
+
+        def __init__(self, field, n, coeffs=None):
+            reduced.append(n)
+            super().__init__(field, n, coeffs)
+
+    monkeypatch.setattr(groupalg, "GroupAlgebraElement", Counted)
+    for i in range(1, 6):
+        eulerian_idempotent(GF(7), 5, i)
+    assert reduced == [5] * 5
+    eulerian_idempotent(QQ, 5, 2)  # the rational one, as it is
+    assert len(reduced) == 5
+
+
 def test_eulerian_small_characteristic_rejected():
     with pytest.raises(ValueError):
         eulerian_idempotents(GF(3), 3)
@@ -296,6 +315,8 @@ def test_eulerian_idempotents_match_the_factor_product_mod_p(field, n):
         perm: field.of(c.numerator, c.denominator)
         for perm, c in e.coeffs.items()}) for e in eulerian_by_factors(QQ, n)]
     assert eulerian_idempotents(field, n) == expected
+    assert [eulerian_idempotent(field, n, i)
+            for i in range(1, n + 1)] == expected
     if field.p > 7 or n <= 3:
         assert eulerian_by_factors(field, n) == expected
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from exacthom import hochschild, sparse
+from exacthom import groupalg, hochschild, sparse
 from exacthom.algebras import Coefficients, preset
 from exacthom.chains import CertificationError
 from exacthom.cli import main
@@ -12,15 +12,15 @@ from exacthom.groupalg import (GroupAlgebraElement, eulerian_idempotent,
 from exacthom.hochschild import (HarrisonQuotient, HochschildComplex,
                                  NormalizedHarrison, aug_split_iso, barr_map,
                                  harrison_homology, harrison_weight,
-                                 hochschild_homology, hodge_commutes,
-                                 idempotent_dims_complete, idempotent_slice,
+                                 hochschild_homology, hodge_checks,
+                                 idempotent_slice,
                                  is_degenerate, is_ideal_only,
                                  normalized_slice)
-from exacthom.sparse import Echelon, SparseMatrix, kernel_basis, solve_batch
+from exacthom.sparse import Echelon, SparseMatrix, kernel_basis
 from exacthom.verify import run_suite
 from reference import (columns, extend_basis_columns, fractional_trunc4,
                        image_pivot_columns, non_monomial, permute_slots,
-                       shuffle_slice)
+                       shuffle_slice, solve_batch)
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +82,13 @@ def test_shuffle_slice_degree_two_antisymmetrizers(trunc3_A):
 def test_idempotent_slices_sum_to_full(dual_k, trunc3_A):
     for hc in (dual_k, trunc3_A):
         for w in range(4):
-            assert idempotent_dims_complete(hc, w, 4)
+            assert hodge_checks(hc, w, 4)[1]
 
 
 def test_hodge_commutation(dual_k, trunc3_A):
     for hc in (dual_k, trunc3_A):
         for w in range(4):
-            for i in (1, 2, 3):
-                assert hodge_commutes(hc, w, 4, i)
+            assert hodge_checks(hc, w, 4)[0]
 
 
 def test_aug_split_identity_matrices(dual_k):
@@ -386,6 +385,35 @@ def test_harrison_suite_computes_each_action_matrix_once(monkeypatch):
     checks, _ = run_suite("harrison", {})
     assert checks and all(c.ok for c in checks)
     assert seen and all(len(v) == 1 for v in seen.values())
+
+
+def test_hodge_suite_builds_each_idempotent_matrix_once(monkeypatch):
+    # over F_7: 4 complexes x 6 weights x the 15 (n, i) with i <= n <= 5,
+    # one action matrix each, and each reduces only its own idempotent
+    for n in range(1, 6):
+        groupalg._eulerian_over_q(n)  # the rational idempotents, built once
+    seen, reduced = {}, []
+    action_matrix = HochschildComplex.action_matrix
+
+    def counted(self, elem, n, w):
+        key = (id(self), frozenset(elem.coeffs.items()), n, w)
+        seen.setdefault(key, []).append(self)  # keeps id(self) unique
+        return action_matrix(self, elem, n, w)
+
+    class Counted(GroupAlgebraElement):
+        __slots__ = ()
+
+        def __init__(self, field, n, coeffs=None):
+            if field != QQ:
+                reduced.append(n)
+            super().__init__(field, n, coeffs)
+
+    monkeypatch.setattr(HochschildComplex, "action_matrix", counted)
+    monkeypatch.setattr(groupalg, "GroupAlgebraElement", Counted)
+    checks, _ = run_suite("hodge", {"field": GF(7)})
+    assert checks and all(c.ok for c in checks)
+    assert len(seen) == 360 and all(len(v) == 1 for v in seen.values())
+    assert len(reduced) == 360
 
 
 def test_shuffle_plus_quotient_dims_match_full(trunc3_A):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exacthom.algebras import Coefficients, preset
-from exacthom.chains import long_exact_sequence_nodes
+from exacthom.chains import (connecting_homomorphism,
+                             long_exact_sequence_nodes)
 from exacthom.fields import GF, QQ
 from exacthom.gamma import GammaComplex
 from exacthom.symhom import (ComparisonData, FiberOrderedMap,
@@ -260,6 +261,37 @@ def test_closed_form_kernel_matches_elimination(name, field):
         assert kchain.dims == oracle_chain.dims
         for n in range(1, 4):
             assert _identical(kchain.boundary(n), oracle_chain.boundary(n))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF(5)"])
+@pytest.mark.parametrize("name", ["dual-numbers", "trunc3"])
+def test_connecting_map_matches_the_solves(name, field):
+    # lifting through the first column of each fiber and pulling back at
+    # the free rows gives the connecting map that two solves give
+    alg = preset(name, field)
+    for w in range(4):
+        ses = ComparisonData(alg, w, 3).ses()
+        for n in range(1, 4):
+            assert connecting_homomorphism(*ses, n) \
+                == reference.connecting_by_solves(*ses, n), (w, n)
+
+
+def test_les_builds_no_augmented_echelon(monkeypatch):
+    # the long exact sequence solves nothing: every Echelon it builds (the
+    # cycles of a degree) pivots in all of its columns
+    from exacthom import sparse
+    built = []
+    init = sparse.Echelon.__init__
+
+    def recorded_init(self, matrix, pivot_limit=None):
+        init(self, matrix, pivot_limit)
+        built.append((self.pivot_limit, self.ncols))
+
+    monkeypatch.setattr(sparse.Echelon, "__init__", recorded_init)
+    alg = preset("dual-numbers")
+    for w in range(4):
+        long_exact_sequence_nodes(*ComparisonData(alg, w, 3).ses(), 2)
+    assert built and all(limit == ncols for limit, ncols in built)
 
 
 def test_kernel_rejects_a_boundary_leaving_the_kernel():
