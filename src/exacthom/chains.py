@@ -8,12 +8,15 @@ theory-level drivers do exactly that).
 
 Each boundary is eliminated once, by low_pivots, into one memo per
 degree that serves the rank-only homology(), the representatives and the
-homology coordinates.  Every subquotient is read without a solve, in one
-of two ways.  A quotient by a span has the unit vectors off the keys of
-its low pivots as basis, read by complement_coords (homology here, the
-Harrison quotient and the Eulerian pieces too).  A kernel basis is 1 at
-its own free row and 0 at the other free rows, so a vector's coordinates
-in it are its entries at the free rows (kernel_coords).  A subcomplex
+homology coordinates.  It stops once the rank is known, at dim Z_n
+pivots (a bound from d o d = 0), and when H_n != 0 an annihilator
+certificate skips the columns already in the span.  Every subquotient
+is read without a solve, in one of two ways.  A quotient by a span has
+the unit vectors off the keys of its low pivots as basis, read by
+complement_coords (homology here, the Harrison quotient and the Eulerian
+pieces too).  A kernel basis is 1 at its own free row and 0 at the
+other free rows, so a vector's coordinates in it are its entries at the
+free rows (kernel_coords).  A subcomplex
 spanned by either kind of basis (kernel_slice, complement_slice) reads
 each boundary that way and certifies it with one product.
 
@@ -165,11 +168,15 @@ class ChainSlice:
     def homology(self):
         """Homology dimensions of degrees 0..N, rank-only: dim H_n =
         dims[n] - rk d_n - rk d_{n+1}, each rank eliminated once unless
-        _degree(n - 1) has recorded it (a boundary not given has rank 0)."""
+        _degree(n - 1) has recorded it (a boundary not given has rank 0).
+        The ranks are taken in increasing degree, since d_{n-1} d_n = 0
+        (certified at construction) bounds rk d_n by dim Z_{n-1} =
+        dims[n-1] - rk d_{n-1}."""
         ranks = self._ranks
-        for n, mat in self.boundaries.items():
+        for n in sorted(self.boundaries):
             if n not in ranks:
-                ranks[n] = rank(mat)
+                ranks[n] = rank(self.boundaries[n],
+                                self.dims[n - 1] - ranks.get(n - 1, 0))
         dims = [self.dims[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
                 for n in range(self.top + 1)]
         if any(d < 0 for d in dims):
@@ -187,7 +194,7 @@ class ChainSlice:
         if n not in self._homology:
             cycles, free = kernel_with_free(self.boundary(n))
             bnd = self.boundary(n + 1).select_rows(free)
-            low = low_pivots(self.field, bnd.columns_as_dicts())
+            low = low_pivots(self.field, bnd.columns_as_dicts(), len(free))
             self._ranks[n + 1] = len(low)
             reps = [t for t in range(len(free)) if t not in low]
             self._homology[n] = cycles, free, low, reps

@@ -266,7 +266,7 @@ def _emit(report, args):
 
 
 def cmd_compute(args):
-    _require_non_negative(args, "max_degree", "max_weight")
+    _require_non_negative(args, "max_degree", "max_weight", "max_basis")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if args.theory in ("symmetric", "comparison") and args.coefficients != "k":

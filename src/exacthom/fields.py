@@ -92,13 +92,45 @@ class Rationals:
         return hash("exacthom.QQ")
 
 
+# Miller-Rabin with these bases decides primality exactly below 3.1e23,
+# so for every p < 2^64 (the first composite they pass is
+# 318665857834031151167461)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n):
+    """Whether n is prime, by deterministic Miller-Rabin (n < 3.1e23)."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """The field with p elements, p prime.  Elements are ints reduced mod p."""
 
     characteristic = None
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p >= 2**64:
+            raise ValueError(f"a prime field needs p < 2^64, got a "
+                             f"{len(str(p))}-digit p")
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p

@@ -8,7 +8,13 @@ same step runs mod p against monic pivots.
 
 - ``low_pivots`` is forward-only: each vector is reduced against the
   pivot at its largest ("low") index until that index is new, with no
-  back-substitution.  ``rank`` counts the low pivots of the rows.
+  back-substitution.  ``rank`` counts the low pivots of the rows.  Given
+  a proven bound on the rank, it stops at that many pivots; given the
+  dimension of the space holding the vectors, it also keeps, once few
+  pivots are missing, a checked basis of the annihilator of their span
+  (``_Annihilator``) and skips every vector that basis kills.  Only
+  vectors that would reduce to zero are left out, so the pivots are the
+  same as without bounds.
 - ``Echelon`` builds the (unique) reduced row echelon form, up to one
   scale per row, by inserting rows one at a time and back-eliminating each
   new pivot column from all earlier rows, so its pivot columns are the
@@ -24,6 +30,7 @@ columns scaled to integers and forms each nonzero entry of the product
 once, so a product that vanishes (``d∘d``, ``p∘i``) forms no rational.
 """
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -247,20 +254,51 @@ class Echelon:
         return vecs
 
 
-def rank(matrix):
-    """Exact rank over the matrix's field."""
-    return len(low_pivots(matrix.field, matrix.rows_as_dicts()))
+def rank(matrix, limit=None):
+    """Exact rank over the matrix's field; limit, when given, is an upper
+    bound on it that the caller has proven."""
+    if limit is None or matrix.ncols < limit:
+        limit = matrix.ncols
+    return len(low_pivots(matrix.field, matrix.rows_as_dicts(), limit=limit))
 
 
-def low_pivots(field, vectors):
+# the annihilator is built once the pivots are within _CERTIFY_GAP of dim
+# and at least _CERTIFY_RATIO times as many as the ones still missing: then
+# it has few vectors to keep current, and small slices never build one
+# (measured on the weight-4 comparison slices and the benchmark, README)
+_CERTIFY_GAP = 64
+_CERTIFY_RATIO = 16
+
+
+def low_pivots(field, vectors, dim=None, limit=None):
     """{largest index -> pivot} of the span of vectors (dicts {index:
     value}, left unchanged), reduced sparsest first.  The keys are the
     largest indices of the span's nonzero vectors, whatever the order of
     vectors.  Over Q a pivot is a primitive integer vector, positive at
-    its key; mod p it is monic there."""
+    its key; mod p it is monic there.
+
+    The caller may pass bounds it has proven: dim on the indices (every
+    index is below dim, which bounds the rank), and limit on the rank.
+    Reading stops at that many pivots.  Once few pivots are missing from
+    dim (see _CERTIFY_GAP), an _Annihilator of their span is kept, and a
+    vector it kills lies in the span and is skipped: it would reduce to
+    zero.  An annihilator that fails its check is dropped.  So the result
+    is the same, pivot for pivot, as without bounds."""
     p = field.characteristic
-    pivots = {}
+    if dim is not None and (limit is None or dim < limit):
+        limit = dim
+    pivots, ann = {}, None
     for vec in sorted((v for v in vectors if v), key=len):
+        if len(pivots) == limit:
+            break
+        if (ann is None and dim is not None
+                and dim - len(pivots) <= _CERTIFY_GAP
+                and len(pivots) >= _CERTIFY_RATIO * (dim - len(pivots))):
+            ann = _Annihilator(pivots, dim, p)
+            if not ann.holds:
+                ann = dim = None  # a certificate that fails is not used
+        if ann is not None and ann.kills(vec):
+            continue
         vec = dict(vec)
         if not p:
             vec = _primitive(field.scaled(vec)[0])
@@ -268,10 +306,163 @@ def low_pivots(field, vectors):
             low = max(vec)
             piv = pivots.get(low)
             if piv is None:
-                pivots[low] = _normalize(vec, low, p)
+                pivots[low] = piv = _normalize(vec, low, p)
+                if ann is not None and not ann.add(low, piv):
+                    ann = dim = None
                 break
             vec = _eliminate(vec, piv, low, p)
     return pivots
+
+
+class _Annihilator:
+    """A basis of the annihilator of the span of low pivots inside the
+    space of indices 0..dim-1: for each non-key c < dim, the vector y_c
+    that is nonzero at c, zero at the other non-keys and orthogonal to
+    every pivot.  y_c·v is, up to the scale of y_c, the entry at c of
+    low_coords(v), so v lies in the span exactly when every y_c·v = 0.
+
+    The basis is checked, not trusted: holds says whether every y_c has
+    that shape (so the y_c are independent, and there are dim - rank of
+    them) and is orthogonal to every pivot, first when it is built and
+    then at each pivot add() takes in.  Over Q each y_c is a primitive
+    integer vector; mod p it is 1 at c.  ys maps c to y_c, and cols
+    indexes them by position (index -> {c: y_c[index]}), so that a check
+    reads only the entries of v."""
+
+    def __init__(self, pivots, dim, p):
+        self.p = p
+        self.keys = pivots  # the caller's dict, which add() follows
+        self.ys = {}
+        self.cols = {}
+        above = {}  # index -> the keys of the pivots with an entry there
+        for k, piv in pivots.items():
+            for j in piv:
+                if j != k:
+                    above.setdefault(j, []).append(k)
+        for c in range(dim):
+            if c not in pivots:
+                self._put(c, self._solve(c, pivots, above))
+        self.holds = (
+            len(self.ys) == dim - len(pivots)
+            and all(0 <= c < dim and self._shaped(c, y)
+                    for c, y in self.ys.items())
+            and all(self._orthogonal(piv) for piv in pivots.values()))
+
+    def _solve(self, c, pivots, above):
+        """y_c, solved over the keys in increasing order: a pivot has no
+        entry above its key, so y_c·b = 0 fixes y_c at b's key from the
+        entries below it.  Only the keys reached from c through above
+        can be nonzero, and a heap visits them in order."""
+        p = self.p
+        y = {c: 1}
+        heap = list(above.get(c, ()))
+        heapify(heap)
+        seen = set(heap)
+        while heap:
+            k = heappop(heap)
+            piv = pivots[k]
+            s = _residue(sum(y.get(j, 0) * v for j, v in piv.items()), p)
+            if not s:
+                continue
+            if p:
+                y[k] = -s % p
+            else:
+                # scale y so that its entry at k, -s / piv[k], is an int
+                g = gcd(s, piv[k])
+                if piv[k] != g:
+                    m = piv[k] // g
+                    y = {j: m * t for j, t in y.items()}
+                y[k] = -s // g
+            for k2 in above.get(k, ()):
+                if k2 not in seen:
+                    seen.add(k2)
+                    heappush(heap, k2)
+        return y
+
+    def _shaped(self, c, y):
+        """Whether y is nonzero at the non-key c and zero at the others."""
+        keys = self.keys
+        return (c not in keys and _residue(y.get(c, 0), self.p)
+                and all(j == c or j in keys for j in y))
+
+    def _put(self, c, y):
+        self.ys[c] = y
+        cols = self.cols
+        for j, t in y.items():
+            col = cols.get(j)
+            if col is None:
+                cols[j] = {c: t}
+            else:
+                col[c] = t
+
+    def _pop(self, c):
+        y = self.ys.pop(c)
+        cols = self.cols
+        for j in y:
+            del cols[j][c]
+        return y
+
+    def _dots(self, vec):
+        """{c: y_c·vec} over the c where the sum has a term."""
+        acc = {}
+        get = acc.get
+        cols = self.cols
+        for i, x in vec.items():
+            col = cols.get(i)
+            if col:
+                for c, t in col.items():
+                    acc[c] = get(c, 0) + t * x
+        return acc
+
+    def _orthogonal(self, vec):
+        """Whether every y_c·vec = 0."""
+        p = self.p
+        return not any(_residue(s, p) for s in self._dots(vec).values())
+
+    def kills(self, vec):
+        """Whether vec lies in the span of the pivots, while holds: the
+        question low_pivots asks of every vector it would reduce."""
+        return self._orthogonal(vec)
+
+    def add(self, k, piv):
+        """Take in a new pivot piv with key k, and return holds: y_k
+        leaves, and every other y_c becomes a·y_c - s·y_k with a = y_k·piv
+        (the entry of y_k at k times piv[k]) and s = y_c·piv, so that
+        y_c·piv = 0.  Both terms are orthogonal to the earlier pivots, and
+        y_k is zero at the non-keys other than k, so y_c keeps its shape.
+        What is checked: every y_c·piv = 0, and the shape of every y_c
+        that changed."""
+        p = self.p
+        yk = self._pop(k)
+        a = yk[k] * piv[k]
+        changed = []
+        for c, s in self._dots(piv).items():
+            s = _residue(s, p)
+            if not s:
+                continue
+            y = self._pop(c)
+            b = a
+            if not p:
+                g = gcd(a, s)
+                b, s = a // g, s // g
+            new = {j: b * t for j, t in y.items()} if b != 1 else y
+            get = new.get
+            for j, t in yk.items():
+                u = _residue(get(j, 0) - s * t, p)
+                if u:
+                    new[j] = u
+                else:
+                    new.pop(j, None)
+            self._put(c, new if p else _primitive(new))
+            changed.append(c)
+        self.holds = bool(_residue(a, p) and self._orthogonal(piv) and all(
+            self._shaped(c, self.ys[c]) for c in changed))
+        return self.holds
+
+
+def _residue(s, p):
+    """s mod p, or s itself over Z (p = 0)."""
+    return s % p if p else s
 
 
 def low_coords(field, vector, pivots):

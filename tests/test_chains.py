@@ -183,14 +183,29 @@ def test_random_ses_long_exact(field):
 
 
 def test_connecting_independent_of_lift_choice():
-    # once on warm slices and once on fresh slices of the same sequence
-    def ses():
-        return _twisted_ses(random.Random(3), QQ, [2, 2, 2], [1, 2, 1])
+    # the comparison's projection hits some gamma generators from several
+    # symmetric ones, so lifting through the last column hitting each row
+    # instead of the first is a second lift, and the map must not change
+    from exacthom.algebras import preset
+    from exacthom.chains import _connecting, basis_map_section
+    from exacthom.symhom import ComparisonData
 
-    first = ses()
-    connecting = connecting_homomorphism(*first, 2)
-    assert connecting_homomorphism(*first, 2) == connecting
-    assert connecting_homomorphism(*ses(), 2) == connecting
+    for name, w in (("dual-numbers", 2), ("trunc3", 3)):
+        ses = ComparisonData(preset(name), w, 3).ses()
+        inc, proj, sub, total, quot = ses
+        _, free = check_ses(*ses)
+        target, first = basis_map_section(proj[1])
+        last = [None] * proj[1].nrows
+        for j, i in enumerate(target):
+            if i is not None:
+                last[i] = j
+        assert None not in last and last != first, name
+        connecting = connecting_homomorphism(*ses, 1)
+        assert not connecting.is_zero(), name
+        for section in (first, last):
+            assert _connecting(inc, sub, total, quot, 1, section,
+                               free[0]) == connecting, name
+        assert connecting == reference.connecting_by_solves(*ses, 1), name
 
 
 def test_representatives_span_meets_boundaries_trivially():
@@ -444,3 +459,160 @@ def test_kernel_coords_are_the_free_rows():
     assert kernel_coords(k, free, v) == mat([[2, 0], [QQ.of(1, 3), 1]])
     with pytest.raises(ValueError, match="column 0"):
         kernel_coords(k, free, mat([[1], [0], [0], [0]]))
+
+
+def _degree_vectors(field):
+    """(name, dim, vectors) of every degree's elimination in ChainSlice.
+    _degree: the columns of d_{n+1} at the free rows F_n of d_n, which lie
+    in dim = |F_n| positions.  The slices are the symmetric complex and
+    the kernel of the comparison map on every preset through w = 3, and
+    the Hochschild complex (M = A) of reference.fractional_trunc4 and
+    reference.non_monomial."""
+    from exacthom.algebras import PRESETS, Coefficients, preset
+    from exacthom.hochschild import HochschildComplex
+    from exacthom.sparse import kernel_with_free
+    from exacthom.symhom import ComparisonData
+
+    slices = []
+    for name in sorted(PRESETS):
+        for w in range(4):
+            _, _, sub, total, _ = ComparisonData(preset(name, field), w,
+                                                 3).ses()
+            slices += [(f"{name} w={w} sub", sub),
+                       (f"{name} w={w} total", total)]
+    for alg in (reference.fractional_trunc4(field),
+                reference.non_monomial(field)):
+        hc = HochschildComplex(alg, Coefficients(alg, "A"))
+        slices += [(f"{alg.name} w={w}", hc.slice(w, 4)) for w in range(4)]
+    for name, sl in slices:
+        for n in range(sl.top):
+            _, free = kernel_with_free(sl.boundary(n))
+            bnd = sl.boundary(n + 1).select_rows(free)
+            yield f"{name} n={n}", len(free), bnd.columns_as_dicts()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+def test_bounded_degree_elimination_matches_the_unbounded_one(
+        monkeypatch, field):
+    # the stop at |F_n| pivots and the annihilator certificate, as shipped
+    # and built before the first column, against no bound at all
+    from exacthom import sparse
+    shipped = sparse._CERTIFY_GAP, sparse._CERTIFY_RATIO
+    for name, dim, vectors in _degree_vectors(field):
+        plain = low_pivots(field, vectors)
+        for gap, ratio in (shipped, (10**9, 0)):
+            monkeypatch.setattr(sparse, "_CERTIFY_GAP", gap)
+            monkeypatch.setattr(sparse, "_CERTIFY_RATIO", ratio)
+            assert low_pivots(field, vectors, dim) == plain, (name, gap)
+
+
+def _counting(monkeypatch, field, vectors, dim=None, certify=None):
+    """(pivots, reductions, skipped): low_pivots with the elimination step
+    and the certificate's check counted."""
+    from exacthom import sparse
+    counts = {"reductions": 0, "skipped": 0}
+    eliminate, kills = sparse._eliminate, sparse._Annihilator.kills
+
+    def counted_eliminate(*args):
+        counts["reductions"] += 1
+        return eliminate(*args)
+
+    def counted_kills(self, vec):
+        killed = kills(self, vec)
+        counts["skipped"] += killed
+        return killed
+
+    with monkeypatch.context() as m:
+        m.setattr(sparse, "_eliminate", counted_eliminate)
+        m.setattr(sparse._Annihilator, "kills", counted_kills)
+        if certify is not None:
+            m.setattr(sparse, "_CERTIFY_GAP", certify[0])
+            m.setattr(sparse, "_CERTIFY_RATIO", certify[1])
+        pivots = low_pivots(field, vectors, dim)
+    return pivots, counts["reductions"], counts["skipped"]
+
+
+def _slice_vectors(name, w, tag, n):
+    from exacthom.algebras import preset
+    from exacthom.sparse import kernel_with_free
+    from exacthom.symhom import ComparisonData
+    _, _, sub, total, _ = ComparisonData(preset(name), w, 3).ses()
+    sl = {"sub": sub, "total": total}[tag]
+    _, free = kernel_with_free(sl.boundary(n))
+    return len(free), sl.boundary(n + 1).select_rows(free).columns_as_dicts()
+
+
+def test_the_stop_fires_only_at_full_rank(monkeypatch):
+    off = (-1, 0)
+    # dual-numbers, symmetric, w = 3, n = 1: H_1 = 0, so the rank is |F_1|
+    dim, vectors = _slice_vectors("dual-numbers", 3, "total", 1)
+    plain, all_reductions, _ = _counting(monkeypatch, QQ, vectors)
+    pivots, reductions, skipped = _counting(monkeypatch, QQ, vectors, dim,
+                                            off)
+    assert pivots == plain and len(pivots) == dim == 22
+    assert skipped == 0 and reductions < all_reductions
+    # trunc3, kernel slice, w = 3, n = 0: H_0 = 1, so every column is read
+    dim, vectors = _slice_vectors("trunc3", 3, "sub", 0)
+    plain, all_reductions, _ = _counting(monkeypatch, QQ, vectors)
+    assert _counting(monkeypatch, QQ, vectors, dim, off) == (
+        plain, all_reductions, 0)
+    assert len(plain) == dim - 1
+
+
+def test_the_certificate_skips_the_span_when_homology_is_nonzero(
+        monkeypatch):
+    # dual-numbers, symmetric, w = 3, n = 2: H_2 = 1, rank 128 of 129; the
+    # stop cannot fire, and the annihilator (one vector) skips what is left
+    dim, vectors = _slice_vectors("dual-numbers", 3, "total", 2)
+    plain, all_reductions, _ = _counting(monkeypatch, QQ, vectors)
+    assert len(plain) == dim - 1 == 128
+    assert _counting(monkeypatch, QQ, vectors, dim, (-1, 0)) == (
+        plain, all_reductions, 0)
+    pivots, reductions, skipped = _counting(monkeypatch, QQ, vectors, dim)
+    assert pivots == plain
+    assert skipped > 0 and reductions < all_reductions
+
+
+@pytest.mark.parametrize("mutation", ["solve", "add"])
+def test_a_wrong_annihilator_is_rejected(monkeypatch, mutation):
+    # a perturbed y (one more entry at a key) fails the check at build; an
+    # update that forgets the new pivot fails it at the next pivot.  Either
+    # way the certificate is dropped, elimination goes on over every
+    # column, and the homology tables stay the same
+    from exacthom import sparse
+    from exacthom.algebras import preset
+    from exacthom.symhom import SymmetricComplex
+
+    if mutation == "solve":
+        solve = sparse._Annihilator._solve
+
+        def perturbed(self, c, pivots, above):
+            y = solve(self, c, pivots, above)
+            y[max(pivots)] = y.get(max(pivots), 0) + 1
+            return y
+        monkeypatch.setattr(sparse._Annihilator, "_solve", perturbed)
+    else:
+        def forgetful(self, k, piv):
+            self._pop(k)
+            self.holds = self._orthogonal(piv)
+            return self.holds
+        monkeypatch.setattr(sparse._Annihilator, "add", forgetful)
+    built = []
+    init = sparse._Annihilator.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        built.append(self)
+    monkeypatch.setattr(sparse._Annihilator, "__init__", recorded)
+
+    # the shipped schedule builds the annihilator at 121 of 129 pivots
+    dim, vectors = _slice_vectors("dual-numbers", 3, "total", 2)
+    plain, all_reductions, _ = _counting(monkeypatch, QQ, vectors)
+    pivots, reductions, skipped = _counting(monkeypatch, QQ, vectors, dim)
+    assert pivots == plain and len(built) == 1 and not built[0].holds
+    if mutation == "solve":
+        assert (reductions, skipped) == (all_reductions, 0)
+    # the tables and representatives read off the bounded elimination
+    sl = SymmetricComplex(preset("dual-numbers")).slice(3, 3)
+    assert [sl.reps(n).ncols for n in range(3)] == [0, 0, 1]
+    assert sl.homology()[:3] == [0, 0, 1]

@@ -294,6 +294,15 @@ def test_non_prime_field_rejected(capsys):
     assert "not prime" in line
 
 
+@pytest.mark.parametrize("p", ["100000000000000000039", "1" + "0" * 320 + "7"])
+def test_field_past_the_word_size_rejected_at_once(capsys, p):
+    # trial division ran for minutes on the first and overflowed on the
+    # second; both are refused before any primality test
+    line = run_error(capsys, "compute", "--field", f"Fp:{p}",
+                     "--theory", "hochschild")
+    assert "p < 2^64" in line
+
+
 def test_harrison_over_too_small_characteristic_rejected(capsys):
     line = run_error(capsys, "compute", "--theory", "harrison",
                      "--field", "Fp:2", "--max-degree", "2",
@@ -335,7 +344,8 @@ def test_verify_where_the_shuffle_misses_an_eulerian_piece_refused(capsys,
     assert certs and all(c["status"] == "pass" for c in certs)
 
 
-@pytest.mark.parametrize("flag", ["--max-degree", "--max-weight"])
+@pytest.mark.parametrize("flag", ["--max-degree", "--max-weight",
+                                  "--max-basis"])
 def test_negative_bounds_rejected(capsys, flag):
     line = run_error(capsys, "compute", "--theory", "hochschild", flag, "-1")
     assert flag in line

@@ -88,3 +88,28 @@ def test_to_str_is_unchanged():
 def test_rational_backend_name_is_exposed():
     # the benchmark stamps every result with this type's name
     assert fields._rat is Fraction and fields._rat.__name__ == "Fraction"
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 5000):
+        trial = n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+        assert fields.is_prime(n) == trial, n
+
+
+@pytest.mark.parametrize("n,prime", [
+    (561, False), (1105, False), (3215031751, False),  # Carmichael, spsp(2..7)
+    (3825123056546413051, False),  # a strong pseudoprime to bases 2..23
+    (2**61 - 1, True), (2**64 - 59, True), (1000003, True),
+    ((2**31 - 1) * (2**61 - 1), False),
+])
+def test_is_prime_on_large_and_pseudoprime_inputs(n, prime):
+    assert fields.is_prime(n) == prime
+
+
+def test_prime_field_bounds_p_before_testing_it():
+    assert GF(2**64 - 59).p == 2**64 - 59
+    with pytest.raises(ValueError, match="not prime"):
+        GF(3825123056546413051)
+    for p in (2**64, 10**20 + 39, 10**321 + 7):
+        with pytest.raises(ValueError, match="p < 2\\^64"):
+            GF(p)

@@ -377,9 +377,9 @@ def test_gamma_iso_suite_ranks_each_boundary_once(monkeypatch):
     ranked = []
     rank = chains.rank
 
-    def recording(matrix):
+    def recording(matrix, limit=None):
         ranked.append(matrix)  # kept alive, so no id is reused
-        return rank(matrix)
+        return rank(matrix, limit)
 
     monkeypatch.setattr(chains, "rank", recording)
     checks, _ = run_suite("gamma-iso")

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from exacthom import sparse
 from exacthom.fields import GF, QQ
 from exacthom.sparse import (Echelon, SparseMatrix, kernel_basis, low_coords,
                              low_pivots, rank)
@@ -552,3 +553,41 @@ def test_echelon_reads_match_the_per_column_scan(field, kind):
         assert [list(v.items()) for v in got] == [
             list(v.items()) for v in expected]
     assert residuals > 20
+
+
+# (gap, ratio) of the annihilator certificate: off, as shipped, and built
+# before the first vector is read
+CERTIFY = [(-1, 0), (sparse._CERTIFY_GAP, sparse._CERTIFY_RATIO), (10**9, 0)]
+
+
+@pytest.mark.parametrize("field,kind", LOW_FIELDS)
+@pytest.mark.parametrize("certify", CERTIFY, ids=["off", "shipped", "first"])
+def test_bounded_low_pivots_match_the_unbounded_elimination(
+        monkeypatch, field, kind, certify):
+    # the stop and the certificate skip only vectors that reduce to zero,
+    # so the pivots themselves are unchanged, not just their keys
+    gap, ratio = certify
+    monkeypatch.setattr(sparse, "_CERTIFY_GAP", gap)
+    monkeypatch.setattr(sparse, "_CERTIFY_RATIO", ratio)
+    rng = random.Random(f"bounded:{field}:{kind}")
+    for _ in range(150):
+        m = _structured_matrix(rng, field, kind)
+        rows, cols = m.rows_as_dicts(), m.columns_as_dicts()
+        assert low_pivots(field, rows, m.ncols) == low_pivots(field, rows)
+        assert low_pivots(field, cols, m.nrows) == low_pivots(field, cols)
+        r = rank(m)
+        assert rank(m, r) == rank(m, m.nrows) == r
+        assert len(low_pivots(field, rows, limit=r)) == r
+
+
+def test_annihilator_is_a_checked_basis():
+    # over Q: pivots with keys 1, 3 in dim 5, non-keys 0, 2, 4
+    pivots = {1: {0: 2, 1: 1}, 3: {1: -3, 2: 1, 3: 2}}
+    ann = sparse._Annihilator(dict(pivots), 5, 0)
+    assert ann.holds and sorted(ann.ys) == [0, 2, 4]
+    for c, y in ann.ys.items():
+        assert all(sum(y.get(j, 0) * v for j, v in piv.items()) == 0
+                   for piv in pivots.values())
+        assert all(j == c or j in pivots for j in y) and y[c]
+    assert ann.kills({0: 2, 1: 1}) and ann.kills({0: 4, 1: -1, 2: 1, 3: 2})
+    assert not ann.kills({4: 1}) and not ann.kills({0: 1})
