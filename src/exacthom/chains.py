@@ -22,7 +22,10 @@ each boundary that way and certifies it with one product.
 
 A short exact sequence is taken in basis-map form (check_ses): its exactness
 and connecting map are read off proj's section and inc's free rows, with
-no elimination.
+no elimination.  Once proj is a chain map and the sequence is exact in
+every degree, the inclusion's chain-map law costs one product per degree:
+d i lies in ker p = im i, where a vector is fixed by its free rows, so
+i d' = d i exactly when d' is the free rows of d i.
 """
 
 from .sparse import (SparseMatrix, kernel_with_free, low_coords, low_pivots,
@@ -325,16 +328,28 @@ def check_ses(inc, proj, sub, total, quot):
     """Verify 0 -> sub -> total -> quot -> 0 is a degreewise-exact sequence
     of chain maps in basis-map form, ranking nothing, and return per degree
     the section first of proj and the free rows of inc (a one-line
-    ValueError otherwise).  proj is a basis map hitting every basis element
-    of quot; inc is the identity at its free rows, the largest rows of its
-    columns, so injective; p o i = 0, and inc has dim total - dim quot =
-    dim ker p columns, so im i = ker p."""
-    if not check_chain_map(inc, sub, total):
-        raise ValueError("inclusion is not a chain map")
+    ValueError otherwise).  The three slices share their top degree and
+    both map lists cover it.  proj is a basis map hitting every basis
+    element of quot; inc is the identity at its free rows, the largest
+    rows of its columns, so injective; p o i = 0, and inc has dim total -
+    dim quot = dim ker p columns, so im i = ker p.
+
+    proj's chain-map law takes both products, inc's only one, checked
+    last: p d i = d p i = 0, so d_n i_n lies in ker p_{n-1} = im i_{n-1},
+    and a vector of im i is i applied to its free rows.  So i d' = d i
+    exactly when d' is the rows free[n-1] of d_n i_n."""
+    top = sub.top
+    if total.top != top or quot.top != top:
+        raise ValueError(f"slices of unequal top degrees {sub.top}, "
+                         f"{total.top}, {quot.top}")
+    if len(inc) <= top or len(proj) <= top:
+        raise ValueError(f"maps in degrees 0..{len(inc) - 1} (inclusion) "
+                         f"and 0..{len(proj) - 1} (projection), slices "
+                         f"through degree {top}")
     if not check_chain_map(proj, total, quot):
         raise ValueError("projection is not a chain map")
     firsts, frees = [], []
-    for n in range(min(sub.top, total.top, quot.top) + 1):
+    for n in range(top + 1):
         if (inc[n].shape != (total.dims[n], sub.dims[n])
                 or proj[n].shape != (quot.dims[n], total.dims[n])):
             raise ValueError(f"maps of the wrong shape in degree {n}")
@@ -358,6 +373,10 @@ def check_ses(inc, proj, sub, total, quot):
             raise ValueError(f"im(i) != ker(p) in degree {n}")
         firsts.append(first)
         frees.append(free)
+    for n in range(1, top + 1):
+        if (total.boundary(n).mul(inc[n]).select_rows(frees[n - 1])
+                != sub.boundary(n)):
+            raise ValueError("inclusion is not a chain map")
     return firsts, frees
 
 
@@ -366,6 +385,9 @@ def connecting_homomorphism(inc, proj, sub, total, quot, n):
     sequence in basis-map form (check_ses): lift through the section of
     proj, apply the boundary, pull back at the free rows of inc."""
     first, free = check_ses(inc, proj, sub, total, quot)
+    if not 1 <= n <= sub.top:
+        raise ValueError(f"connecting map in degree {n}, outside "
+                         f"1..{sub.top}")
     return _connecting(inc, sub, total, quot, n, first[n], free[n - 1])
 
 
@@ -387,9 +409,13 @@ def long_exact_sequence_nodes(inc, proj, sub, total, quot, max_n):
     Returns a list of (description, incoming_rank, outgoing_kernel_dim)
     for every node whose incoming and outgoing maps are both determined
     by the slices (all complexes must extend to degree max_n + 1 for the
-    top-degree homology to be meaningful).
+    top-degree homology to be meaningful; max_n above their top degree
+    raises ValueError).
     """
     first, free = check_ses(inc, proj, sub, total, quot)
+    if max_n > sub.top:
+        raise ValueError(f"long exact sequence through degree {max_n}, "
+                         f"slices through degree {sub.top}")
 
     # the ranks of H_n(inc), H_n(proj) and the connecting map H_n(quot) ->
     # H_{n-1}(sub), each taken once; the last is 0 for n = 0

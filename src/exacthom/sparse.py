@@ -28,6 +28,11 @@ same step runs mod p against monic pivots.
 Products are fraction-free too: ``SparseMatrix.mul`` multiplies rows and
 columns scaled to integers and forms each nonzero entry of the product
 once, so a product that vanishes (``d∘d``, ``p∘i``) forms no rational.
+When both factors hold only ints (always so mod p) an entry is the int
+sum itself, reduced mod p, with no field call.  ``mul``, ``select_rows``
+and ``select_columns`` hand their entries, nonzero and in range by
+construction, to a private constructor that does not scan them again;
+the public constructor and ``from_columns`` validate every entry.
 """
 
 from heapq import heapify, heappop, heappush
@@ -53,6 +58,14 @@ class SparseMatrix:
                     raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
                 ents[(i, j)] = v
         self.entries = ents
+
+    @classmethod
+    def _trusted(cls, field, nrows, ncols, entries):
+        """A matrix taking entries as they are: the caller guarantees that
+        every value is nonzero and every index in range."""
+        m = object.__new__(cls)
+        m.field, m.nrows, m.ncols, m.entries = field, nrows, ncols, entries
+        return m
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
@@ -98,14 +111,18 @@ class SparseMatrix:
         integers by the lcm of its denominators (d_i and e_j; every e_j is
         1 when other holds only ints, and then no column is scaled), the
         products are summed as ints, and entry (i, j) is formed once, as
-        s / (d_i e_j); mod p the ints are summed and reduced once.  An
-        entry that cancels to zero forms no field element at all.
+        s / (d_i e_j); mod p the ints are summed and reduced once.  When
+        both factors hold only ints, entry (i, j) is s itself over Q and
+        s % p mod p, with no field call.  An entry that cancels to zero
+        forms no field element at all.
         """
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         f = self.field
+        p = f.characteristic
         right = [{} for _ in range(other.nrows)]
-        if all(type(b) is int for b in other.entries.values()):
+        int_right = all(type(b) is int for b in other.entries.values())
+        if int_right:
             # an integer factor (always so mod p) needs no column scaling
             for (k, j), b in other.entries.items():
                 right[k][j] = b
@@ -120,21 +137,36 @@ class SparseMatrix:
                 col_dens.append(e)
                 for k, b in col.items():
                     right[k][j] = b
+        ints = int_right and all(type(a) is int
+                                 for a in self.entries.values())
         of = f.of
         out = {}
         for i, row in enumerate(self.rows_as_dicts()):
-            row, d = f.scaled(row)
+            if not row:
+                continue
+            if not ints:
+                row, d = f.scaled(row)
             acc = {}
             get = acc.get
             for k, a in row.items():
                 for j, b in right[k].items():
                     acc[j] = get(j, 0) + a * b
-            for j, s in acc.items():
-                if s:
-                    v = of(s, d * col_dens[j])
-                    if v:
-                        out[(i, j)] = v
-        return SparseMatrix(f, self.nrows, other.ncols, out)
+            if not ints:
+                for j, s in acc.items():
+                    if s:
+                        v = of(s, d * col_dens[j])
+                        if v:
+                            out[(i, j)] = v
+            elif p:
+                for j, s in acc.items():
+                    s %= p
+                    if s:
+                        out[(i, j)] = s
+            else:
+                for j, s in acc.items():
+                    if s:
+                        out[(i, j)] = s
+        return SparseMatrix._trusted(f, self.nrows, other.ncols, out)
 
     def hstack(self, other):
         if self.nrows != other.nrows:
@@ -153,7 +185,8 @@ class SparseMatrix:
             t = pos.get(i)
             if t is not None:
                 ents[(t, j)] = v
-        return SparseMatrix(self.field, len(rows), self.ncols, ents)
+        return SparseMatrix._trusted(self.field, len(rows), self.ncols,
+                                     ents)
 
     def select_columns(self, cols):
         """Submatrix of the given columns, in the given order."""
@@ -163,7 +196,8 @@ class SparseMatrix:
             t = colset.get(j)
             if t is not None:
                 ents[(i, t)] = v
-        return SparseMatrix(self.field, self.nrows, len(cols), ents)
+        return SparseMatrix._trusted(self.field, self.nrows, len(cols),
+                                     ents)
 
     @property
     def shape(self):

@@ -10,7 +10,7 @@ map_strings.  The epimorphisms {1..x} -> {1..y} are the fiber orderings of
 the surjections.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations, product
 from math import comb, factorial
 
@@ -224,7 +224,14 @@ def _basis_map_kernel(matrix):
 
 class ComparisonData:
     """The surjection NCS -> NC-Gamma(I, k) at one weight with its short
-    exact sequence, certificates included."""
+    exact sequence, certificates included.
+
+    The symmetric quotient's slice, quot_chain, is built on first use:
+    only the chain-map certificates of q and phi read its boundaries,
+    while q, phi and proj need only its basis.  So the short exact
+    sequence and its long exact sequence never assemble it, and a
+    quotient that is not a complex raises NotAComplexError from
+    q_is_chain_map or phi_is_chain_map."""
 
     def __init__(self, alg, w, top):
         self.alg = alg
@@ -234,7 +241,6 @@ class ComparisonData:
         self.quot = SymmetricComplex(alg, "quotient")
         self.gamma = GammaComplex(alg, Coefficients(alg, "k"), "I")
         self.sym_chain = self.sym.slice(w, top)
-        self.quot_chain = self.quot.slice(w, top)
         self.gamma_chain = self.gamma.slice(w, top)
         self.q = [quotient_matrix(self.sym, self.quot, n, w)
                   for n in range(top + 1)]
@@ -242,6 +248,10 @@ class ComparisonData:
                     for n in range(top + 1)]
         self.proj = [self.phi[n].mul(self.q[n]) for n in range(top + 1)]
         self._kernel = None
+
+    @cached_property
+    def quot_chain(self):
+        return self.quot.slice(self.w, self.top)
 
     def q_is_chain_map(self):
         return check_chain_map(self.q, self.sym_chain, self.quot_chain)

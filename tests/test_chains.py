@@ -182,6 +182,24 @@ def test_random_ses_long_exact(field):
                 == reference.connecting_by_solves(*ses, n)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_one_product_inclusion_law_matches_the_two_products(field):
+    # check_ses reads inc's chain-map law off one product, d i at the free
+    # rows; on random sequences and boundary changes it must accept exactly
+    # what check_chain_map(inc, sub, total) accepts
+    rng = random.Random(f"law:{field}")
+    accepted = refused = 0
+    for _ in range(12):
+        top = rng.randint(2, 3)
+        ses = _twisted_ses(rng, field, [rng.randint(1, 3) for _ in range(
+            top + 1)], [rng.randint(1, 3) for _ in range(top + 1)])
+        ok, bad, mismatches = reference.inclusion_law_by_two_products(rng,
+                                                                     ses)
+        assert not mismatches
+        accepted, refused = accepted + ok, refused + bad
+    assert accepted and refused
+
+
 def test_connecting_independent_of_lift_choice():
     # the comparison's projection hits some gamma generators from several
     # symmetric ones, so lifting through the last column hitting each row
@@ -240,14 +258,19 @@ def test_check_ses_rejects_non_exact_input():
     ({"inc": [[0], [-2], [2]]},
      "inclusion is not the identity on its free rows in degree 0"),
     ({"proj": [[0, 1, 1]], "quot": 1}, r"im\(i\) != ker\(p\) in degree 0"),
-], ids=["entry-2", "two-entries", "misses-a-row", "inc-times-2", "too-small"])
+    ({"d_sub": [[1]]}, "inclusion is not a chain map"),
+], ids=["entry-2", "two-entries", "misses-a-row", "inc-times-2", "too-small",
+        "sub-boundary"])
 def test_check_ses_refuses_a_sequence_not_in_basis_map_form(change, message):
-    # proj sends e_0 -> e_0 and e_1, e_2 -> e_1, and inc spans e_2 - e_1,
-    # 1 at its free row 2: exact; each change breaks one condition
+    # in degrees 0 and 1, proj sends e_0 -> e_0 and e_1, e_2 -> e_1, and
+    # inc spans e_2 - e_1, 1 at its free row 2: exact, with zero boundaries;
+    # each change breaks one condition (in degree 0, or sub's d_1)
     def sequence(inc=((0,), (-1,), (1,)), proj=((1, 0, 0), (0, 1, 1)),
-                 quot=2):
-        return ([mat(inc)], [mat(proj)], ChainSlice(QQ, [1], {}),
-                ChainSlice(QQ, [3], {}), ChainSlice(QQ, [quot], {}))
+                 quot=2, d_sub=((0,),)):
+        return ([mat(inc), mat(((0,), (-1,), (1,)))],
+                [mat(proj), mat(((1, 0, 0), (0, 1, 1)))],
+                ChainSlice(QQ, [1, 1], {1: mat(d_sub)}),
+                ChainSlice(QQ, [3, 3], {}), ChainSlice(QQ, [quot, 2], {}))
 
     check_ses(*sequence())
     with pytest.raises(ValueError, match=message) as exc:

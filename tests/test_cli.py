@@ -516,6 +516,38 @@ def test_compute_reports_a_failing_check(capsys, broken_boundaries, theory,
         assert {r["w"] for r in report["tables"]} == {0, 1}
 
 
+def test_a_broken_quotient_fails_the_comparison_slices(capsys, monkeypatch):
+    # the quotient slice is built on first use, by the chain-map checks;
+    # when only the quotient has d o d != 0, compute and verify must still
+    # fail "comparison slices certified" at the weight it breaks
+    from exacthom.symhom import SymmetricComplex
+
+    faces = SymmetricComplex.faces
+
+    def doubled(self, key):
+        out = faces(self, key)
+        if self.variant == "quotient":
+            out[1] = [(k, self.field.mul(2, c)) for k, c in out[1]]
+        return out
+
+    monkeypatch.setattr(SymmetricComplex, "faces", doubled)
+    code, out = run(capsys, "compute", "--theory", "comparison",
+                    *DUAL_NUMBERS_2_2)
+    assert code == 1
+    certs = json.loads(out)["certifications"]
+    assert [c["name"] for c in certs] == COMPARISON_PASSED + [
+        "comparison slices certified (w=2)"]
+    assert "not a chain complex" in certs[-1]["witness"]
+    code, out = run(capsys, "verify", "--suite", "comparison", "--preset",
+                    "dual-numbers", "--max-degree", "3", "--max-weight", "2")
+    assert code == 1
+    failed = [c for c in json.loads(out)["certifications"]
+              if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == [
+        "comparison slices certified dual-numbers w=2"]
+    assert "not a chain complex" in failed[0]["witness"]
+
+
 def test_harrison_witness_names_every_failing_weight(capsys,
                                                      broken_boundaries):
     code, out = run(capsys, "compute", "--preset", "dual-numbers",

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exacthom import sparse
 from exacthom.fields import GF, QQ
@@ -232,25 +234,64 @@ def _check_product(field, a, b):
 
 @pytest.mark.parametrize("field,kind", [
     (QQ, "fractions"), (QQ, "integers"), (QQ, "mixed"),
-    (GF(3), None), (GF(2**31 - 1), None)])
+    (GF(3), None), (GF(2**31 - 1), None),
+    (QQ, "integers-fractions"), (QQ, "fractions-integers")])
 def test_mul_matches_the_dense_product(field, kind):
+    # "left-right" kinds give the factors different kinds: mul takes its
+    # int-only path only when both factors hold only ints
     rng = random.Random(f"mul:{field}:{kind}")
+    left, right = kind.split("-") if kind and "-" in kind else (kind, kind)
     minus_one = field.neg(field.one)
     for _ in range(60):
         m, k, n = rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 7)
-        a = _factor(rng, field, kind, m, k)
-        b = _factor(rng, field, kind, k, n)
+        a = _factor(rng, field, left, m, k)
+        b = _factor(rng, field, right, k, n)
         _check_product(field, a, b)
         # [a | a] @ [b; -b] cancels to zero, [a | c] @ [b; -b] = (a - c) b
         # cancels wherever a and c agree
         c = SparseMatrix(field, m, k, {
-            key: v if rng.random() < 0.5 else _entry(rng, field, kind)
+            key: v if rng.random() < 0.5 else _entry(rng, field, left)
             for key, v in a.entries.items()})
         b_minus_b = SparseMatrix(field, 2 * k, n, {
             **b.entries, **{(i + k, j): field.mul(minus_one, v)
                             for (i, j), v in b.entries.items()}})
         assert _check_product(field, a.hstack(a), b_minus_b).is_zero()
         _check_product(field, a.hstack(c), b_minus_b)
+
+
+@st.composite
+def _matrices(draw, field, nrows=None, ncols=None):
+    nrows = draw(st.integers(0, 5)) if nrows is None else nrows
+    ncols = draw(st.integers(0, 5)) if ncols is None else ncols
+    values = st.integers(-3, 3)
+    if not field.characteristic:
+        values |= st.fractions(-3, 3, max_denominator=4)
+    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    entries = draw(st.dictionaries(cells, values, max_size=12)
+                   if nrows and ncols else st.just({}))
+    return SparseMatrix(field, nrows, ncols,
+                        {key: field.parse(v) for key, v in entries.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([QQ, GF(3), GF(7)]))
+def test_products_and_selections_store_only_valid_entries(data, field):
+    # mul, select_rows and select_columns skip the constructor's scan for
+    # zeros and out-of-range indices; revalidating must change nothing
+    a = data.draw(_matrices(field))
+    b = data.draw(_matrices(field, nrows=a.ncols))
+    rows = data.draw(st.lists(st.integers(0, a.nrows - 1), max_size=6)
+                     if a.nrows else st.just([]))
+    cols = data.draw(st.lists(st.integers(0, a.ncols - 1), max_size=6)
+                     if a.ncols else st.just([]))
+    # [a | a] @ [b; -b] cancels everywhere
+    b_minus_b = SparseMatrix(field, 2 * b.nrows, b.ncols, {
+        **b.entries, **{(i + b.nrows, j): field.neg(v)
+                        for (i, j), v in b.entries.items()}})
+    for result in (a.mul(b), a.hstack(a).mul(b_minus_b), a.select_rows(rows),
+                   a.select_columns(cols)):
+        assert result == SparseMatrix(field, result.nrows, result.ncols,
+                                      result.entries)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(2**31 - 1)])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exacthom.algebras import Coefficients, preset
-from exacthom.chains import (connecting_homomorphism,
+from exacthom.chains import (ChainSlice, check_ses, connecting_homomorphism,
                              long_exact_sequence_nodes)
 from exacthom.fields import GF, QQ
 from exacthom.gamma import GammaComplex
@@ -376,3 +376,87 @@ def test_les_ranks_each_map_once(monkeypatch):
         nodes = long_exact_sequence_nodes(*ses, 2)
         assert ranked and all(rin == kout for _, rin, kout in nodes)
         assert len({id(m) for m in ranked}) == len(ranked), w
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF(5)"])
+@pytest.mark.parametrize("name", ["dual-numbers", "trunc3", "trunc4",
+                                  "square-zero-xy"])
+def test_one_product_inclusion_law_on_the_comparison(name, field):
+    # check_ses reads the kernel inclusion's chain-map law off d K at the
+    # free rows; it must accept exactly what both products accept
+    rng = random.Random(f"law:{name}:{field}")
+    alg = preset(name, field)
+    accepted = refused = 0
+    for w in range(4):
+        ok, bad, mismatches = reference.inclusion_law_by_two_products(
+            rng, ComparisonData(alg, w, 3).ses())
+        assert not mismatches, (w, mismatches)
+        accepted, refused = accepted + ok, refused + bad
+    assert accepted and refused
+
+
+@pytest.fixture(scope="module")
+def dual_numbers_ses():
+    return ComparisonData(preset("dual-numbers"), 2, 3).ses()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda i, p, s, t, q: check_ses(i[:2], p, s, t, q),
+     r"maps in degrees 0\.\.1 \(inclusion\)"),
+    (lambda i, p, s, t, q: check_ses(i, p[:2], s, t, q),
+     r"and 0\.\.1 \(projection\)"),
+    (lambda i, p, s, t, q: check_ses(i, p, s, t, ChainSlice(
+        q.field, q.dims[:3], {n: q.boundary(n) for n in (1, 2)})),
+     "unequal top degrees 3, 3, 2"),
+    (lambda *ses: long_exact_sequence_nodes(*ses, 5),
+     "through degree 5, slices through degree 3"),
+    (lambda *ses: connecting_homomorphism(*ses, 0),
+     r"degree 0, outside 1\.\.3"),
+    (lambda *ses: connecting_homomorphism(*ses, 4),
+     r"degree 4, outside 1\.\.3"),
+], ids=["short-inc", "short-proj", "unequal-tops", "les-above-top",
+        "delta-0", "delta-above-top"])
+def test_ses_functions_refuse_out_of_range_input_in_one_line(
+        dual_numbers_ses, call, message):
+    with pytest.raises(ValueError, match=message) as exc:
+        call(*dual_numbers_ses)
+    assert "\n" not in str(exc.value)
+
+
+def test_les_builds_no_quotient_slice(monkeypatch):
+    # ses() and the long exact sequence need the quotient's basis only;
+    # its boundaries are built, and certified, by q_is_chain_map alone
+    built = Counter()
+    boundary = SymmetricComplex.boundary
+
+    def counted(self, n, w):
+        if (n, w) not in self._boundary:
+            built[self.variant] += 1
+        return boundary(self, n, w)
+
+    monkeypatch.setattr(SymmetricComplex, "boundary", counted)
+    alg = preset("trunc4")
+    for w in range(4):
+        cd = ComparisonData(alg, w, 3)
+        long_exact_sequence_nodes(*cd.ses(), 2)
+        assert built == Counter(full=3), w
+        assert cd.q_is_chain_map() and cd.phi_is_chain_map()
+        assert built == Counter(full=3, quotient=3), w
+        built.clear()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,field,kernel,hs,hgamma", [
+    ("dual-numbers", QQ, [0, 0, 0], [0, 0, 0], [0, 0, 0]),
+    ("dual-numbers", GF(2), [0, 0, 2], [0, 0, 1], [0, 0, 0]),
+    ("trunc3", QQ, [0, 0, 1], [0, 0, 1], [0, 0, 0]),
+], ids=["dual-numbers-Q", "dual-numbers-F2", "trunc3-Q"])
+def test_weight_four_comparison_tables(name, field, kernel, hs, hgamma):
+    # the w = 4 slices through degree 3 (about 10 s and 400 MB each);
+    # over F_2, d_3 loses rank and H_2 has 2-torsion in the integral slices
+    ses = ComparisonData(preset(name, field), 4, 3).ses()
+    nodes = long_exact_sequence_nodes(*ses, 2)
+    assert all(rin == kout for _, rin, kout in nodes), nodes
+    _, _, sub, total, quot = ses
+    assert [c.homology()[:3] for c in (sub, total, quot)] \
+        == [kernel, hs, hgamma]
