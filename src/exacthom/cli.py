@@ -202,11 +202,12 @@ def _comparison_weight(alg, args, w, timed):
     N = args.max_degree
     try:
         cd = timed(f"build w={w}", lambda: ComparisonData(alg, w, N + 1))
-        checks = [Check(f"{label} (w={w})", flag) for label, flag in (
-            ("quotient map is a chain map", cd.q_is_chain_map()),
-            ("comparison map is a chain map", cd.phi_is_chain_map()),
-            ("comparison map surjective", cd.surjective()))]
-        inc, proj, sub, total, quot = cd.ses()
+        checks = timed(f"certify w={w}", lambda: [
+            Check(f"{label} (w={w})", flag) for label, flag in (
+                ("quotient map is a chain map", cd.q_is_chain_map()),
+                ("comparison map is a chain map", cd.phi_is_chain_map()),
+                ("comparison map surjective", cd.surjective()))])
+        inc, proj, sub, total, quot = timed(f"ses w={w}", cd.ses)
     except CertificationError as exc:
         return [], [Check(f"comparison slices certified (w={w})", False,
                           str(exc))]

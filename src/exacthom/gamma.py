@@ -31,6 +31,9 @@ plan once per generator and gives all its faces at once.  The pruning
 check streams them, for each full generator, into one pruned alternating
 sum, without building that generator's boundary, and prunes each distinct
 face term once, through a memo that lives for one degree of one check.
+Pruning a normalized string stops at the first map that restricts to an
+identity, since the string has then left the complex; most unit-carrying
+generators and most of their face terms end there.
 """
 
 from functools import lru_cache
@@ -191,8 +194,8 @@ def _face_plan(string, normalized):
         through = _compose(f, through)
     components = []
     for preimage in through.fibers:
-        comp_string, has_identity = _prune_string(string[:-1], preimage)
-        if not (normalized and has_identity):
+        comp_string = _prune_string(string[:-1], preimage, normalized)
+        if comp_string is not None:
             others = tuple(p for p in range(1, x + 1) if p not in preimage)
             components.append((comp_string, preimage, others))
     return tuple(faces), tuple(components)
@@ -276,15 +279,18 @@ def _restrict(f, kept):
     return Surjection(len(image), [relabel[f(p)] for p in kept]), image
 
 
-def _prune_string(string, kept):
+def _prune_string(string, kept, normalized):
     """Restrict a string to the kept domain positions, re-indexing every
-    domain and codomain order-preservingly; returns the pruned string and
-    whether it contains an identity."""
+    domain and codomain order-preservingly.  A normalized string that picks
+    up an identity has left the complex, so the first restricted identity
+    returns None and the maps after it are not restricted."""
     new_string = []
     for f in string:
         g, kept = _restrict(f, kept)
+        if normalized and g._is_id:
+            return None
         new_string.append(g)
-    return tuple(new_string), any(g._is_id for g in new_string)
+    return tuple(new_string)
 
 
 def _prune(key, normalized):
@@ -294,8 +300,8 @@ def _prune(key, normalized):
     kept = tuple([p for p, v in enumerate(slots, start=1) if v])
     if not kept:
         return None
-    new_string, has_identity = _prune_string(string, kept)
-    if normalized and has_identity:
+    new_string = _prune_string(string, kept, normalized)
+    if new_string is None:
         return None
     return new_string, tuple([v for v in slots if v]), m
 
@@ -334,12 +340,26 @@ def prune_split_certificates(alg, coeffs, w, top, normalized=True):
     loses an ideal generator fails "surjective" as well as
     "retraction_identity".
     Returns the three booleans plus the per-degree (full, ideal)
-    dimensions, which are reported, not checked.
+    dimensions, which are reported, not checked.  Every pass must come from
+    a comparison that ran, so top < 1 (no boundary) and w < 0 (no
+    generator) are refused.
+
+    A nonempty pruned sum is always put in the field's normal form before
+    it is compared: over F_p an unreduced sum can be a nonzero multiple of
+    p, so a nonzero value in it does not mean a nonzero sum.  Only an empty
+    sum, whose normal form is empty, skips it.
     """
+    if top < 1:
+        raise ValueError(f"the pruning check compares boundaries and needs "
+                         f"a top degree of at least 1; got {top}")
+    if w < 0:
+        raise ValueError(f"the pruning check needs a weight of at least 0; "
+                         f"got {w}")
     full = GammaComplex(alg, coeffs, "A", normalized)
     ideal = GammaComplex(alg, coeffs, "I", normalized)
     field = alg.field
     pruner = prune_normalized if normalized else prune_generator
+    faces = full.faces
     out = {"retraction_identity": True, "chain_map": True,
            "surjective": True, "dims": []}
     for n in range(top + 1):
@@ -357,6 +377,7 @@ def prune_split_certificates(alg, coeffs, w, top, normalized=True):
         # boundary terms recur across the generators of a degree: prune
         # each distinct one once, and drop the memo with the degree
         pruned = {}
+        seen = pruned.get
         for g in full.iter_basis(n, w):
             full_dim += 1
             slots = g[1]
@@ -371,27 +392,30 @@ def prune_split_certificates(alg, coeffs, w, top, normalized=True):
             pg = pruner(g)
             if pg is not None:
                 hit.add(pg)
-            if n >= 1:
-                # stream the faces of g into one pruned alternating sum
-                lhs = {}
-                get = lhs.get
-                for i, terms in enumerate(full.faces(g)):
-                    odd = i % 2
-                    for tkey, c in terms:
-                        pt = pruned.get(tkey, _UNSEEN)
-                        if pt is _UNSEEN:
-                            pt = pruned[tkey] = pruner(tkey)
-                        if pt is not None:
-                            lhs[pt] = get(pt, 0) - c if odd else get(pt, 0) + c
+            if n == 0:
+                continue
+            # stream the faces of g into one pruned alternating sum
+            lhs = {}
+            get = lhs.get
+            plus = True
+            for terms in faces(g):
+                for tkey, c in terms:
+                    pt = seen(tkey, _UNSEEN)
+                    if pt is _UNSEEN:
+                        pt = pruned[tkey] = pruner(tkey)
+                    if pt is not None:
+                        lhs[pt] = get(pt, 0) + c if plus else get(pt, 0) - c
+                plus = not plus
+            if lhs:
                 lhs = field.normal_terms(lhs)
-                if pg is None:
-                    rhs = {}
-                elif pg in rhs_cache:
-                    rhs = rhs_cache[pg]
-                else:
-                    rhs = rhs_cache[pg] = ideal.boundary_terms(pg)
-                if lhs != rhs:
-                    out["chain_map"] = False
+            if pg is None:
+                rhs = {}
+            elif pg in rhs_cache:
+                rhs = rhs_cache[pg]
+            else:
+                rhs = rhs_cache[pg] = ideal.boundary_terms(pg)
+            if lhs != rhs:
+                out["chain_map"] = False
         if hit != ideal_keys or unit_free != len(ideal_keys):
             out["surjective"] = False
         out["dims"].append((full_dim, len(ideal_keys)))

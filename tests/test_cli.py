@@ -66,6 +66,18 @@ def test_compute_timings_flag(capsys):
     assert "timings" in json.loads(out)
 
 
+def test_comparison_timings_label_every_phase(capsys):
+    # the chain-map certificates and the short exact sequence are timed
+    # apart from the build and the long exact sequence
+    code, out = run(capsys, "compute", "--preset", "trunc3",
+                    "--theory", "comparison", "--max-degree", "2",
+                    "--max-weight", "2", "--timings")
+    assert code == 0
+    timings = json.loads(out)["timings"]
+    assert set(timings) == {f"{phase} w={w}" for w in range(3)
+                            for phase in ("build", "certify", "ses", "les")}
+
+
 def test_compute_basis_ceiling_guard(capsys):
     code = main(["compute", "--preset", "trunc3", "--theory", "symmetric",
                  "--max-degree", "3", "--max-weight", "3",

@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 
-from exacthom.algebras import Coefficients, preset
+from exacthom.algebras import PRESETS, Coefficients, preset
 from exacthom.chains import basis_map_matrix, check_chain_map
 from exacthom.cli import main
 from exacthom.fields import GF, QQ
@@ -354,6 +354,47 @@ def test_pruning_certificates_catch_a_foreign_unit_free_generator(
     res = prune_split_certificates(alg, Coefficients(alg, "k"), 2, 3)
     assert res["retraction_identity"] and res["chain_map"]
     assert not res["surjective"]
+
+
+@pytest.mark.parametrize("w, top", [(2, 0), (2, -1), (-1, 3)])
+def test_pruning_check_refuses_to_compare_nothing(w, top):
+    # top < 1 compares no boundary and w < 0 has no generator, so all
+    # three flags would pass having checked nothing
+    alg = preset("trunc3")
+    with pytest.raises(ValueError) as exc:
+        prune_split_certificates(alg, Coefficients(alg, "k"), w, top)
+    assert "\n" not in str(exc.value)
+
+
+def test_pruning_check_takes_weight_zero():
+    # the weight-0 slices are empty, but weight 0 is a weight
+    alg = preset("trunc3")
+    res = prune_split_certificates(alg, Coefficients(alg, "k"), 0, 1)
+    assert res["retraction_identity"] and res["chain_map"]
+    assert res["surjective"] and res["dims"] == [(0, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_pruning_certificates_over_prime_fields(p):
+    # pruned sums are int sums until the field's normal form reduces them:
+    # over F_2 some hold nonzero multiples of 2 and over F_3 negative
+    # values, and both must still compare equal to the ideal boundary
+    for name in PRESETS:
+        alg = preset(name, GF(p))
+        for kind in ("k", "A"):
+            co = Coefficients(alg, kind)
+            for w in range(4):
+                res = prune_split_certificates(alg, co, w, 3)
+                case = (name, kind, w)
+                assert res["retraction_identity"], case
+                assert res["chain_map"] and res["surjective"], case
+
+
+def test_pruning_certificates_catch_a_broken_face_over_gf3(broken_full_face):
+    name, w, top = broken_full_face
+    alg = preset(name, GF(3))
+    assert not prune_split_certificates(alg, Coefficients(alg, "k"), w,
+                                        top)["chain_map"]
 
 
 def test_gamma_iso_suite_assembles_each_boundary_slice_once(monkeypatch):
@@ -710,6 +751,44 @@ def test_plans_match_the_definition_on_trunc3_basis_keys(normalized):
             for n in range(1, 4):
                 for key in gc.iter_basis(n, w):
                     _assert_key_matches_reference(gc, key)
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_prune_string_stops_at_the_first_identity(normalized):
+    # a normalized string that picks up an identity has left the complex;
+    # an unnormalized one is restricted whole
+    for x in range(1, 5):
+        subsets = [kept for r in range(1, x + 1)
+                   for kept in combinations(range(1, x + 1), r)]
+        for n in range(4):
+            for string in strings_to_point(x, n, False):
+                for kept in subsets:
+                    ref = _ref_prune_string(string, kept)
+                    got = gamma._prune_string(string, kept, normalized)
+                    if normalized and any(f.is_identity() for f in ref):
+                        assert got is None, (string, kept)
+                    else:
+                        assert got == ref, (string, kept)
+
+
+def test_prune_restricts_nothing_after_an_identity(monkeypatch):
+    restrict = gamma._restrict
+    calls = []
+
+    def counted(f, kept):
+        calls.append(f)
+        return restrict(f, kept)
+
+    monkeypatch.setattr(gamma, "_restrict", counted)
+    # f_1 restricted to positions 1, 3, 4 is the identity on three points
+    string = (Surjection(3, (1, 1, 2, 3)), Surjection(2, (1, 2, 2)),
+              Surjection(1, (1, 1)))
+    key = (string, (1, 0, 1, 1), 0)
+    assert prune_normalized(key) is None
+    assert len(calls) == 1
+    calls.clear()
+    pruned = prune_generator(key)
+    assert pruned[0][0].is_identity() and len(calls) == len(string)
 
 
 def test_plan_caches_are_keyed_by_morphisms_and_strings():
