@@ -98,16 +98,15 @@ def _config_echo(args, alg):
 
 def _complexes(alg, args):
     """(variant, name, complex) of every complex whose slices args.theory
-    computes from, or, for harrison and comparison, sizes up."""
+    computes from, or, for comparison, sizes up."""
     co = Coefficients(alg, args.coefficients)
     if args.theory == "gamma":
         return [(v, f"gamma({v})", GammaComplex(alg, co, v))
                 for v in ("I", "A")]
-    if args.theory == "hochschild":
-        # the normalized complex C(I, M); see hochschild_homology
-        return [(None, "hochschild", HochschildComplex(alg, co, "I"))]
-    if args.theory == "harrison":
-        return [(None, "harrison", HochschildComplex(alg, co))]
+    if args.theory in ("hochschild", "harrison"):
+        # the normalized complex C(I, M); see hochschild_homology and
+        # harrison_weight
+        return [(None, args.theory, HochschildComplex(alg, co, "I"))]
     return [(None, "symmetric", SymmetricComplex(alg, "full"))]
 
 
@@ -186,7 +185,7 @@ def _harrison_weight(alg, args, w, timed):
     """Rows and certificate of harrison at one weight: both pipelines,
     certified to agree."""
     N = args.max_degree
-    hc = HochschildComplex(alg, Coefficients(alg, args.coefficients))
+    [(_, _, hc)] = _complexes(alg, args)
     name = "quotient and eulerian pipelines agree"
     try:
         dims = timed(f"w={w}", lambda: harrison_weight(hc, w, N))

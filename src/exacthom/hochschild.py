@@ -7,19 +7,23 @@ where slots take basic values (0 = unit, i = generator b_i) and the weights
 add up to w.  Bases are ordered lexicographically so all matrices are
 reproducible.
 
-Hochschild homology is computed from the normalized complex.  For any
-unital A, bimodule M and ground ring, the quotient of C(A, M) by the
-degenerate chains D(A, M) (those with a unit slot) is the normalized complex
-M (x) (A/k)^{(x)n}, and the projection is a quasi-isomorphism (Loday,
-Cyclic Homology, 1.1.14-1.1.15).  Here A = k + I is augmented, so A/k is I
-and the quotient has the unit-free tensors as basis.  These span a
-subcomplex C(I, M): a face multiplies two slots of I, which stays in I, or
-drops a slot.  So C(A, M) = C(I, M) + D(A, M) as complexes, D is acyclic,
-and the unit-free slices alone give HH(A, M).  Every standalone C(I, M)
-is the "I" variant (hochschild_homology, harrison_weight, aug_split_iso).
+Hochschild and Harrison homology are computed from the normalized
+complex.  For any unital A, bimodule M and ground ring, the quotient of
+C(A, M) by the degenerate chains D(A, M) (those with a unit slot) is the
+normalized complex M (x) (A/k)^{(x)n}, and the projection is a
+quasi-isomorphism (Loday, Cyclic Homology, 1.1.14-1.1.15).  Here
+A = k + I is augmented, so A/k is I and the quotient has the unit-free
+tensors as basis.  These span a subcomplex C(I, M): a face multiplies
+two slots of I, which stays in I, or drops a slot.  So C(A, M) =
+C(I, M) + D(A, M) as complexes, D is acyclic, and the unit-free slices
+alone give HH(A, M).  The shuffles and the Eulerian idempotents permute
+slots, so they respect that splitting, and the unit-free slices give
+Harrison homology too (harrison_weight).
+Every standalone C(I, M) is the "I" variant (hochschild_homology,
+harrison_weight, aug_split_iso).
 
 Every subquotient is read off low pivots, with no solve.  A whole slice
-modulo a span, C(A, M)/im(sh) or C(A, M)/D(A, M), has the basis elements
+modulo a span, C/im(sh) or C(A, M)/D(A, M), has the basis elements
 off the keys of the span's low pivots as basis, with complement_coords as
 coordinates; D is spanned by basis elements, so for it these are the
 unit-free ones and entries.  An Eulerian piece e^(i)C is C modulo
@@ -241,9 +245,10 @@ def hodge_checks(hc, w, top):
 # -- the Harrison quotient ----------------------------------------------------
 
 class HarrisonQuotient:
-    """C(A, M)/im(sh) on the basis elements off the keys of low[n], the low
-    pivots of the total shuffle's columns: classes[n] are the lex-first
-    standard basis elements completing im(sh) to a basis."""
+    """C/im(sh) of hc's complex (C(A, M) or C(I, M)) on the basis elements
+    off the keys of low[n], the low pivots of the total shuffle's columns:
+    classes[n] are the lex-first standard basis elements completing
+    im(sh) to a basis."""
 
     def __init__(self, hc, w, top):
         self.low = [low_pivots(hc.field,
@@ -331,14 +336,20 @@ class NormalizedHarrison:
 
 def harrison_weight(hc, w, max_n):
     """Harrison homology dimensions of weight w in degrees 0..max_n,
-    computed through both pipelines (Hochschild-mod-shuffles and the e^(1)
-    ideal complex e^(1) C(I, M)) and certified to agree."""
+    computed through both pipelines on the normalized complex C(I, M) of
+    hc's algebra and coefficients (the quotient C(I, M)/im(sh) and e^(1)
+    C(I, M)) and certified to agree.
+
+    sh and every e^(i) permute slots, so they preserve C(I, M) and
+    D(A, M).  Where C/im(sh) = e^(1)C (verify.require_characteristic and
+    require_shuffle_separates), it holds on both complexes, and e^(1)D(A,
+    M) is a summand of the acyclic D(A, M), so both pipelines give the
+    homology of C(A, M)/im(sh).  verify's barr and harrison suites
+    certify those links on the full complex."""
     top = max_n + 1
-    dims_quot = HarrisonQuotient(hc, w, top).chain.homology()
-    # no other caller reads the "I" slices of weight w: nothing to cache
-    ideal, _ = idempotent_slice(
-        HochschildComplex(hc.alg, hc.coeffs, "I"), w, top, 1)
-    dims_ideal = ideal.homology()
+    ideal = HochschildComplex(hc.alg, hc.coeffs, "I")
+    dims_quot = HarrisonQuotient(ideal, w, top).chain.homology()
+    dims_ideal = idempotent_slice(ideal, w, top, 1)[0].homology()
     for n in range(max_n + 1):
         if dims_quot[n] != dims_ideal[n]:
             raise CertificationError(
@@ -350,7 +361,7 @@ def harrison_weight(hc, w, max_n):
 def harrison_homology(alg, coeffs, max_n, max_w):
     """Harrison homology dimensions per (degree, weight), each weight
     certified by harrison_weight."""
-    hc = HochschildComplex(alg, coeffs)
+    hc = HochschildComplex(alg, coeffs, "I")
     table = {}
     for w in range(max_w + 1):
         for n, d in enumerate(harrison_weight(hc, w, max_n)):

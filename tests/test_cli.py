@@ -116,6 +116,30 @@ def test_verify_pruning_small(capsys):
     assert code == 0
 
 
+def test_verify_pruning_reports_no_vacuous_pass(capsys):
+    # weight 0 has no generator at all, and weight 1 has none with a unit
+    # slot in degrees >= 1, so they report no check that compared nothing
+    code, out = run(capsys, "verify", "--suite", "pruning",
+                    "--max-degree", "2", "--max-weight", "2")
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["certifications"]]
+    assert not [n for n in names if n.endswith("w=0")]
+    assert [n for n in names if n.endswith("w=1")] == [
+        f"pruning {key} {name} w=1" for name in ("dual-numbers", "trunc3")
+        for key in ("retraction_identity", "surjective")]
+    assert "pruning chain_map trunc3 w=2" in names
+
+
+@pytest.mark.parametrize("bounds", [("--max-weight", "1"),
+                                    ("--max-weight", "0"),
+                                    ("--max-degree", "1", "--max-weight",
+                                     "2", "--preset", "dual-numbers")])
+def test_verify_pruning_without_a_chain_map_comparison_rejected(capsys,
+                                                                bounds):
+    line = run_error(capsys, "verify", "--suite", "pruning", *bounds)
+    assert "pruning" in line and "unit-carrying" in line
+
+
 def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nonsense"])
@@ -381,10 +405,22 @@ def test_hochschild_ceiling_counts_the_normalized_slices(capsys):
 
 
 def test_harrison_basis_ceiling_refused(capsys):
+    # harrison's unit-free trunc3 slices have at most 2 basis elements
     line = run_error(capsys, "compute", "--preset", "trunc3",
                      "--theory", "harrison", "--max-degree", "3",
-                     "--max-weight", "3", "--max-basis", "10")
+                     "--max-weight", "3", "--max-basis", "1")
     assert "--max-basis" in line
+
+
+def test_harrison_ceiling_counts_the_normalized_slices(capsys):
+    # the full trunc3 complex has 393 basis elements at w = 7; the unit-free
+    # slices that harrison builds have at most 16, and 11 at w = 6
+    bounds = ("compute", "--preset", "trunc3", "--theory", "harrison",
+              "--coefficients", "A", "--max-degree", "5", "--max-weight", "7")
+    code, _ = run(capsys, *bounds, "--max-basis", "100")
+    assert code == 0
+    line = run_error(capsys, *bounds, "--max-basis", "10")
+    assert "harrison slice w=6 has 11 basis elements" in line
 
 
 def test_comparison_basis_ceiling_refused_before_building(capsys,
@@ -500,6 +536,7 @@ COMPARISON_PASSED = [
 
 DUAL_NUMBERS_2_2 = ("--preset", "dual-numbers", "--max-degree", "2",
                     "--max-weight", "2")
+TRUNC4_2_5 = ("--preset", "trunc4", "--max-degree", "2", "--max-weight", "5")
 
 
 @pytest.mark.parametrize("theory,name,passed,bounds", [
@@ -509,8 +546,10 @@ DUAL_NUMBERS_2_2 = ("--preset", "dual-numbers", "--max-degree", "2",
                  ("--preset", "trunc4", "--max-degree", "2",
                   "--max-weight", "3"),
                  id="hochschild-boundary squares to zero"),
+    # and so does harrison: on dual-numbers x.x = 0, so the doubled face 1
+    # is zero on the unit-free slices; on trunc4 it breaks weights 4 and 5
     pytest.param("harrison", "quotient and eulerian pipelines agree", [],
-                 DUAL_NUMBERS_2_2,
+                 TRUNC4_2_5,
                  id="harrison-quotient and eulerian pipelines agree"),
     pytest.param("comparison", "comparison slices certified (w=2)",
                  COMPARISON_PASSED, DUAL_NUMBERS_2_2, id="comparison")])
@@ -562,18 +601,16 @@ def test_a_broken_quotient_fails_the_comparison_slices(capsys, monkeypatch):
 
 def test_harrison_witness_names_every_failing_weight(capsys,
                                                      broken_boundaries):
-    code, out = run(capsys, "compute", "--preset", "dual-numbers",
-                    "--theory", "harrison", "--max-degree", "2",
-                    "--max-weight", "3")
+    code, out = run(capsys, "compute", "--theory", "harrison", *TRUNC4_2_5)
     assert code == 1
     report = json.loads(out)
     [cert] = [c for c in report["certifications"]
               if c["name"] == "quotient and eulerian pipelines agree"]
     assert cert["status"] == "fail"
     # a failing weight loses its rows; the merged witness names each one
-    failed = set(range(4)) - {r["w"] for r in report["tables"]}
+    failed = set(range(6)) - {r["w"] for r in report["tables"]}
     assert failed
-    named = {w for w in range(4) if f"harrison w={w}: " in cert["witness"]}
+    named = {w for w in range(6) if f"harrison w={w}: " in cert["witness"]}
     assert named == failed
 
 

@@ -205,6 +205,29 @@ def test_normalized_complex_is_the_ideal_slice(name, field, kind):
             assert quotient.boundary(n) == normalized.boundary(n), (w, n)
 
 
+HARRISON_ORACLE_CASES = [
+    pytest.param(name, field, max_n, id=f"{name} {fid}")
+    for field, fid, max_n in ((QQ, "QQ", 4), (GF(5), "GF(5)", 3),
+                              (GF(7), "GF(7)", 3))
+    for name in ("dual-numbers", "trunc3", "trunc4", "square-zero-xy")]
+
+
+@pytest.mark.parametrize("name,field,max_n", HARRISON_ORACLE_CASES)
+@pytest.mark.parametrize("kind", ["k", "A"])
+def test_harrison_table_matches_the_full_shuffle_quotient(name, field, max_n,
+                                                          kind):
+    # harrison_homology reads both pipelines off C(I, M); the shuffle
+    # quotient of the full complex C(A, M) is the route it replaced
+    alg = preset(name, field)
+    co = Coefficients(alg, kind)
+    full = HochschildComplex(alg, co)
+    table = harrison_homology(alg, co, max_n, 5)
+    for w in range(6):
+        dims = HarrisonQuotient(full, w, max_n + 1).chain.homology()
+        assert [table[(n, w)] for n in range(max_n + 1)] == \
+            dims[:max_n + 1], w
+
+
 def test_unknown_variant_rejected():
     alg = preset("dual-numbers")
     with pytest.raises(ValueError, match="variant"):
@@ -371,8 +394,8 @@ def test_suites_refuse_an_eulerian_element_that_is_not_idempotent(
 
 
 def test_harrison_suite_computes_each_action_matrix_once(monkeypatch):
-    # NormalizedHarrison's e^(i) on C(A, M), the shuffles on C(A, M) and
-    # harrison_weight's e^(1) on C(I, M) are all different matrices
+    # NormalizedHarrison's e^(i) on C(A, M) and harrison_weight's shuffles
+    # and e^(1) on C(I, M) are all different matrices
     seen = {}
     action_matrix = HochschildComplex.action_matrix
 

@@ -91,7 +91,7 @@ EXPECTED = {
     "verify les trunc3":
         "6d953d4e4c8f11ae89876e3c4eeec303913a9c50069781d67d7165c1409771f5",
     "verify pruning trunc3":
-        "aeba0b0a14068317e14966c39f5d4fc69653aec2481e6c57ecd1d87c518d7041",
+        "b8d4ff6423a6ec16455235c1dd8f4ff9a44dac104499de4d1749dbab6fa82dd3",
 }
 
 
