@@ -17,8 +17,9 @@ complement_coords (homology here, the Harrison quotient and the Eulerian
 pieces too).  A kernel basis is 1 at its own free row and 0 at the
 other free rows, so a vector's coordinates in it are its entries at the
 free rows (kernel_coords).  A subcomplex
-spanned by either kind of basis (kernel_slice, complement_slice) reads
-each boundary that way and certifies it with one product.
+spanned by either kind of basis reads each boundary that way.
+complement_slice certifies each boundary by one product; a kernel complex
+is certified by its short exact sequence (check_ses).
 
 A short exact sequence is taken in basis-map form (check_ses): its exactness
 and connecting map are read off proj's section and inc's free rows, with
@@ -38,6 +39,10 @@ class CertificationError(AssertionError):
 
 class NotAComplexError(CertificationError, ValueError):
     """Consecutive boundaries of a slice do not compose to zero."""
+
+
+class NotExactError(CertificationError, ValueError):
+    """A short exact sequence that check_ses refuses."""
 
 
 class SliceComplex:
@@ -251,32 +256,17 @@ def _certify_coords(basis, x, vectors):
         raise ValueError(f"column {bad} is not in the span")
 
 
-def kernel_slice(boundary, kernels, free):
-    """The subcomplex spanned by kernel bases with free rows free[n]:
-    d_n is the rows free[n-1] of boundary(n) kernels[n]."""
-    return _restricted_slice(boundary, kernels, lambda n, image:
-                             image.select_rows(free[n - 1]))
-
-
 def complement_slice(boundary, reps, low, complement):
-    """The subcomplex spanned by the columns of reps[n], when
-    complement_coords(v, low[n], complement[n]) are the coordinates in
-    reps[n] of any v in their span (as for the image of an idempotent,
-    with low the low pivots of its kernel)."""
-    return _restricted_slice(boundary, reps, lambda n, image:
-                             complement_coords(image, low[n - 1],
-                                               complement[n - 1]))
-
-
-def _restricted_slice(boundary, reps, coords):
-    """ChainSlice of the columns of reps[n], with d_n = coords(n,
-    boundary(n) reps[n]) certified by one product, reps[n-1] d_n ==
-    boundary(n) reps[n]: a span not closed under the boundary raises
-    CertificationError."""
+    """ChainSlice of the columns of reps[n], when complement_coords(v,
+    low[n], complement[n]) are the coordinates in reps[n] of any v in
+    their span (as for the image of an idempotent, with low the low pivots
+    of its kernel).  Each d_n is read that way off boundary(n) reps[n] and
+    certified by one product, reps[n-1] d_n == boundary(n) reps[n]: a span
+    not closed under the boundary raises CertificationError."""
     bounds = {}
     for n in range(1, len(reps)):
         image = boundary(n).mul(reps[n])
-        bounds[n] = coords(n, image)
+        bounds[n] = complement_coords(image, low[n - 1], complement[n - 1])
         try:
             _certify_coords(reps[n - 1], bounds[n], image)
         except ValueError as exc:
@@ -328,11 +318,11 @@ def check_ses(inc, proj, sub, total, quot):
     """Verify 0 -> sub -> total -> quot -> 0 is a degreewise-exact sequence
     of chain maps in basis-map form, ranking nothing, and return per degree
     the section first of proj and the free rows of inc (a one-line
-    ValueError otherwise).  The three slices share their top degree and
-    both map lists cover it.  proj is a basis map hitting every basis
-    element of quot; inc is the identity at its free rows, the largest
-    rows of its columns, so injective; p o i = 0, and inc has dim total -
-    dim quot = dim ker p columns, so im i = ker p.
+    NotExactError otherwise).  The three slices share their top degree and
+    both map lists cover it (else ValueError).  proj is a basis map hitting
+    every basis element of quot; inc is the identity at its free rows, the
+    largest rows of its columns, so injective; p o i = 0, and inc has dim
+    total - dim quot = dim ker p columns, so im i = ker p.
 
     proj's chain-map law takes both products, inc's only one, checked
     last: p d i = d p i = 0, so d_n i_n lies in ker p_{n-1} = im i_{n-1},
@@ -347,7 +337,7 @@ def check_ses(inc, proj, sub, total, quot):
                          f"and 0..{len(proj) - 1} (projection), slices "
                          f"through degree {top}")
     if not check_chain_map(proj, total, quot):
-        raise ValueError("projection is not a chain map")
+        raise NotExactError("projection is not a chain map")
     firsts, frees = [], []
     for n in range(top + 1):
         if (inc[n].shape != (total.dims[n], sub.dims[n])
@@ -356,27 +346,27 @@ def check_ses(inc, proj, sub, total, quot):
         try:
             first = basis_map_section(proj[n])[1]
         except ValueError as exc:
-            raise ValueError(
+            raise NotExactError(
                 f"projection is not a basis map in degree {n}: {exc}"
             ) from None
         if None in first:
-            raise ValueError(f"projection not surjective in degree {n}: "
-                             f"no column hits row {first.index(None)}")
+            raise NotExactError(f"projection not surjective in degree {n}: "
+                                f"no column hits row {first.index(None)}")
         free = [max(col, default=None) for col in inc[n].columns_as_dicts()]
         if inc[n].select_rows(free) != SparseMatrix.identity(
                 inc[n].field, sub.dims[n]):
-            raise ValueError(f"inclusion is not the identity on its free "
-                             f"rows in degree {n}")
+            raise NotExactError(f"inclusion is not the identity on its "
+                                f"free rows in degree {n}")
         if not proj[n].mul(inc[n]).is_zero():
-            raise ValueError(f"p o i != 0 in degree {n}")
+            raise NotExactError(f"p o i != 0 in degree {n}")
         if inc[n].ncols != total.dims[n] - quot.dims[n]:
-            raise ValueError(f"im(i) != ker(p) in degree {n}")
+            raise NotExactError(f"im(i) != ker(p) in degree {n}")
         firsts.append(first)
         frees.append(free)
     for n in range(1, top + 1):
         if (total.boundary(n).mul(inc[n]).select_rows(frees[n - 1])
                 != sub.boundary(n)):
-            raise ValueError("inclusion is not a chain map")
+            raise NotExactError("inclusion is not a chain map")
     return firsts, frees
 
 

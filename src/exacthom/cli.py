@@ -185,10 +185,10 @@ def _harrison_weight(alg, args, w, timed):
     """Rows and certificate of harrison at one weight: both pipelines,
     certified to agree."""
     N = args.max_degree
-    [(_, _, hc)] = _complexes(alg, args)
+    co = Coefficients(alg, args.coefficients)
     name = "quotient and eulerian pipelines agree"
     try:
-        dims = timed(f"w={w}", lambda: harrison_weight(hc, w, N))
+        dims = timed(f"w={w}", lambda: harrison_weight(alg, co, w, N))
     except CertificationError as exc:
         return [], [Check(name, False, [f"harrison w={w}: {exc}"])]
     return _rows("harrison", w, dims, N), [Check(name, True, [])]
@@ -196,7 +196,7 @@ def _harrison_weight(alg, args, w, timed):
 
 def _comparison_weight(alg, args, w, timed):
     """Rows and certificates of the comparison at one weight.  A failed
-    d o d = 0 check or a kernel span not closed under the boundary fails
+    d o d = 0 check or a short exact sequence that check_ses refuses fails
     "comparison slices certified" and costs the weight its rows."""
     N = args.max_degree
     try:
@@ -207,11 +207,11 @@ def _comparison_weight(alg, args, w, timed):
                 ("comparison map is a chain map", cd.phi_is_chain_map()),
                 ("comparison map surjective", cd.surjective()))])
         inc, proj, sub, total, quot = timed(f"ses w={w}", cd.ses)
+        nodes = timed(f"les w={w}", lambda: long_exact_sequence_nodes(
+            inc, proj, sub, total, quot, N))
     except CertificationError as exc:
         return [], [Check(f"comparison slices certified (w={w})", False,
                           str(exc))]
-    nodes = timed(f"les w={w}", lambda: long_exact_sequence_nodes(
-        inc, proj, sub, total, quot, N))
     bad = [node for node, rin, kout in nodes if rin != kout]
     checks.append(Check(f"long exact sequence exact (w={w})", not bad, bad))
     rows = []

@@ -334,11 +334,12 @@ class NormalizedHarrison:
                                     self.i_chain))
 
 
-def harrison_weight(hc, w, max_n):
+def harrison_weight(alg, coeffs, w, max_n):
     """Harrison homology dimensions of weight w in degrees 0..max_n,
-    computed through both pipelines on the normalized complex C(I, M) of
-    hc's algebra and coefficients (the quotient C(I, M)/im(sh) and e^(1)
-    C(I, M)) and certified to agree.
+    computed through both pipelines on the normalized complex C(I, M)
+    (the quotient C(I, M)/im(sh) and e^(1) C(I, M)) and certified to
+    agree.  Each call builds its own C(I, M), so no weight's slices
+    outlive it.
 
     sh and every e^(i) permute slots, so they preserve C(I, M) and
     D(A, M).  Where C/im(sh) = e^(1)C (verify.require_characteristic and
@@ -347,7 +348,7 @@ def harrison_weight(hc, w, max_n):
     homology of C(A, M)/im(sh).  verify's barr and harrison suites
     certify those links on the full complex."""
     top = max_n + 1
-    ideal = HochschildComplex(hc.alg, hc.coeffs, "I")
+    ideal = HochschildComplex(alg, coeffs, "I")
     dims_quot = HarrisonQuotient(ideal, w, top).chain.homology()
     dims_ideal = idempotent_slice(ideal, w, top, 1)[0].homology()
     for n in range(max_n + 1):
@@ -361,10 +362,9 @@ def harrison_weight(hc, w, max_n):
 def harrison_homology(alg, coeffs, max_n, max_w):
     """Harrison homology dimensions per (degree, weight), each weight
     certified by harrison_weight."""
-    hc = HochschildComplex(alg, coeffs, "I")
     table = {}
     for w in range(max_w + 1):
-        for n, d in enumerate(harrison_weight(hc, w, max_n)):
+        for n, d in enumerate(harrison_weight(alg, coeffs, w, max_n)):
             table[(n, w)] = d
     return table
 

@@ -15,8 +15,8 @@ from itertools import permutations, product
 from math import comb, factorial
 
 from .algebras import Coefficients
-from .chains import (SliceComplex, basis_map_matrix, basis_map_section,
-                     check_chain_map, kernel_slice)
+from .chains import (ChainSlice, SliceComplex, basis_map_matrix,
+                     basis_map_section, check_chain_map)
 from .gamma import (FiniteMap, GammaComplex, Surjection, map_strings,
                     string_count, surjections)
 from .sparse import SparseMatrix
@@ -272,16 +272,17 @@ class ComparisonData:
         otherwise, where j0 is the first column with j's image.  This is
         the basis that kernel_basis eliminates, entry for entry.  Column t
         is 1 at its own column and 0 at the other non-first columns, so
-        the kernel complex's boundaries are read off d_n K_n at those rows
-        (kernel_slice), and a boundary leaving the kernel raises
-        CertificationError.  check_ses certifies that the columns span
-        the kernel by reading them: the identity at their free rows, killed
-        by phi o q, and dim - dim(gamma) of them."""
+        d^K_n is the rows free[n-1] of d_n K_n, one product per degree.
+        Only check_ses, which every consumer of ses() runs before reading
+        the kernel's homology, certifies that the columns span the kernel
+        and that it is a subcomplex; here only d^K o d^K != 0 raises
+        CertificationError (NotAComplexError)."""
         if self._kernel is None:
-            bases = [_basis_map_kernel(p) for p in self.proj]
-            reps = [k for k, _ in bases]
-            self._kernel = (reps, kernel_slice(
-                self.sym_chain.boundary, reps, [free for _, free in bases]))
+            reps, free = zip(*map(_basis_map_kernel, self.proj))
+            bounds = {n: self.sym_chain.boundary(n).mul(reps[n]).select_rows(
+                free[n - 1]) for n in range(1, len(reps))}
+            self._kernel = list(reps), ChainSlice(
+                self.sym.field, [k.ncols for k in reps], bounds)
         return self._kernel
 
     def ses(self):

@@ -5,7 +5,7 @@ import pytest
 from exacthom.chains import (CertificationError, ChainSlice, check_chain_map,
                              check_ses, complement_slice,
                              connecting_homomorphism,
-                             induced_map_on_homology, kernel_slice,
+                             induced_map_on_homology,
                              long_exact_sequence_nodes)
 from exacthom.fields import GF, QQ
 from exacthom.sparse import SparseMatrix, kernel_basis, low_pivots
@@ -280,23 +280,20 @@ def test_check_ses_refuses_a_sequence_not_in_basis_map_form(change, message):
 
 def test_restricted_slice_restricts_the_boundary():
     # C_1 = <a, b>, C_0 = <c>, d(a) = d(b) = c; the span of a - b and 0,
-    # as a kernel basis (1 at its free row 0) and as the image of the
-    # idempotent a -> a - b, b -> 0, whose kernel is spanned by b
+    # as the image of the idempotent a -> a - b, b -> 0, whose kernel is
+    # spanned by b
     d1 = mat([[1, 1]])
     reps = [SparseMatrix.zeros(QQ, 1, 0), mat([[1], [-1]])]
     low = [low_pivots(QQ, [{0: 1}]), low_pivots(QQ, [{1: 1}])]
-    for sl in (kernel_slice(lambda n: d1, reps, [[], [0]]),
-               complement_slice(lambda n: d1, reps, low, [[], [0]])):
-        assert sl.dims == [0, 1]
-        assert sl.boundary(1).shape == (0, 1)
+    sl = complement_slice(lambda n: d1, reps, low, [[], [0]])
+    assert sl.dims == [0, 1]
+    assert sl.boundary(1).shape == (0, 1)
 
 
 def test_restricted_slice_rejects_a_span_not_closed_under_the_boundary():
     from exacthom import hochschild
     d1 = mat([[1, 1]])
     reps = [SparseMatrix.zeros(QQ, 1, 0), mat([[1], [0]])]
-    with pytest.raises(CertificationError, match="degree 1: column 0"):
-        kernel_slice(lambda n: d1, reps, [[], [0]])
     low = [low_pivots(QQ, [{0: 1}]), low_pivots(QQ, [{1: 1}])]
     with pytest.raises(CertificationError, match="degree 1: column 0"):
         complement_slice(lambda n: d1, reps, low, [[], [0]])

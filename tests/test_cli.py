@@ -599,6 +599,37 @@ def test_a_broken_quotient_fails_the_comparison_slices(capsys, monkeypatch):
     assert "not a chain complex" in failed[0]["witness"]
 
 
+@pytest.mark.parametrize("argv,passed,name", [
+    (("compute", "--theory", "comparison"), COMPARISON_PASSED,
+     "comparison slices certified (w=2)"),
+    (("verify", "--suite", "les"),
+     [f"long exact sequence dual-numbers w={w} (degrees <= 2)"
+      for w in (0, 1)],
+     "long exact sequence dual-numbers w=2 (degrees <= 2)")],
+    ids=["compute", "verify"])
+def test_a_refused_short_exact_sequence_fails_a_check(capsys, monkeypatch,
+                                                      argv, passed, name):
+    # doubling every gamma boundary keeps d o d = 0, so every slice is
+    # built, but phi o q is then no chain map from weight 2 on: check_ses
+    # refuses the sequence, and the weight fails one check with its message
+    from exacthom.gamma import GammaComplex
+
+    terms = GammaComplex.boundary_terms
+    monkeypatch.setattr(GammaComplex, "boundary_terms", lambda self, key: {
+        k: self.field.mul(2, c) for k, c in terms(self, key).items()})
+    code = main([*argv, *DUAL_NUMBERS_2_2])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.err
+    report = json.loads(captured.out)
+    certs = report["certifications"]
+    assert [c["name"] for c in certs] == passed + [name]
+    assert all(c["status"] == "pass" for c in certs[:-1])
+    assert certs[-1]["status"] == "fail"
+    assert certs[-1]["witness"] == "projection is not a chain map"
+    if argv[0] == "compute":
+        assert {r["w"] for r in report["tables"]} == {0, 1}
+
+
 def test_harrison_witness_names_every_failing_weight(capsys,
                                                      broken_boundaries):
     code, out = run(capsys, "compute", "--theory", "harrison", *TRUNC4_2_5)

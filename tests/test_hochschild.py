@@ -17,7 +17,7 @@ from exacthom.hochschild import (HarrisonQuotient, HochschildComplex,
                                  is_degenerate, is_ideal_only,
                                  normalized_slice)
 from exacthom.sparse import Echelon, SparseMatrix, kernel_basis
-from exacthom.verify import run_suite
+from exacthom.verify import BoundsError, run_suite
 from reference import (columns, extend_basis_columns, fractional_trunc4,
                        image_pivot_columns, non_monomial, permute_slots,
                        shuffle_slice, solve_batch)
@@ -263,10 +263,9 @@ def test_quotient_pipeline_certification_error_detectable(monkeypatch,
         lambda self, n, w, i: idempotent_matrix(self, n, w,
                                                 2 if i == 1 else i))
     alg = preset("dual-numbers")
-    hc = HochschildComplex(alg, Coefficients(alg, "k"))
     with pytest.raises(CertificationError,
                        match="Harrison pipelines disagree"):
-        harrison_weight(hc, 1, 2)
+        harrison_weight(alg, Coefficients(alg, "k"), 1, 2)
     code = main(["compute", "--preset", "dual-numbers", "--theory",
                  "harrison", "--max-degree", "2", "--max-weight", "2"])
     assert code == 1
@@ -296,7 +295,7 @@ def test_harrison_weight_slice_is_the_normalized_ideal_chain(monkeypatch,
     max_n = 3
     for w in range(5):
         built.clear()
-        harrison_weight(hc, w, max_n)
+        harrison_weight(alg, hc.coeffs, w, max_n)
         [(chain, reps)] = built
         nh = NormalizedHarrison(hc, w, max_n + 1, 1)
         assert reps == [nh.i_reps[n].select_rows(
@@ -372,7 +371,7 @@ def test_whole_slice_quotients_build_no_echelon(monkeypatch, trunc3_A):
             NormalizedHarrison(trunc3_A, w, 4, i)
         idempotent_slice(trunc3_A, w, 4, 2)
         barr_map(trunc3_A, w, 4)
-        harrison_weight(trunc3_A, w, 3)
+        harrison_weight(trunc3_A.alg, trunc3_A.coeffs, w, 3)
     assert built == []
 
 
@@ -408,6 +407,23 @@ def test_harrison_suite_computes_each_action_matrix_once(monkeypatch):
     checks, _ = run_suite("harrison", {})
     assert checks and all(c.ok for c in checks)
     assert seen and all(len(v) == 1 for v in seen.values())
+
+
+def test_harrison_suite_reports_no_vacuous_pass():
+    # at weight 0, every piece of e^(3) is zero through degree 4, so the
+    # five checks of (w=0, i=3) would compare nothing; e^(3) vanishes below
+    # degree 3, so through degree 2 no i = 3 piece is left to check
+    checks, _ = run_suite("harrison", {"presets": ["dual-numbers"],
+                                       "max_weight": 1})
+    names = [c.name for c in checks]
+    assert all(c.ok for c in checks)
+    assert not [n for n in names if "w=0 i=3" in n]
+    for kind in ("k", "A"):
+        assert f"composite identity dual-numbers M={kind} w=0 i=1" in names
+        assert f"composite identity dual-numbers M={kind} w=1 i=3" in names
+    with pytest.raises(BoundsError, match=r"suite harrison .* e\^\(i\)"):
+        run_suite("harrison", {"presets": ["dual-numbers"], "max_degree": 2,
+                               "idempotents": (3,)})
 
 
 def test_hodge_suite_builds_each_idempotent_matrix_once(monkeypatch):

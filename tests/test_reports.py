@@ -85,7 +85,7 @@ EXPECTED = {
     "verify gamma-iso trunc3":
         "92bfe74f0c55dd3bb8f79cfba416ebd849d1c7241023b378ee9504be5c5a6909",
     "verify harrison trunc3":
-        "b4fb841f3f9161ab0489b75396090fb76d599bd4a462ab437c16f4297353d994",
+        "f7139fae1aa58d00829923d0e1dc109443a765722ffa48c4255baf21f995a9a6",
     "verify hodge trunc3":
         "f2a847e10dad59b0f180ecee371d5d58c987c49135260f87ed844c0375f530b6",
     "verify les trunc3":

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exacthom.algebras import Coefficients, preset
+from exacthom.algebras import PRESETS, Coefficients, preset
 from exacthom.chains import (ChainSlice, check_ses, connecting_homomorphism,
                              long_exact_sequence_nodes)
 from exacthom.fields import GF, QQ
@@ -294,15 +294,13 @@ def test_les_builds_no_augmented_echelon(monkeypatch):
     assert built and all(limit == ncols for limit, ncols in built)
 
 
-def test_kernel_rejects_a_boundary_leaving_the_kernel():
-    from exacthom.chains import CertificationError
+def _leave_the_kernel(cd, n=2):
+    """Perturb d_n of cd's symmetric slice, after its d o d = 0 check, so
+    that it sends a degree-n kernel column out of the kernel: add to that
+    column's boundary a degree-(n-1) basis element that phi o q does not
+    kill."""
     from exacthom.sparse import SparseMatrix, kernel_with_free
-    cd = ComparisonData(preset("trunc3"), 3, 3)
-    n = 2
     field = cd.sym_chain.field
-    # a degree-(n-1) basis element that phi o q does not kill, and a
-    # degree-n kernel column: the perturbed d_n sends that column out of
-    # the kernel
     target = min(j for _, j in cd.proj[n - 1].entries)
     free = kernel_with_free(cd.proj[n])[1][0]
     bnd = cd.sym_chain.boundaries[n]
@@ -310,8 +308,68 @@ def test_kernel_rejects_a_boundary_leaving_the_kernel():
     entries[(target, free)] = field.add(entries.get((target, free), 0),
                                         field.one)
     cd.sym_chain.boundaries[n] = SparseMatrix(field, *bnd.shape, entries)
-    with pytest.raises(CertificationError, match=f"degree {n}"):
-        cd.kernel()
+
+
+def test_a_boundary_leaving_the_kernel_is_refused(monkeypatch, capsys):
+    # kernel() reads d^K off d K without certifying it; check_ses refuses
+    # the sequence, because p d K = d p K = 0 cannot hold, and so does
+    # every consumer of ses(): the long exact sequence, compute and verify
+    import json
+    from exacthom.chains import CertificationError
+    from exacthom.cli import main
+    cd = ComparisonData(preset("trunc3"), 3, 3)
+    _leave_the_kernel(cd)
+    with pytest.raises(CertificationError,
+                       match="projection is not a chain map"):
+        long_exact_sequence_nodes(*cd.ses(), 2)
+
+    init = ComparisonData.__init__
+
+    def perturbed(self, alg, w, top):
+        init(self, alg, w, top)
+        if w == 3:
+            _leave_the_kernel(self)
+
+    monkeypatch.setattr(ComparisonData, "__init__", perturbed)
+    for argv, name in (
+            (("compute", "--theory", "comparison"),
+             "comparison slices certified (w=3)"),
+            (("verify", "--suite", "les"),
+             "long exact sequence trunc3 w=3 (degrees <= 2)")):
+        assert main([*argv, "--preset", "trunc3", "--max-degree", "2",
+                     "--max-weight", "3"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = [(c["name"], c["witness"]) for c in report[
+            "certifications"] if c["status"] == "fail"]
+        assert failed == [(name, "projection is not a chain map")]
+        if argv[0] == "compute":
+            assert {r["w"] for r in report["tables"]} == {0, 1, 2}
+
+
+def test_kernel_forms_one_product_per_degree(monkeypatch):
+    # d^K_n is the rows free[n-1] of d_n K_n, and no K_{n-1} d^K_n is
+    # formed: check_ses certifies the kernel's closure.  The other products
+    # are the kernel slice's own d o d = 0 check, d^K_{n-1} d^K_n
+    from exacthom.sparse import SparseMatrix
+    lefts = []
+    mul = SparseMatrix.mul
+
+    def recorded(self, other):
+        lefts.append(self)
+        return mul(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "mul", recorded)
+    for name in sorted(PRESETS):
+        for w in range(4):
+            cd = ComparisonData(preset(name), w, 3)
+            lefts.clear()
+            _, kchain = cd.kernel()
+            own = [m for m in lefts if all(
+                m is not d for d in kchain.boundaries.values())]
+            assert len(own) == 3 and all(
+                m is cd.sym_chain.boundary(n) for n, m in enumerate(own, 1)
+            ), (name, w)
+            assert len(lefts) == 5, (name, w)
 
 
 def test_kernel_and_homology_coords_build_no_echelon(monkeypatch):
