@@ -186,9 +186,10 @@ class GradedAlgebra:
         """fiber_product along the fibers of a map f (a surjection or a
         fiber-ordered map), cached per (f, slots)."""
         key = (f, slots)
-        if key not in self._images:
-            self._images[key] = self.fiber_product(slots, f.fibers)
-        return self._images[key]
+        images = self._images.get(key)
+        if images is None:
+            images = self._images[key] = self.fiber_product(slots, f.fibers)
+        return images
 
     # -- validation ---------------------------------------------------------
 

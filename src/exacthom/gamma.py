@@ -22,17 +22,22 @@ identity and hashing is by object, in strings, basis keys and caches
 alike.  One string recursion, map_strings, builds the strings of either
 category from its hom-sets, and string_count counts them from closed-form
 hom-set sizes, so slice dimensions are known without enumerating a basis.
-What the faces of a generator need from its string is computed once per
-string (the face plan), and a restriction once per (surjection, kept
-positions); these caches are keyed by morphisms and strings only, so they
-stay bounded by the strings of a slice.  The last face's components are
-the fibers of one composite, f_{n-1} o .. o f_1.  faces(key) reads the
-plan once per generator and gives all its faces at once.  The pruning
-check streams them, for each full generator, into one pruned alternating
-sum, without building that generator's boundary, and prunes each distinct
-face term once, through a memo that lives for one degree of one check.
-Pruning a normalized string stops at the first map that restricts to an
-identity, since the string has then left the complex; most unit-carrying
+The face code has two halves.  What the faces of a generator need from
+its string is computed once per string (the face plan: the face strings
+and the last face's components), and a restriction once per (surjection,
+kept positions); these caches are keyed by morphisms and strings only, so
+they stay bounded by the strings of a slice.  The last face's components
+are the fibers of one composite, f_{n-1} o .. o f_1.  What depends on the
+generator, every face's new slots, module and coefficient, comes from
+GammaComplex.face_parts alone.  faces(key) joins the two into face keys
+for the boundary matrices.  The pruning check reads the same two halves:
+the generators come grouped by string, so it reads the plan and opens one
+memo table per face string once per string, and per generator it streams
+face_parts into one pruned alternating sum, looking pruned terms up by
+(slots, module).  It builds no face key for a term already pruned, and
+prunes each distinct face term once per degree of one check.  Pruning a
+normalized string stops at the first map that restricts to an identity,
+since the string has then left the complex; most unit-carrying
 generators and most of their face terms end there.
 """
 
@@ -174,31 +179,51 @@ def strings_to_point(x, n, normalized=True):
 
 @lru_cache(maxsize=None)
 def _face_plan(string, normalized):
-    """Everything the faces of a degree-n generator need from its string:
-    for faces 0..n-1 the new string, or None when it leaves the complex
-    (normalized strings contain no identity), and for the last face the
-    (component string, preimage, other positions) of every component that
-    stays in the complex."""
+    """Everything the faces of a degree-n generator need from its string,
+    as (faces, components, first, inner): for faces 0..n-1 the new
+    string, or None when it leaves the complex (normalized strings contain
+    no identity); for the last face the (component string, preimage,
+    other positions) of every component that stays in the complex; f_1
+    when face 0 stays (else None); and the number of inner faces that
+    stay."""
     n = len(string)
-    faces = [None if normalized and any(f._is_id for f in string[1:])
-             else string[1:]]
+    rest = string[1:]
+    first = None if normalized and any([f._is_id for f in rest]) \
+        else string[0]
+    faces = [None if first is None else rest]
     for i in range(1, n):
         comp = _compose(string[i], string[i - 1])
         faces.append(None if normalized and comp._is_id
                      else string[:i - 1] + (comp,) + string[i + 1:])
+    inner = n - 1 - faces[1:].count(None)
     # the components' preimages are the fibers, each sorted, of
     # f_{n-1} o .. o f_1 (of the identity when n = 1)
     x = string[0].dom
-    through = Surjection(x, range(1, x + 1))
-    for f in string[:-1]:
-        through = _compose(f, through)
+    if n == 1:
+        fibers = [(p,) for p in range(1, x + 1)]
+    else:
+        through = string[0]
+        for f in string[1:-1]:
+            through = _compose(f, through)
+        fibers = through.fibers
+    head = string[:-1]
     components = []
-    for preimage in through.fibers:
-        comp_string = _prune_string(string[:-1], preimage, normalized)
+    for preimage in fibers:
+        comp_string = _prune_string(head, preimage, normalized)
         if comp_string is not None:
-            others = tuple(p for p in range(1, x + 1) if p not in preimage)
+            others = tuple([p for p in range(1, x + 1) if p not in preimage])
             components.append((comp_string, preimage, others))
-    return tuple(faces), tuple(components)
+    return tuple(faces), tuple(components), first, inner
+
+
+def _face_targets(plan):
+    """(face index, face string) of every face string of a face plan that
+    stays in the complex, in the order of GammaComplex.face_parts: faces
+    0..n-1, then one per component of the last face n."""
+    faces, components = plan[0], plan[1]
+    n = len(faces)
+    return ([(i, s) for i, s in enumerate(faces) if s is not None]
+            + [(n, comp[0]) for comp in components])
 
 
 class GammaComplex(SliceComplex):
@@ -245,25 +270,54 @@ class GammaComplex(SliceComplex):
                 tuple((f.cod, f.images) for f in string),
                 slots, m)
 
+    def face_parts(self, plan, slots, m):
+        """The per-generator half of the faces of (string, slots, m), whose
+        face plan is plan: for each of _face_targets(plan), in order, the
+        [((new slots, module), coeff)] terms of that face string.  These
+        are face 0's map_tensor terms, one ((slots, m), 1) for each inner
+        face, and each last-face component's module terms."""
+        _, components, first, inner = plan
+        if first is None:
+            out = []
+        else:
+            images = self.alg.map_tensor(first, slots)
+            if len(images) == 1:
+                (new_slots, c), = images
+                out = [[((new_slots, m), c)]]
+            else:
+                out = [[((new_slots, m), c) for new_slots, c in images]]
+        if inner:
+            out += [[((slots, m), self.field.one)]] * inner
+        if components:
+            act_all = self.coeffs.act_all
+            for _, preimage, others in components:
+                terms = act_all([slots[p - 1] for p in others], m)
+                if terms:
+                    new_slots = tuple([slots[p - 1] for p in preimage])
+                    terms = [((new_slots, m2), c) for m2, c in terms]
+                out.append(terms)
+        return out
+
     def faces(self, key):
-        """Faces 0..n of a generator of degree n >= 1, read off one face
-        plan; in the normalized complex, strings containing an identity
-        are dropped."""
+        """Faces 0..n of a generator of degree n >= 1: the face strings of
+        its plan joined to the terms of face_parts, target by target; in
+        the normalized complex, strings containing an identity are
+        dropped."""
         string, slots, m = key
-        plan, components = _face_plan(string, self.normalized)
-        first = plan[0]
-        out = [[] if first is None else [
-            ((first, new_slots, m), c)
-            for new_slots, c in self.alg.map_tensor(string[0], slots)]]
-        one = self.field.one
-        out += [[] if inner is None else [((inner, slots, m), one)]
-                for inner in plan[1:]]
+        plan = _face_plan(string, self.normalized)
+        parts = iter(self.face_parts(plan, slots, m))
+        out = []
+        for s in plan[0]:
+            face = []
+            if s is not None:
+                for (new_slots, m2), c in next(parts):
+                    face.append(((s, new_slots, m2), c))
+            out.append(face)
         last = []
-        act_all = self.coeffs.act_all
-        for comp_string, preimage, others in components:
-            new_slots = tuple([slots[p - 1] for p in preimage])
-            for m2, c in act_all([slots[p - 1] for p in others], m):
-                last.append(((comp_string, new_slots, m2), c))
+        for comp in plan[1]:
+            s = comp[0]
+            for (new_slots, m2), c in next(parts):
+                last.append(((s, new_slots, m2), c))
         out.append(last)
         return out
 
@@ -293,17 +347,25 @@ def _prune_string(string, kept, normalized):
     return tuple(new_string)
 
 
+@lru_cache(maxsize=None)
+def _ideal_slots(slots):
+    """The positions of the ideal (nonzero) slots of a basic tensor, and
+    those slots."""
+    return (tuple([p for p, v in enumerate(slots, start=1) if v]),
+            tuple([v for v in slots if v]))
+
+
 def _prune(key, normalized):
     string, slots, m = key
     if 0 not in slots:
         return None if normalized and any(f._is_id for f in string) else key
-    kept = tuple([p for p, v in enumerate(slots, start=1) if v])
+    kept, ideal_slots = _ideal_slots(slots)
     if not kept:
         return None
     new_string = _prune_string(string, kept, normalized)
     if new_string is None:
         return None
-    return new_string, tuple([v for v in slots if v]), m
+    return new_string, ideal_slots, m
 
 
 def prune_generator(key):
@@ -359,7 +421,8 @@ def prune_split_certificates(alg, coeffs, w, top, normalized=True):
     ideal = GammaComplex(alg, coeffs, "I", normalized)
     field = alg.field
     pruner = prune_normalized if normalized else prune_generator
-    faces = full.faces
+    face_parts = full.face_parts
+    unseen = _UNSEEN
     out = {"retraction_identity": True, "chain_map": True,
            "surjective": True, "dims": []}
     for n in range(top + 1):
@@ -375,9 +438,10 @@ def prune_split_certificates(alg, coeffs, w, top, normalized=True):
         full_dim = unit_free = 0
         rhs_cache = {}
         # boundary terms recur across the generators of a degree: prune
-        # each distinct one once, and drop the memo with the degree
+        # each distinct one once, in one memo table per face string keyed
+        # by (slots, module), and drop the memo with the degree
         pruned = {}
-        seen = pruned.get
+        string = None
         for g in full.iter_basis(n, w):
             full_dim += 1
             slots = g[1]
@@ -394,18 +458,24 @@ def prune_split_certificates(alg, coeffs, w, top, normalized=True):
                 hit.add(pg)
             if n == 0:
                 continue
+            if g[0] is not string:
+                # the generators come grouped by string: read its plan and
+                # open the memo tables of its face strings once per string
+                string = g[0]
+                plan = _face_plan(string, normalized)
+                tables = [(pruned.setdefault(s, {}), s, i % 2 == 0)
+                          for i, s in _face_targets(plan)]
             # stream the faces of g into one pruned alternating sum
             lhs = {}
             get = lhs.get
-            plus = True
-            for terms in faces(g):
-                for tkey, c in terms:
-                    pt = seen(tkey, _UNSEEN)
-                    if pt is _UNSEEN:
-                        pt = pruned[tkey] = pruner(tkey)
+            for (table, s, plus), terms in zip(
+                    tables, face_parts(plan, slots, g[2])):
+                for sm, c in terms:
+                    pt = table.get(sm, unseen)
+                    if pt is unseen:
+                        pt = table[sm] = pruner((s,) + sm)
                     if pt is not None:
                         lhs[pt] = get(pt, 0) + c if plus else get(pt, 0) - c
-                plus = not plus
             if lhs:
                 lhs = field.normal_terms(lhs)
             if pg is None:

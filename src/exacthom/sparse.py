@@ -168,15 +168,6 @@ class SparseMatrix:
                         out[(i, j)] = s
         return SparseMatrix._trusted(f, self.nrows, other.ncols, out)
 
-    def hstack(self, other):
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch in hstack")
-        ents = dict(self.entries)
-        off = self.ncols
-        for (i, j), v in other.entries.items():
-            ents[(i, j + off)] = v
-        return SparseMatrix(self.field, self.nrows, self.ncols + other.ncols, ents)
-
     def select_rows(self, rows):
         """Submatrix of the given rows, in the given order."""
         pos = {r: t for t, r in enumerate(rows)}

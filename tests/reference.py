@@ -25,6 +25,18 @@ def mat(rows, field=QQ):
         for j, v in enumerate(row)})
 
 
+def hstack(left, right):
+    """The matrix [left | right]: right's columns after left's."""
+    if left.nrows != right.nrows:
+        raise ValueError("row count mismatch in hstack")
+    ents = dict(left.entries)
+    off = left.ncols
+    for (i, j), v in right.entries.items():
+        ents[(i, j + off)] = v
+    return SparseMatrix(left.field, left.nrows, left.ncols + right.ncols,
+                        ents)
+
+
 def columns(matrix):
     """The columns of a matrix as dicts {row: value}."""
     cols = [{} for _ in range(matrix.ncols)]
@@ -42,7 +54,7 @@ def image_pivot_columns(matrix):
 def extend_basis_columns(first, second):
     """Indices j such that column j of second is independent from the
     columns of first and the columns of second selected before it."""
-    pivots = image_pivot_columns(first.hstack(second))
+    pivots = image_pivot_columns(hstack(first, second))
     return [c - first.ncols for c in pivots if c >= first.ncols]
 
 
@@ -53,7 +65,7 @@ def coords(basis, vectors, modulo=None):
     joint span raises ValueError."""
     if modulo is None:
         return solve_batch(basis, vectors)[0]
-    sol, _ = solve_batch(modulo.hstack(basis), vectors)
+    sol, _ = solve_batch(hstack(modulo, basis), vectors)
     return sol.select_rows(range(modulo.ncols, sol.nrows))
 
 
@@ -225,7 +237,7 @@ def solve_batch(a, v, strict=True):
     """
     if a.nrows != v.nrows:
         raise ValueError("row count mismatch in solve_batch")
-    ech = Echelon(a.hstack(v), pivot_limit=a.ncols)
+    ech = Echelon(hstack(a, v), pivot_limit=a.ncols)
     cols, ok = [], []
     for j in range(v.ncols):
         x = solve_augmented_scan(ech, a.ncols + j)
@@ -359,7 +371,7 @@ class HomologyBases:
 
     def coords(self, n, vectors):
         bnd = self.slice.boundary(n + 1)
-        sol, _ = solve_batch(bnd.hstack(self.reps(n)), vectors)
+        sol, _ = solve_batch(hstack(bnd, self.reps(n)), vectors)
         return sol.select_rows(range(bnd.ncols, sol.nrows))
 
 

@@ -10,7 +10,7 @@ from exacthom.chains import (CertificationError, ChainSlice, check_chain_map,
 from exacthom.fields import GF, QQ
 from exacthom.sparse import SparseMatrix, kernel_basis, low_pivots
 import reference
-from reference import mat
+from reference import hstack, mat
 
 
 def test_homology_of_identity_map():
@@ -70,7 +70,7 @@ def test_induced_map_independent_of_representatives():
     base = induced_map_on_homology(f, sl, sl, 1)
     # perturb the chosen representatives by boundaries, [reps | d2] times
     # [1 0; 0 1; 3 -1]; classes are unchanged
-    perturbed = sl.reps(1).hstack(d2).mul(mat([[1, 0], [0, 1], [3, -1]]))
+    perturbed = hstack(sl.reps(1), d2).mul(mat([[1, 0], [0, 1], [3, -1]]))
     assert sl.coords(1, f[1].mul(perturbed)) == base
 
 
@@ -233,7 +233,7 @@ def test_representatives_span_meets_boundaries_trivially():
         reps = sl.reps(n)
         bnd = sl.boundary(n + 1)
         from exacthom.sparse import Echelon
-        joint = Echelon(bnd.hstack(reps)).rank
+        joint = Echelon(hstack(bnd, reps)).rank
         assert joint == Echelon(bnd).rank + reps.ncols
 
 
@@ -456,7 +456,7 @@ def test_homology_bases_match_the_solve_oracle(field):
             assert sl.reps(n) == oracle.reps(n), (name, n)
             assert sl.reps(n).ncols == oracle.dim(n), (name, n)
             # the cycles and the boundaries, which have coordinates 0
-            vectors = oracle.cycles(n).hstack(sl.boundary(n + 1))
+            vectors = hstack(oracle.cycles(n), sl.boundary(n + 1))
             assert sl.coords(n, vectors) == oracle.coords(n, vectors), (
                 name, n)
 

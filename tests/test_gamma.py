@@ -193,28 +193,33 @@ def test_pruning_homology_additivity():
 
 
 def test_streamed_certificates_match_matrix_path():
-    # both presets, both coefficient modules, normalized or not, w <= 3
-    for name in ("dual-numbers", "trunc3"):
-        alg = preset(name)
-        for kind in ("k", "A"):
-            co = Coefficients(alg, kind)
-            for normalized in (True, False):
-                for w in range(4):
-                    case = (name, kind, normalized, w)
-                    res = prune_split_certificates(alg, co, w, 3, normalized)
-                    full, ideal, prune, include = _pruning_matrices(
-                        alg, co, w, 3, normalized)
-                    full_chain = full.slice(w, 3)
-                    ideal_chain = ideal.slice(w, 3)
-                    assert check_chain_map(prune, full_chain,
-                                           ideal_chain), case
-                    assert _retraction_is_identity(prune, include), case
-                    assert all(rank(p) == d for p, d in zip(
-                        prune, ideal_chain.dims)), case
-                    assert res["retraction_identity"], case
-                    assert res["chain_map"] and res["surjective"], case
-                    assert res["dims"] == list(zip(full_chain.dims,
-                                                   ideal_chain.dims)), case
+    # every preset, over Q and F_3, both coefficient modules, normalized
+    # or not, w <= 3; square-zero-xy's two generators give face-0 products
+    # with distinct slot values
+    for name in PRESETS:
+        for field in (QQ, GF(3)):
+            alg = preset(name, field)
+            for kind in ("k", "A"):
+                co = Coefficients(alg, kind)
+                for normalized in (True, False):
+                    for w in range(4):
+                        _assert_streamed_matches_matrices(alg, co, w,
+                                                          normalized)
+
+
+def _assert_streamed_matches_matrices(alg, co, w, normalized):
+    case = (alg.name, alg.field, co.kind, normalized, w)
+    res = prune_split_certificates(alg, co, w, 3, normalized)
+    full, ideal, prune, include = _pruning_matrices(alg, co, w, 3,
+                                                    normalized)
+    full_chain = full.slice(w, 3)
+    ideal_chain = ideal.slice(w, 3)
+    assert check_chain_map(prune, full_chain, ideal_chain), case
+    assert _retraction_is_identity(prune, include), case
+    assert all(rank(p) == d for p, d in zip(prune, ideal_chain.dims)), case
+    assert res["retraction_identity"], case
+    assert res["chain_map"] and res["surjective"], case
+    assert res["dims"] == list(zip(full_chain.dims, ideal_chain.dims)), case
 
 
 def test_pruning_check_streams_the_full_faces(monkeypatch):
@@ -236,6 +241,61 @@ def test_pruning_check_streams_the_full_faces(monkeypatch):
             assert res["chain_map"] and res["surjective"]
 
 
+def test_pruning_check_reads_each_generator_faces_once(monkeypatch):
+    # the check reads the per-generator face code once for every
+    # unit-carrying full generator of degree >= 1, and never through
+    # faces(key), which would build every face key
+    face_parts = GammaComplex.face_parts
+    faces = GammaComplex.faces
+    read = []
+
+    def counted(self, plan, slots, m):
+        if self.variant == "A":
+            read.append((plan, slots, m))
+        return face_parts(self, plan, slots, m)
+
+    def guarded(self, key):
+        if self.variant == "A":
+            raise AssertionError("faces(key) of a full generator")
+        return faces(self, key)
+
+    monkeypatch.setattr(GammaComplex, "face_parts", counted)
+    monkeypatch.setattr(GammaComplex, "faces", guarded)
+    alg = preset("trunc3")
+    for kind in ("k", "A"):
+        co = Coefficients(alg, kind)
+        for normalized in (True, False):
+            read.clear()
+            res = prune_split_certificates(alg, co, 3, 3, normalized)
+            assert res["chain_map"] and res["surjective"]
+            full = GammaComplex(alg, co, "A", normalized)
+            expected = [(gamma._face_plan(g[0], normalized), g[1], g[2])
+                        for n in range(1, 4) for g in full.iter_basis(n, 3)
+                        if 0 in g[1]]
+            assert read == expected
+
+
+def _double_full_faces(monkeypatch, broken):
+    """Double the face terms of the full-algebra variant for which
+    broken(i, n, m, m2) holds: a term of face i of a degree-n generator
+    with module m, whose own module is m2.  The fault is put into the one
+    per-generator face code, GammaComplex.face_parts, so that it reaches
+    the pruning check and, through faces(key), the boundary matrices."""
+    face_parts = GammaComplex.face_parts
+
+    def doubled(self, plan, slots, m):
+        out = face_parts(self, plan, slots, m)
+        if self.variant != "A":
+            return out
+        # every face string of a degree-n generator has length n - 1
+        return [[(sm, self.field.mul(2, c))
+                 if broken(i, len(s) + 1, m, sm[1]) else (sm, c)
+                 for sm, c in terms]
+                for (i, s), terms in zip(gamma._face_targets(plan), out)]
+
+    monkeypatch.setattr(GammaComplex, "face_parts", doubled)
+
+
 # Each fault doubles the faces i of degree-n generators of the full-algebra
 # variant for which broken(i, n) holds.  It is checked on the smallest
 # (preset, weight, top degree) where both the streamed check and the matrix
@@ -255,17 +315,7 @@ def broken_full_face(request, monkeypatch):
     no longer commutes with the boundary; gives the (preset, weight, top
     degree) to check."""
     broken, name, w, top = BROKEN_FACES[request.param]
-    faces = GammaComplex.faces
-
-    def doubled(self, key):
-        out = faces(self, key)
-        if self.variant != "A":
-            return out
-        n = len(key[0])
-        return [[(k, self.field.mul(2, c)) for k, c in terms]
-                if broken(i, n) else terms for i, terms in enumerate(out)]
-
-    monkeypatch.setattr(GammaComplex, "faces", doubled)
+    _double_full_faces(monkeypatch, lambda i, n, m, m2: broken(i, n))
     return name, w, top
 
 
@@ -280,6 +330,24 @@ def test_pruning_certificates_catch_a_broken_face(broken_full_face):
     assert any(prune[n - 1].mul(full.boundary(n, w))
                != ideal.boundary(n, w).mul(prune[n])
                for n in range(1, top + 1))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_pruning_certificates_catch_a_broken_module_change(monkeypatch,
+                                                           field):
+    # A coefficients: double only the last-face terms whose module is not
+    # the generator's.  The pruned terms are looked up by (slots, module),
+    # so these terms must not be taken for the unmoved ones with the same
+    # slots.  trunc3 at w = 3 is the smallest slice (w <= 3, top <= 4, any
+    # preset) where the streamed check sees it; w = 2 shows it only to the
+    # oracle.
+    _double_full_faces(monkeypatch, lambda i, n, m, m2: i == n and m2 != m)
+    alg = preset("trunc3", field)
+    co = Coefficients(alg, "A")
+    assert not prune_split_certificates(alg, co, 3, 1)["chain_map"]
+    full, ideal, prune, _ = _pruning_matrices(alg, co, 3, 1)
+    assert prune[0].mul(full.boundary(1, 3)) != ideal.boundary(1, 3).mul(
+        prune[1])
 
 
 def test_verify_pruning_reports_a_broken_face(capsys, broken_full_face):
@@ -795,7 +863,7 @@ def test_plan_caches_are_keyed_by_morphisms_and_strings():
     # pruned strings are not cached per process: the pruning check keeps
     # its own memo of pruned terms for one degree
     assert not hasattr(gamma._prune_string, "cache_info")
-    for cache in (gamma._face_plan, gamma._restrict):
+    for cache in (gamma._face_plan, gamma._restrict, gamma._ideal_slots):
         cache.cache_clear()
     alg = preset("trunc3")
     res = prune_split_certificates(alg, Coefficients(alg, "k"), 3, 4)
@@ -806,3 +874,7 @@ def test_plan_caches_are_keyed_by_morphisms_and_strings():
                     for y in range(1, x + 1))
     assert 0 < gamma._face_plan.cache_info().currsize <= strings
     assert 0 < gamma._restrict.cache_info().currsize <= morphisms * 2 ** 3
+    # the ideal slots are cached per basic tensor of the slice
+    tensors = sum(alg.tensor_count(x, u, True) for x in range(1, 4)
+                  for u in range(4))
+    assert 0 < gamma._ideal_slots.cache_info().currsize <= tensors

@@ -19,8 +19,8 @@ from exacthom.hochschild import (HarrisonQuotient, HochschildComplex,
 from exacthom.sparse import Echelon, SparseMatrix, kernel_basis
 from exacthom.verify import BoundsError, run_suite
 from reference import (columns, extend_basis_columns, fractional_trunc4,
-                       image_pivot_columns, non_monomial, permute_slots,
-                       shuffle_slice, solve_batch)
+                       hstack, image_pivot_columns, non_monomial,
+                       permute_slots, shuffle_slice, solve_batch)
 
 
 @pytest.fixture(scope="module")
@@ -420,10 +420,46 @@ def test_harrison_suite_reports_no_vacuous_pass():
     assert not [n for n in names if "w=0 i=3" in n]
     for kind in ("k", "A"):
         assert f"composite identity dual-numbers M={kind} w=0 i=1" in names
-        assert f"composite identity dual-numbers M={kind} w=1 i=3" in names
+        assert f"kernel dim accounting dual-numbers M={kind} w=1 i=3" in names
     with pytest.raises(BoundsError, match=r"suite harrison .* e\^\(i\)"):
         run_suite("harrison", {"presets": ["dual-numbers"], "max_degree": 2,
                                "idempotents": (3,)})
+
+
+def test_harrison_suite_compares_no_zero_piece():
+    # the unit-free piece e^(i)C(I, M) can be zero where e^(i)C(A, M) is
+    # not; then the comparison maps pass through a zero space, and where
+    # both complexes also vanish below the top degree the homologies
+    # compare nothing.  Every map check must see a nonzero unit-free
+    # piece, and every quasi-iso check a nonzero chain group below the top
+    checks, _ = run_suite("harrison", {"presets": ["dual-numbers"],
+                                       "max_weight": 3})
+    assert all(c.ok for c in checks)
+    names = {c.name for c in checks}
+    alg = preset("dual-numbers")
+    for kind in ("k", "A"):
+        hc = HochschildComplex(alg, Coefficients(alg, kind))
+        for w in range(4):
+            for i in (1, 2, 3):
+                label = f"dual-numbers M={kind} w={w} i={i}"
+                nh = NormalizedHarrison(hc, w, 4, i)
+                if not any(nh.c_chain.dims):
+                    continue
+                unit_free = any(r.ncols for r in nh.i_reps)
+                below_top = any(nh.c_chain.dims[:-1] + nh.i_chain.dims[:-1])
+                assert (f"composite identity {label}" in names) == unit_free
+                assert (f"comparison maps are chain maps {label}"
+                        in names) == unit_free
+                assert (f"quotient map quasi-iso {label}"
+                        in names) == below_top
+                assert f"kernel dim accounting {label}" in names
+    # among them: the i = 2 pieces at w <= 2, and (M = k, w = 3, i = 1),
+    # whose only nonzero group is e^(1)D(A, k) in degree 4
+    for w in range(3):
+        assert f"kernel dim accounting dual-numbers M=A w={w} i=2" in names
+        assert f"composite identity dual-numbers M=A w={w} i=2" not in names
+    assert not [n for n in names if n.endswith("M=k w=3 i=1")
+                and not n.startswith(("kernel dim", "degenerate"))]
 
 
 def test_hodge_suite_builds_each_idempotent_matrix_once(monkeypatch):
@@ -519,13 +555,13 @@ def restricted_boundary_reference(hc, n, w, keep):
 
 def lower_block(a, b, vectors):
     """Solve [a | b] x = vectors and keep the rows of b."""
-    sol, _ = solve_batch(a.hstack(b), vectors)
+    sol, _ = solve_batch(hstack(a, b), vectors)
     return sol.select_rows(range(a.ncols, sol.nrows))
 
 
 def upper_block(a, b, vectors):
     """Solve [a | b] x = vectors and keep the rows of a."""
-    sol, _ = solve_batch(a.hstack(b), vectors)
+    sol, _ = solve_batch(hstack(a, b), vectors)
     return sol.select_rows(range(a.ncols))
 
 

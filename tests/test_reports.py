@@ -85,7 +85,7 @@ EXPECTED = {
     "verify gamma-iso trunc3":
         "92bfe74f0c55dd3bb8f79cfba416ebd849d1c7241023b378ee9504be5c5a6909",
     "verify harrison trunc3":
-        "f7139fae1aa58d00829923d0e1dc109443a765722ffa48c4255baf21f995a9a6",
+        "c28668c1e7cd1c054c55d470414b1813245d8f9a4036ff0db436bafd705aaec0",
     "verify hodge trunc3":
         "f2a847e10dad59b0f180ecee371d5d58c987c49135260f87ed844c0375f530b6",
     "verify les trunc3":
