@@ -16,17 +16,14 @@ the unit vectors off the keys of its low pivots as basis, read by
 complement_coords (homology here, the Harrison quotient and the Eulerian
 pieces too).  A kernel basis is 1 at its own free row and 0 at the
 other free rows, so a vector's coordinates in it are its entries at the
-free rows (kernel_coords).  A subcomplex
-spanned by either kind of basis reads each boundary that way.
-complement_slice certifies each boundary by one product; a kernel complex
-is certified by its short exact sequence (check_ses).
+free rows (kernel_coords).  A subcomplex spanned by either kind of
+basis reads each boundary that way; complement_slice certifies each
+boundary by one product.
 
-A short exact sequence is taken in basis-map form (check_ses): its exactness
-and connecting map are read off proj's section and inc's free rows, with
-no elimination.  Once proj is a chain map and the sequence is exact in
-every degree, the inclusion's chain-map law costs one product per degree:
-d i lies in ker p = im i, where a vector is fixed by its free rows, so
-i d' = d i exactly when d' is the free rows of d i.
+A short exact sequence 0 -> ker p -> total -> quot -> 0 is taken in
+basis-map form: KernelSlice(p, total) is the kernel of a basis map p in
+closed form, and check_ses certifies only p (surjective, a chain map).
+The connecting map is read off p's section and the kernel's free rows.
 """
 
 from .sparse import (SparseMatrix, kernel_with_free, low_coords, low_pivots,
@@ -314,87 +311,101 @@ def basis_map_section(proj):
     return target, first
 
 
-def check_ses(inc, proj, sub, total, quot):
-    """Verify 0 -> sub -> total -> quot -> 0 is a degreewise-exact sequence
-    of chain maps in basis-map form, ranking nothing, and return per degree
-    the section first of proj and the free rows of inc (a one-line
-    NotExactError otherwise).  The three slices share their top degree and
-    both map lists cover it (else ValueError).  proj is a basis map hitting
-    every basis element of quot; inc is the identity at its free rows, the
-    largest rows of its columns, so injective; p o i = 0, and inc has dim
-    total - dim quot = dim ker p columns, so im i = ker p.
+class KernelSlice(ChainSlice):
+    """ker proj as a subcomplex of total, in closed form, for a basis map
+    proj with one matrix per degree of total (a column that is neither
+    zero nor one entry 1 raises NotExactError).  first[n] is proj[n]'s
+    section; inc[n] has one column per column j that is not the first of
+    its fiber, e_j when j maps to zero and else e_j - e_j0 with j0 the
+    first column with j's image, and free[n] lists those j.  Column t is
+    1 at row free[n][t] and 0 at the other free rows, so d'_n is the rows
+    free[n-1] of d_n inc_n, one product per degree.  check_ses certifies
+    that d' is d restricted; here only d' o d' != 0 raises."""
 
-    proj's chain-map law takes both products, inc's only one, checked
-    last: p d i = d p i = 0, so d_n i_n lies in ker p_{n-1} = im i_{n-1},
-    and a vector of im i is i applied to its free rows.  So i d' = d i
-    exactly when d' is the rows free[n-1] of d_n i_n."""
-    top = sub.top
-    if total.top != top or quot.top != top:
-        raise ValueError(f"slices of unequal top degrees {sub.top}, "
-                         f"{total.top}, {quot.top}")
-    if len(inc) <= top or len(proj) <= top:
-        raise ValueError(f"maps in degrees 0..{len(inc) - 1} (inclusion) "
-                         f"and 0..{len(proj) - 1} (projection), slices "
-                         f"through degree {top}")
-    if not check_chain_map(proj, total, quot):
-        raise NotExactError("projection is not a chain map")
-    firsts, frees = [], []
-    for n in range(top + 1):
-        if (inc[n].shape != (total.dims[n], sub.dims[n])
-                or proj[n].shape != (quot.dims[n], total.dims[n])):
-            raise ValueError(f"maps of the wrong shape in degree {n}")
-        try:
-            first = basis_map_section(proj[n])[1]
-        except ValueError as exc:
-            raise NotExactError(
-                f"projection is not a basis map in degree {n}: {exc}"
-            ) from None
+    def __init__(self, proj, total):
+        if [p.ncols for p in proj] != total.dims:
+            raise ValueError(f"projection does not map from the degrees "
+                             f"0..{total.top} of total")
+        self.proj, self.total = list(proj), total
+        self.inc, self.free, self.first = map(list, zip(*map(
+            _basis_map_kernel, self.proj, range(total.top + 1))))
+        super().__init__(total.field, [k.ncols for k in self.inc], {
+            n: total.boundary(n).mul(self.inc[n]).select_rows(
+                self.free[n - 1]) for n in range(1, total.top + 1)})
+
+
+def _basis_map_kernel(proj, n):
+    """(inc, free, first) of KernelSlice in degree n, in a call of its own
+    so that its column list is gone before the products d_n inc_n."""
+    try:
+        target, first = basis_map_section(proj)
+    except ValueError as exc:
+        raise NotExactError(
+            f"projection is not a basis map in degree {n}: {exc}") from None
+    one, minus_one = proj.field.one, proj.field.of(-1)
+    cols, free = [], []
+    for j, i in enumerate(target):
+        if i is None:
+            cols.append({j: one})
+        elif first[i] != j:
+            cols.append({j: one, first[i]: minus_one})
+        else:
+            continue
+        free.append(j)
+    return SparseMatrix.from_columns(proj.field, proj.ncols, cols), free, first
+
+
+def check_ses(sub, quot):
+    """Verify 0 -> sub -> sub.total -> quot -> 0, sub a KernelSlice of
+    proj, is a degreewise-exact sequence of chain maps, ranking nothing and
+    forming no product with inc (a one-line NotExactError otherwise; a
+    proj that does not map onto quot's degrees raises ValueError).
+
+    By construction p o i = 0, and i is the identity at its free rows, so
+    injective, with dim total - (rows hit by p) columns.  So im i = ker p
+    once p hits every row, read off sub.first.  And p is a chain map, by
+    both products.  Then so is i: p d i = d p i = 0 puts d_n i_n in ker
+    p_{n-1} = im i_{n-1}, where a vector is i applied to its free rows,
+    and d' is the rows free[n-1] of d_n i_n, so i d' = d i (and d' o d' =
+    0, as i is injective; the kernel still checks it when built)."""
+    if [p.nrows for p in sub.proj] != quot.dims:
+        raise ValueError(f"projection onto dims {[p.nrows for p in sub.proj]}"
+                         f", quotient of dims {quot.dims}")
+    for n, first in enumerate(sub.first):
         if None in first:
             raise NotExactError(f"projection not surjective in degree {n}: "
                                 f"no column hits row {first.index(None)}")
-        free = [max(col, default=None) for col in inc[n].columns_as_dicts()]
-        if inc[n].select_rows(free) != SparseMatrix.identity(
-                inc[n].field, sub.dims[n]):
-            raise NotExactError(f"inclusion is not the identity on its "
-                                f"free rows in degree {n}")
-        if not proj[n].mul(inc[n]).is_zero():
-            raise NotExactError(f"p o i != 0 in degree {n}")
-        if inc[n].ncols != total.dims[n] - quot.dims[n]:
-            raise NotExactError(f"im(i) != ker(p) in degree {n}")
-        firsts.append(first)
-        frees.append(free)
-    for n in range(1, top + 1):
-        if (total.boundary(n).mul(inc[n]).select_rows(frees[n - 1])
-                != sub.boundary(n)):
-            raise NotExactError("inclusion is not a chain map")
-    return firsts, frees
+    if not check_chain_map(sub.proj, sub.total, quot):
+        raise NotExactError("projection is not a chain map")
 
 
-def connecting_homomorphism(inc, proj, sub, total, quot, n):
+def connecting_homomorphism(sub, quot, n):
     """Zig-zag connecting map H_n(quot) -> H_{n-1}(sub) of a short exact
     sequence in basis-map form (check_ses): lift through the section of
     proj, apply the boundary, pull back at the free rows of inc."""
-    first, free = check_ses(inc, proj, sub, total, quot)
+    check_ses(sub, quot)
     if not 1 <= n <= sub.top:
         raise ValueError(f"connecting map in degree {n}, outside "
                          f"1..{sub.top}")
-    return _connecting(inc, sub, total, quot, n, first[n], free[n - 1])
+    return _connecting(sub, quot, n, sub.first[n])
 
 
-def _connecting(inc, sub, total, quot, n, first, free):
+def _connecting(sub, quot, n, first):
     """Row i of the representatives lifts to row first[i], so proj lifts =
     reps; the lifts' boundary lies in ker proj = im inc, pulled back at its
     free rows with kernel_coords' certificate.  Any lift gives this map."""
     reps = quot.reps(n)
+    total = sub.total
     lifts = SparseMatrix(reps.field, total.dims[n], reps.ncols, {
         (first[i], j): v for (i, j), v in reps.entries.items()})
-    pulls = kernel_coords(inc[n - 1], free, total.boundary(n).mul(lifts))
+    pulls = kernel_coords(sub.inc[n - 1], sub.free[n - 1],
+                          total.boundary(n).mul(lifts))
     return sub.coords(n - 1, pulls)  # raises ValueError on a non-cycle
 
 
-def long_exact_sequence_nodes(inc, proj, sub, total, quot, max_n):
-    """Exactness bookkeeping for the long exact sequence of a short exact
-    sequence of complexes, through homological degree max_n.
+def long_exact_sequence_nodes(sub, quot, max_n):
+    """Exactness bookkeeping for the long exact sequence of 0 -> sub ->
+    sub.total -> quot -> 0 (check_ses), through homological degree max_n.
 
     Returns a list of (description, incoming_rank, outgoing_kernel_dim)
     for every node whose incoming and outgoing maps are both determined
@@ -402,20 +413,20 @@ def long_exact_sequence_nodes(inc, proj, sub, total, quot, max_n):
     top-degree homology to be meaningful; max_n above their top degree
     raises ValueError).
     """
-    first, free = check_ses(inc, proj, sub, total, quot)
+    check_ses(sub, quot)
     if max_n > sub.top:
         raise ValueError(f"long exact sequence through degree {max_n}, "
                          f"slices through degree {sub.top}")
+    total = sub.total
 
     # the ranks of H_n(inc), H_n(proj) and the connecting map H_n(quot) ->
     # H_{n-1}(sub), each taken once; the last is 0 for n = 0
     rk_alpha, rk_beta, rk_delta = {}, {}, {0: 0}
     for n in range(max_n + 1):
-        rk_alpha[n] = rank(_induced(inc, sub, total, n))
-        rk_beta[n] = rank(_induced(proj, total, quot, n))
+        rk_alpha[n] = rank(_induced(sub.inc, sub, total, n))
+        rk_beta[n] = rank(_induced(sub.proj, total, quot, n))
         if n >= 1:
-            rk_delta[n] = rank(_connecting(inc, sub, total, quot, n,
-                                           first[n], free[n - 1]))
+            rk_delta[n] = rank(_connecting(sub, quot, n, sub.first[n]))
 
     nodes = []
     for n in range(max_n + 1):

@@ -19,7 +19,7 @@ the unit; two idempotents are multiplied only where two eigenvalues
 coincide in the field.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 from .fields import QQ
@@ -82,10 +82,6 @@ class Permutation(FiniteMap):
 
     def __lt__(self, other):
         return self.images < other.images
-
-
-def all_permutations(n):
-    return [Permutation(p) for p in permutations(range(1, n + 1))]
 
 
 class GroupAlgebraElement:

@@ -8,6 +8,9 @@ implied.  Morphisms are interned on gamma's FiniteMap core, like the
 surjections they forget to, and their strings come from gamma's
 map_strings.  The epimorphisms {1..x} -> {1..y} are the fiber orderings of
 the surjections.
+
+phi o q: NCS -> NC-Gamma(I, k) is a basis map, so ComparisonData builds
+its kernel complex once, in closed form, as a chains.KernelSlice.
 """
 
 from functools import cached_property, lru_cache
@@ -15,11 +18,10 @@ from itertools import permutations, product
 from math import comb, factorial
 
 from .algebras import Coefficients
-from .chains import (ChainSlice, SliceComplex, basis_map_matrix,
+from .chains import (KernelSlice, SliceComplex, basis_map_matrix,
                      basis_map_section, check_chain_map)
 from .gamma import (FiniteMap, GammaComplex, Surjection, map_strings,
                     string_count, surjections)
-from .sparse import SparseMatrix
 
 
 class FiberOrderedMap(FiniteMap):
@@ -203,28 +205,10 @@ def phi_matrix(sym_quot, gamma_ideal, n, w):
         lambda key: (forget_string(key[0]), key[1], 0))
 
 
-def _basis_map_kernel(matrix):
-    """(K, free) of a matrix whose every column is zero or holds one
-    entry 1: K has one column e_j or e_j - e_j0 per non-first column j of
-    a fiber (ComparisonData.kernel), and free lists those j in order."""
-    field = matrix.field
-    one, minus_one = field.one, field.of(-1)
-    target, first = basis_map_section(matrix)
-    cols, free = [], []
-    for j, i in enumerate(target):
-        if i is None:
-            cols.append({j: one})
-        elif first[i] != j:
-            cols.append({j: one, first[i]: minus_one})
-        else:
-            continue
-        free.append(j)
-    return SparseMatrix.from_columns(field, matrix.ncols, cols), free
-
-
 class ComparisonData:
     """The surjection NCS -> NC-Gamma(I, k) at one weight with its short
-    exact sequence, certificates included.
+    exact sequence 0 -> ker(phi o q) -> NCS -> NC-Gamma -> 0,
+    certificates included.
 
     The symmetric quotient's slice, quot_chain, is built on first use:
     only the chain-map certificates of q and phi read its boundaries,
@@ -264,32 +248,17 @@ class ComparisonData:
         return all(None not in basis_map_section(p)[1] for p in self.proj)
 
     def kernel(self):
-        """(inclusion columns, ChainSlice) of ker(phi o q), in closed form.
-
-        phi o q sends each basis element to one basis element or to zero,
-        so its kernel has one basis column per column j that is not the
-        first column of its fiber: e_j when j maps to zero, and e_j - e_j0
-        otherwise, where j0 is the first column with j's image.  This is
-        the basis that kernel_basis eliminates, entry for entry.  Column t
-        is 1 at its own column and 0 at the other non-first columns, so
-        d^K_n is the rows free[n-1] of d_n K_n, one product per degree.
-        Only check_ses, which every consumer of ses() runs before reading
-        the kernel's homology, certifies that the columns span the kernel
-        and that it is a subcomplex; here only d^K o d^K != 0 raises
-        CertificationError (NotAComplexError)."""
+        """(inclusion columns, KernelSlice) of ker(phi o q) in sym_chain,
+        built once.  check_ses, which every consumer of ses() runs before
+        reading the kernel's homology, certifies that it is a subcomplex."""
         if self._kernel is None:
-            reps, free = zip(*map(_basis_map_kernel, self.proj))
-            bounds = {n: self.sym_chain.boundary(n).mul(reps[n]).select_rows(
-                free[n - 1]) for n in range(1, len(reps))}
-            self._kernel = list(reps), ChainSlice(
-                self.sym.field, [k.ncols for k in reps], bounds)
-        return self._kernel
+            self._kernel = KernelSlice(self.proj, self.sym_chain)
+        return self._kernel.inc, self._kernel
 
     def ses(self):
-        """(inc, proj, sub, total, quot) in the shape the chain machinery
-        expects."""
-        reps, kchain = self.kernel()
-        return reps, self.proj, kchain, self.sym_chain, self.gamma_chain
+        """(KernelSlice, gamma_chain), as check_ses and the long exact
+        sequence take the short exact sequence."""
+        return self.kernel()[1], self.gamma_chain
 
 
 def reduced_symmetric_homology(alg, max_n, max_w, normalized=True):

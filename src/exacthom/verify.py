@@ -197,10 +197,11 @@ def suite_harrison(config):
                     checks.append(Check(
                         f"quotient map quasi-iso {label}",
                         cdims[:-1] == qdims[:-1], (cdims, qdims)))
-                ddims = nh.d_chain.homology()
-                checks.append(Check(
-                    f"degenerate summand acyclic {label}",
-                    all(d == 0 for d in ddims[:-1]), ddims))
+                if any(nh.d_chain.dims[:-1]):
+                    ddims = nh.d_chain.homology()
+                    checks.append(Check(
+                        f"degenerate summand acyclic {label}",
+                        all(d == 0 for d in ddims[:-1]), ddims))
         try:
             for w in range(max_w + 1):
                 harrison_weight(alg, co, w, max_n)
@@ -331,6 +332,19 @@ def suite_gamma_iso(config):
     return checks
 
 
+def _compares(src, dst):
+    """A chain map src -> dst compares some nonempty product: some degree
+    n >= 1 has generators in src_n and in dst_{n-1}."""
+    return any(src.dims[n] and dst.dims[n - 1]
+               for n in range(1, min(src.top, dst.top) + 1))
+
+
+def _nonzero(cd):
+    """Some comparison slice has a generator: else surjectivity and the long
+    exact sequence compare nothing."""
+    return any(cd.sym_chain.dims) or any(cd.gamma_chain.dims)
+
+
 def suite_comparison(config):
     max_n = config.get("max_degree", 3)
     max_w = config.get("max_weight", 3)
@@ -348,12 +362,16 @@ def suite_comparison(config):
                 checks.append(Check(
                     f"comparison slices certified {name} w={w}", False, exc))
                 continue
-            checks.append(Check(
-                f"quotient map chain map {name} w={w}", flags[0]))
-            checks.append(Check(
-                f"comparison map chain map {name} w={w}", flags[1]))
-            checks.append(Check(
-                f"comparison map surjective {name} w={w}", cd.surjective()))
+            # a check that would compare only zero spaces is not reported
+            if _compares(cd.sym_chain, cd.quot_chain):
+                checks.append(Check(
+                    f"quotient map chain map {name} w={w}", flags[0]))
+            if _compares(cd.quot_chain, cd.gamma_chain):
+                checks.append(Check(
+                    f"comparison map chain map {name} w={w}", flags[1]))
+            if _nonzero(cd):
+                checks.append(Check(f"comparison map surjective {name} w={w}",
+                                    cd.surjective()))
         rows = hs0_consistency(alg, max_w)
         bad = [(w, got, exp) for w, got, exp in rows if got != exp]
         checks.append(Check(
@@ -362,10 +380,9 @@ def suite_comparison(config):
     return checks
 
 
-def _les_exact(alg, w, max_n):
-    """(ok, witness) of the comparison's long exact sequence at weight w
-    being exact through degree max_n."""
-    cd = ComparisonData(alg, w, max_n + 1)
+def _les_exact(cd, max_n):
+    """(ok, witness) of the comparison's long exact sequence being exact
+    through degree max_n."""
     nodes = long_exact_sequence_nodes(*cd.ses(), max_n)
     bad = [(node, rin, kout) for node, rin, kout in nodes if rin != kout]
     return not bad, bad or None
@@ -380,9 +397,14 @@ def suite_les(config):
     for name in presets_:
         alg = preset(name, field)
         for w in range(max_w + 1):
-            checks.append(_checked(
-                f"long exact sequence {name} w={w} (degrees <= {max_n})",
-                _les_exact, alg, w, max_n))
+            label = f"long exact sequence {name} w={w} (degrees <= {max_n})"
+            try:
+                cd = ComparisonData(alg, w, max_n + 1)
+            except CertificationError as exc:
+                checks.append(Check(label, False, exc))
+                continue
+            if _nonzero(cd):
+                checks.append(_checked(label, _les_exact, cd, max_n))
     return checks
 
 

@@ -127,8 +127,7 @@ def test_criterion_10_long_exact_sequence():
         alg = preset(name)
         for w in range(4):
             cd = ComparisonData(alg, w, 4)
-            inc, proj, sub, total, quot = cd.ses()
-            nodes = long_exact_sequence_nodes(inc, proj, sub, total, quot, 3)
+            nodes = long_exact_sequence_nodes(*cd.ses(), 3)
             ok = ok and all(rin == kout for _, rin, kout in nodes)
     _report(10, "long exact sequence exact at every node (w <= 3, "
             "degrees <= 3, both presets)", ok, time.time() - t0, "< 15 min")

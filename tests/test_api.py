@@ -6,7 +6,7 @@ import exacthom
 PINNED = [
     "ChainSlice", "Coefficients", "ComparisonData", "FiberOrderedMap",
     "GF", "GammaComplex", "GradedAlgebra", "GroupAlgebraElement",
-    "HochschildComplex", "PRESETS", "Permutation", "QQ",
+    "HochschildComplex", "KernelSlice", "PRESETS", "Permutation", "QQ",
     "SparseMatrix", "SymmetricComplex", "connecting_homomorphism",
     "eulerian_idempotents", "field_from_name", "gamma_homology",
     "harrison_homology", "hochschild_homology", "induced_map_on_homology",

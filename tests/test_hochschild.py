@@ -462,6 +462,29 @@ def test_harrison_suite_compares_no_zero_piece():
                 and not n.startswith(("kernel dim", "degenerate"))]
 
 
+def test_harrison_suite_reports_no_acyclic_check_on_a_zero_summand():
+    # "degenerate summand acyclic" compares the homology of e^(i)D(A, M)
+    # below the top degree, so it is reported only where that complex is
+    # nonzero there; on dual-numbers, (M = k and A, w = 1, i = 3) and
+    # (M = k, w = 3, i = 1) have their only generators in degree 4
+    checks, _ = run_suite("harrison", {"presets": ["dual-numbers"],
+                                       "max_weight": 3})
+    names = {c.name for c in checks}
+    alg = preset("dual-numbers")
+    for kind in ("k", "A"):
+        hc = HochschildComplex(alg, Coefficients(alg, kind))
+        for w in range(4):
+            for i in (1, 2, 3):
+                label = f"dual-numbers M={kind} w={w} i={i}"
+                nh = NormalizedHarrison(hc, w, 4, i)
+                assert (f"degenerate summand acyclic {label}" in names) \
+                    == any(nh.d_chain.dims[:-1]), label
+    for label in ("M=k w=1 i=3", "M=A w=1 i=3", "M=k w=3 i=1"):
+        assert f"kernel dim accounting dual-numbers {label}" in names
+        assert f"degenerate summand acyclic dual-numbers {label}" \
+            not in names
+
+
 def test_hodge_suite_builds_each_idempotent_matrix_once(monkeypatch):
     # over F_7: 4 complexes x 6 weights x the 15 (n, i) with i <= n <= 5,
     # one action matrix each, and each reduces only its own idempotent

@@ -77,7 +77,7 @@ EXPECTED = {
     "verify barr trunc3":
         "1325f0faa2d4bec36b4937597d3c19caa8a16618cbe9ced2adc8f34de5627521",
     "verify comparison trunc3":
-        "52fd01bb81cdb19c32f03d97b3dbf7df3197761f91a2338c25b3ae949257e8db",
+        "c4b5b95d26f4f8e2b8f650a38d65eb83abc6d986bb7981658db6f7d508574bdc",
     "verify eulerian trunc3":
         "e7ee8a2fae95980adbaebc7591fe1d1220ca9b90ef026f4aa9c5d7f25bc22508",
     "verify gamma-iso":
@@ -85,11 +85,11 @@ EXPECTED = {
     "verify gamma-iso trunc3":
         "92bfe74f0c55dd3bb8f79cfba416ebd849d1c7241023b378ee9504be5c5a6909",
     "verify harrison trunc3":
-        "c28668c1e7cd1c054c55d470414b1813245d8f9a4036ff0db436bafd705aaec0",
+        "fc2a263be9545b8ee6c7718053835e9f4c627ab88140b9a0adbcf537d215f559",
     "verify hodge trunc3":
         "f2a847e10dad59b0f180ecee371d5d58c987c49135260f87ed844c0375f530b6",
     "verify les trunc3":
-        "6d953d4e4c8f11ae89876e3c4eeec303913a9c50069781d67d7165c1409771f5",
+        "bdb1910c8e1be6e159f15f94e0d2636d7d868a08a04723960c5f6d008700ad23",
     "verify pruning trunc3":
         "b8d4ff6423a6ec16455235c1dd8f4ff9a44dac104499de4d1749dbab6fa82dd3",
 }
